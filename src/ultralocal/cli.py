@@ -10,6 +10,7 @@ every run is fully determined by (scenario, config, seed).
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -108,9 +109,12 @@ def _default_ref(scenario: str) -> ReferenceTrajectory:
 
 def _parse_float(key: str, raw: str) -> float:
     try:
-        return float(raw)
+        v = float(raw)
     except ValueError:
         raise ConfigError("config key '%s': expected a number, got '%s'" % (key, raw)) from None
+    if not math.isfinite(v):
+        raise ConfigError("config key '%s' must be finite, got '%s'" % (key, raw))
+    return v
 
 
 def _parse_positive(key: str, raw: str) -> float:
@@ -471,15 +475,11 @@ def _scenario_stabmap(cfg: ScenarioConfig, out_dir: str, aggregation: str):
     grid = sweep(spec)
     path = os.path.join(out_dir, "grid.csv")
     export_grid(grid, path)
-    counts = {VERDICT_STABLE: 0, VERDICT_UNSTABLE: 0,
-              VERDICT_MARGINAL: 0, VERDICT_EXCLUDED: 0}
-    for row in grid.verdicts:
-        for v in row:
-            counts[v] += 1
     lines = ["scenario = %s" % cfg.name,
              "stable_fraction = %r" % grid.stable_fraction]
-    lines.extend("%s_cells = %d" % (k, counts[k]) for k in
-                 (VERDICT_STABLE, VERDICT_UNSTABLE, VERDICT_MARGINAL, VERDICT_EXCLUDED))
+    lines.extend("%s_cells = %d" % (k, sum(row.count(k) for row in grid.verdicts))
+                 for k in (VERDICT_STABLE, VERDICT_UNSTABLE, VERDICT_MARGINAL,
+                           VERDICT_EXCLUDED))
     return [path], lines
 
 

@@ -291,16 +291,23 @@ def ip_charpoly(params: IpLoopParams) -> Polynomial:
 
     Ascending coefficients, degree 4 with leading coefficient T**2.
     """
-    a = params.alpha
-    kp = params.kp
-    t = params.t_filter
-    return Polynomial([
+    return Polynomial(_ip_coeffs(params.alpha, params.kp, params.t_filter))
+
+
+def _ip_coeffs(a, kp, t):
+    """Ascending coefficients of the filtered iP quartic.
+
+    Takes floats or broadcastable numpy arrays; stabmap's vector sweep
+    relies on both paths performing the same float operations in the
+    same order.
+    """
+    return (
         -kp / a,
         1.0 / a - 2.0 * t * kp / a,
         -2.0 * t + t * (1.0 + 1.0 / a) - t * t * kp / a,
         2.0 * t - t * t,
         t * t,
-    ])
+    )
 
 
 def expand_pole(r: float, multiplicity: int) -> Polynomial:

@@ -36,6 +36,10 @@ from .control import (
 # at the first crossing sample and flagged.
 BLOWUP_THRESHOLD = 1e3
 
+# Largest sample count duration / h a run may ask for: the scalar loop logs
+# ten Python floats per sample, a few hundred MB at this cap.
+MAX_SAMPLES = 1_000_000
+
 TRACE_COLUMNS = ("t", "u", "y_true", "y_measured", "y_ref", "e", "f_hat", "f_true")
 
 
@@ -295,6 +299,9 @@ def run_closed_loop(plant: LtiPlant, controller: ControllerSpec,
         raise ValueError("h must be positive, got %r" % (h,))
     if duration < 10.0 * h:
         raise ValueError("duration must cover at least ten steps")
+    if not duration / h <= MAX_SAMPLES:
+        raise ValueError("duration / h = %r samples, above the cap of %d"
+                         % (duration / h, MAX_SAMPLES))
     kind = controller.kind
     intelligent = kind != CLASSIC_PID
 

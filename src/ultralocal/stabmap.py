@@ -5,6 +5,14 @@ of the loop's quartic characteristic polynomial, either at one filter
 time constant or aggregated over a whole axis of them. A cross-validation
 routine replays sampled cells as actual time-domain simulations so the
 algebraic verdicts and the loop behavior can be compared on equal terms.
+
+The sweep computes the quartic's Routh first column as numpy arrays over
+blocks of whole kp rows, with the float operations of ip_charpoly and
+routh_hurwitz in their order, so every cell it decides gets the verdict
+the scalar table gives. Wherever a branch of the scalar table could fire
+(a trimmed leading coefficient, a zero row or pivot, a non-finite entry)
+the cell is flagged and classified by the scalar cell_verdict instead,
+which stays the reference the vector path is tested against.
 """
 
 from __future__ import annotations
@@ -16,8 +24,11 @@ import numpy as np
 
 from .control import ControllerSpec, EstimatorConfig, ANALYSIS_FORM
 from .poly import (
+    ROUTH_ZERO_REL_TOL,
+    TRIM_REL_TOL,
     IpLoopParams,
     StabilityKind,
+    _ip_coeffs,
     ip_charpoly,
     max_real_part_of_roots,
     routh_hurwitz,
@@ -26,6 +37,14 @@ from .sim import NoiseModel, ReferenceTrajectory, example_plant, run_closed_loop
 
 # |alpha| below this is excluded from sweeps: the control law divides by alpha.
 ALPHA_EXCLUSION = 1e-9
+
+# Largest kp count x alpha count a grid may have: 100 times the default
+# 201x201 map. The verdict lists alone take about 8 bytes per cell.
+MAX_GRID_CELLS = 4_000_000
+
+# Cells per block of the vector sweep, rounded down to whole kp rows (at
+# least one), so its temporaries stay small whatever the grid size.
+_BLOCK_CELLS = 4096
 
 VERDICT_STABLE = "stable"
 VERDICT_UNSTABLE = "unstable"
@@ -64,10 +83,22 @@ class GridSpec:
     def __post_init__(self):
         for name in ("kp_axis", "alpha_axis"):
             axis = getattr(self, name)
-            if len(axis) != 3 or not axis[0] < axis[1] or int(axis[2]) < 2:
-                raise InvalidGrid("%s must be (min, max, count>=2) with min < max" % name)
-        if len(self.t_axis) == 0 or any(not t > 0.0 for t in self.t_axis):
-            raise InvalidGrid("t_axis must be non-empty with positive entries")
+            if (len(axis) != 3 or not all(math.isfinite(x) for x in axis)
+                    or not axis[0] < axis[1] or int(axis[2]) < 2):
+                raise InvalidGrid("%s must be finite (min, max, count>=2) with min < max"
+                                  % name)
+        cells = int(self.kp_axis[2]) * int(self.alpha_axis[2])
+        if cells > MAX_GRID_CELLS:
+            raise InvalidGrid("kp_axis x alpha_axis has %d cells, above the cap of %d"
+                              % (cells, MAX_GRID_CELLS))
+        for name, values in (("kp_axis", self.kp_values), ("alpha_axis", self.alpha_values)):
+            with np.errstate(over="ignore", invalid="ignore"):
+                overflows = not np.isfinite(values()).all()
+            if overflows:
+                raise InvalidGrid("%s spacing overflows" % name)
+        if len(self.t_axis) == 0 or any(not (t > 0.0 and math.isfinite(t))
+                                        for t in self.t_axis):
+            raise InvalidGrid("t_axis must be non-empty with finite positive entries")
         if self.aggregation not in (FIXED_T, FOR_ALL_T):
             raise InvalidGrid("unknown aggregation %r" % (self.aggregation,))
         if not 0 <= self.t_index < len(self.t_axis):
@@ -141,22 +172,79 @@ def cell_verdict(kp: float, alpha: float, spec: GridSpec) -> str:
     return VERDICT_MARGINAL if saw_marginal else VERDICT_STABLE
 
 
+# Verdict codes of the vector sweep index this table, so that every
+# verdict string is one of the shared constants. Code _FALLBACK marks a
+# flagged cell; its entry is replaced by the scalar verdict.
+_VERDICTS = np.array([VERDICT_STABLE, VERDICT_UNSTABLE, VERDICT_MARGINAL,
+                      VERDICT_EXCLUDED], dtype=object)
+_STABLE, _UNSTABLE, _FALLBACK, _EXCLUDED = range(4)
+
+
+def _routh_block(kp, alpha, t):
+    """Routh test of the quartic at one T over a block of cells.
+
+    kp is a column and alpha a row; returns boolean arrays (unstable,
+    flagged). The first column [c4, c3, b1, d1, e1] is computed with
+    routh_hurwitz's operations in its order. The table's last column is
+    all zeros, so its second-column entries b2, d2, e2 are c0, 0 and 0,
+    and e1 is c0, up to the sign of a zero, which is flagged.
+
+    Flagged are a trimmed leading coefficient, non-finite values, and a
+    first-column entry within ROUTH_ZERO_REL_TOL of the coefficient
+    scale. The last covers the scalar's zero-row and zero-pivot branches:
+    every second-column entry is at most the scale. An unflagged cell is
+    unstable exactly when the scalar table has a sign change.
+    """
+    c0, c1, c2, c3, c4 = _ip_coeffs(alpha, kp, t)
+    b1 = c2 - c4 * c1 / c3
+    d1 = c1 - c3 * c0 / b1
+    scale = np.maximum(np.maximum(np.abs(c0), np.abs(c1)),
+                       np.maximum(np.abs(c2), max(abs(c3), c4)))
+    zero_tol = ROUTH_ZERO_REL_TOL * scale
+    flagged = ~(np.isfinite(scale) & np.isfinite(b1) & np.isfinite(d1))
+    flagged |= c4 <= TRIM_REL_TOL * scale
+    for entry in (c3, b1, d1, c0):
+        flagged |= np.abs(entry) <= zero_tol
+    unstable = (c3 < 0.0) | (b1 < 0.0) | (d1 < 0.0) | (c0 < 0.0)
+    return unstable, flagged
+
+
 def sweep(spec: GridSpec) -> StabilityGrid:
-    """Classify every grid cell; stable_fraction counts stable over all cells."""
-    kps = spec.kp_values().tolist()
-    alphas = spec.alpha_values().tolist()
+    """Classify every grid cell; stable_fraction counts stable over all cells.
+
+    Works in blocks of whole kp rows and, within a block, T by T in axis
+    order, as cell_verdict does. The vector test (_routh_block) follows a
+    cell until it is unstable or flagged; a cell flagged first is
+    classified by the scalar cell_verdict, so the verdicts equal
+    cell_verdict's on every cell.
+    """
+    kps = spec.kp_values()
+    alphas = spec.alpha_values()
+    ts = spec.t_axis if spec.aggregation == FOR_ALL_T else (spec.t_axis[spec.t_index],)
+    excluded = np.abs(alphas) < ALPHA_EXCLUSION
+    rows_per_block = max(1, _BLOCK_CELLS // len(alphas))
     verdicts = []
     stable = 0
-    for kp in kps:
-        row = []
-        for alpha in alphas:
-            v = cell_verdict(kp, alpha, spec)
-            if v == VERDICT_STABLE:
-                stable += 1
-            row.append(v)
-        verdicts.append(row)
-    total = len(kps) * len(alphas)
-    return StabilityGrid(spec, verdicts, stable / total)
+    for start in range(0, len(kps), rows_per_block):
+        kp = kps[start:start + rows_per_block, None]
+        codes = np.zeros((len(kp), len(alphas)), np.intp)
+        codes[:, excluded] = _EXCLUDED
+        undecided = codes == _STABLE
+        for t in ts:
+            with np.errstate(all="ignore"):
+                unstable, flagged = _routh_block(kp, alphas, t)
+            codes[undecided & flagged] = _FALLBACK
+            undecided &= ~flagged
+            codes[undecided & unstable] = _UNSTABLE
+            undecided &= ~unstable
+            if not undecided.any():
+                break
+        rows = _VERDICTS[codes].tolist()
+        for i, j in zip(*np.nonzero(codes == _FALLBACK)):
+            rows[i][j] = cell_verdict(float(kp[i, 0]), float(alphas[j]), spec)
+        stable += sum(row.count(VERDICT_STABLE) for row in rows)
+        verdicts.extend(rows)
+    return StabilityGrid(spec, verdicts, stable / (len(kps) * len(alphas)))
 
 
 def export_grid(grid: StabilityGrid, path) -> None:
@@ -167,23 +255,18 @@ def export_grid(grid: StabilityGrid, path) -> None:
     '# stable_fraction = <value>'.
     """
     spec = grid.spec
-    kps = spec.kp_values().tolist()
-    alphas = spec.alpha_values().tolist()
-    fixed = spec.aggregation == FIXED_T
+    if spec.aggregation == FIXED_T:
+        header, mid = "kp,alpha,verdict\n", ","
+    else:
+        header, mid = "kp,alpha,t,verdict\n", ",all,"
+    alpha_fields = ["," + repr(alpha) + mid for alpha in spec.alpha_values().tolist()]
     try:
         with open(path, "w", newline="\n") as fh:
-            if fixed:
-                fh.write("kp,alpha,verdict\n")
-                for i, kp in enumerate(kps):
-                    row = grid.verdicts[i]
-                    for j, alpha in enumerate(alphas):
-                        fh.write("%s,%s,%s\n" % (repr(kp), repr(alpha), row[j]))
-            else:
-                fh.write("kp,alpha,t,verdict\n")
-                for i, kp in enumerate(kps):
-                    row = grid.verdicts[i]
-                    for j, alpha in enumerate(alphas):
-                        fh.write("%s,%s,all,%s\n" % (repr(kp), repr(alpha), row[j]))
+            fh.write(header)
+            for kp, row in zip(spec.kp_values().tolist(), grid.verdicts):
+                kp_field = repr(kp)
+                fh.write("".join([kp_field + a + v + "\n"
+                                  for a, v in zip(alpha_fields, row)]))
             fh.write("# stable_fraction = %s\n" % repr(grid.stable_fraction))
     except OSError as exc:
         raise IoFailure("cannot write grid to %r: %s" % (path, exc)) from exc

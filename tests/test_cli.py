@@ -136,6 +136,16 @@ def test_axis_parsing():
         _cfg("stabmap-fixed-t", alpha_axis="1,2")
 
 
+@pytest.mark.parametrize("key,raw", [
+    ("y0", "inf"), ("y0", "nan"), ("t_value", "inf"), ("ipd_pole", "nan"),
+    ("duration", "inf"), ("t_axis", "0.1,inf"), ("kp_axis", "-inf,5,11"),
+    ("ref", "constant:nan"),
+])
+def test_non_finite_values_rejected_naming_the_key(key, raw):
+    with pytest.raises(ConfigError, match="'%s' must be finite" % key):
+        _cfg("ipd-nominal", **{key: raw})
+
+
 def test_estimator_variant_parsing():
     assert _cfg("ipd-nominal", estimator="delayed-input").estimator_variant == DELAYED_INPUT
     with pytest.raises(ConfigError, match="estimator"):
@@ -343,6 +353,24 @@ def test_main_requires_scenario(capsys):
     rc = main([])
     assert rc == 2
     assert "scenario" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("scenario,item,names", [
+    ("ipd-nominal", "y0=inf", ("y0",)),
+    ("stabmap-fixed-t", "t_value=inf", ("t_value",)),
+    ("stabmap-fixed-t", "kp_axis=-5,5,100000000", ("kp_axis", "cap")),
+    ("stabmap-fixed-t", "kp_axis=-1e308,1e308,3", ("kp_axis", "overflows")),
+    ("ipd-nominal", "duration=1e300", ("duration / h", "cap")),
+])
+def test_main_rejects_unusable_values_naming_the_key(tmp_path, capsys, scenario, item, names):
+    rc = main(["--scenario", scenario, "--out", str(tmp_path), "--set", item])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("error:")
+    for name in names:
+        assert name in err
+    assert not any(name.endswith(".csv") for _, _, files in os.walk(tmp_path)
+                   for name in files)
 
 
 def test_main_dedicated_flags_beat_set(tmp_path):

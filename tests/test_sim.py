@@ -15,6 +15,7 @@ from ultralocal.sim import (
     BLOWUP_THRESHOLD,
     TRACE_COLUMNS,
     EmptyTrace,
+    MAX_SAMPLES,
     LtiPlant,
     Metrics,
     NoiseModel,
@@ -201,6 +202,9 @@ def test_loop_validation_errors():
         run_closed_loop(plant, ipd, _estimator(), ref, noise, h=0.0)
     with pytest.raises(ValueError):
         run_closed_loop(plant, ipd, _estimator(), ref, noise, h=1e-3, duration=5e-3)
+    with pytest.raises(ValueError, match="cap"):
+        run_closed_loop(plant, ipd, _estimator(), ref, noise, h=1e-3,
+                        duration=1e-3 * (MAX_SAMPLES + 1))
     with pytest.raises(ConfigMismatch):
         run_closed_loop(plant, ipd, None, ref, noise)
     with pytest.raises(ConfigMismatch):

@@ -4,11 +4,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+from ultralocal import stabmap
+from ultralocal.poly import PolynomialError
 from ultralocal.stabmap import (
+    ALPHA_EXCLUSION,
     FIXED_T,
     FOR_ALL_T,
+    MAX_GRID_CELLS,
     VERDICT_EXCLUDED,
+    VERDICT_MARGINAL,
     VERDICT_STABLE,
     VERDICT_UNSTABLE,
     AgreementReport,
@@ -44,6 +50,20 @@ def test_grid_spec_validation():
         GridSpec((0.0, 1.0, 2), (0.0, 1.0, 2), (0.1,), aggregation="sometimes")
     with pytest.raises(InvalidGrid):
         GridSpec((0.0, 1.0, 2), (0.0, 1.0, 2), (0.1,), t_index=1)
+
+
+@pytest.mark.parametrize("kp_axis,alpha_axis,t_axis,match", [
+    ((-math.inf, 1.0, 3), (0.0, 1.0, 2), (0.1,), "kp_axis"),
+    ((0.0, 1.0, 3), (0.0, math.nan, 2), (0.1,), "alpha_axis"),
+    ((-1e308, 1e308, 3), (0.0, 1.0, 2), (0.1,), "kp_axis spacing overflows"),
+    ((0.0, 1.0, 2), (-1e308, 1e308, 5), (0.1,), "alpha_axis spacing overflows"),
+    ((0.0, 1.0, 2), (0.0, 1.0, 2), (0.1, math.inf), "t_axis"),
+    ((0.0, 1.0, 2), (0.0, 1.0, 2), (math.nan,), "t_axis"),
+    ((0.0, 1.0, MAX_GRID_CELLS // 2 + 1), (0.0, 1.0, 2), (0.1,), "cap"),
+])
+def test_grid_spec_rejects_unusable_axes(kp_axis, alpha_axis, t_axis, match):
+    with pytest.raises(InvalidGrid, match=match):
+        GridSpec(kp_axis, alpha_axis, t_axis)
 
 
 def test_grid_spec_axes_values():
@@ -132,6 +152,92 @@ def test_sweep_matches_cell_verdict():
     assert grid.stable_fraction == stable / 25
     # the middle alpha column is excluded, never stable
     assert all(grid.verdicts[i][2] == VERDICT_EXCLUDED for i in range(5))
+
+
+_VERDICT_CONSTANTS = (VERDICT_STABLE, VERDICT_UNSTABLE, VERDICT_MARGINAL, VERDICT_EXCLUDED)
+
+
+def _assert_sweep_equals_cell_verdict(spec):
+    grid = sweep(spec)
+    expected = [[cell_verdict(kp, alpha, spec) for alpha in spec.alpha_values().tolist()]
+                for kp in spec.kp_values().tolist()]
+    assert grid.verdicts == expected
+    cells = len(expected) * len(expected[0])
+    assert grid.stable_fraction == sum(row.count(VERDICT_STABLE) for row in expected) / cells
+    # verdicts share the four string constants instead of holding copies
+    assert all(any(v is c for c in _VERDICT_CONSTANTS) for row in grid.verdicts for v in row)
+
+
+@pytest.mark.parametrize("spec", [
+    default_grid_spec(),
+    default_all_t_grid_spec(),
+    GridSpec((-5.0, 5.0, 301), (-5.0, 5.0, 101), (0.37,)),
+], ids=["default-fixed-t", "default-all-t", "301x101"])
+def test_sweep_equals_cell_verdict_on_full_grids(spec):
+    _assert_sweep_equals_cell_verdict(spec)
+
+
+@st.composite
+def _axes(draw):
+    """(min, max, count) around zero, anywhere in [-10, 10], or with
+    |bounds| near ALPHA_EXCLUSION."""
+    kind = draw(st.sampled_from(("symmetric", "span", "exclusion")))
+    count = draw(st.integers(2, 9))
+    if kind == "symmetric":
+        half = draw(st.floats(1e-3, 10.0))
+        return (-half, half, 2 * (count // 2) + 1)
+    if kind == "exclusion":
+        half = draw(st.floats(0.5, 4.0)) * ALPHA_EXCLUSION
+        return (-half, half, count)
+    lo = draw(st.floats(-10.0, 10.0))
+    return (lo, lo + draw(st.floats(1e-3, 20.0)), count)
+
+
+@st.composite
+def _grid_specs(draw):
+    t_axis = tuple(draw(st.lists(st.sampled_from((2.0, 1e-3, 0.1, 1.9)) | st.floats(1e-3, 3.0),
+                                 min_size=1, max_size=4)))
+    aggregation = draw(st.sampled_from((FIXED_T, FOR_ALL_T)))
+    t_index = draw(st.integers(0, len(t_axis) - 1))
+    return GridSpec(draw(_axes()), draw(_axes()), t_axis, aggregation, t_index)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_grid_specs())
+@example(GridSpec((-1.0, 1.0, 5), (-1.0, 1.0, 5), (2.0,)))  # 2T - T^2 = 0: zero pivot
+@example(GridSpec((-1.0, 1.0, 5), (-1.0, 1.0, 5), (1e-3, 2.0), FOR_ALL_T))
+# T^2 <= TRIM_REL_TOL * |kp/alpha|: the scalar table is a cubic's, stable
+@example(GridSpec((1e6, 2e6, 2), (-0.2, 0.2, 2), (1e-3,)))
+# on the Hurwitz boundary: the third Routh row is ~1e-15, a zero row, marginal
+@example(GridSpec((-0.8258533954434202, 0.0, 2), (0.2, 1.0, 2), (0.1,)))
+def test_sweep_equals_cell_verdict_on_drawn_grids(spec):
+    _assert_sweep_equals_cell_verdict(spec)
+
+
+def test_sweep_leaves_overflowing_cells_to_the_scalar_table():
+    # kp / alpha overflows at the (1e300, 2e-9) cell; the scalar table rejects it
+    spec = GridSpec((1e300, 2e300, 2), (2e-9, 1.0, 2), (0.1,))
+    with pytest.raises(PolynomialError, match="non-finite"):
+        cell_verdict(1e300, 2e-9, spec)
+    with pytest.raises(PolynomialError, match="non-finite"):
+        sweep(spec)
+
+
+@pytest.mark.parametrize("kp_axis,alpha_axis", [
+    ((-5.0, 5.0, 61), (-5.0, 5.0, 301)),
+    ((0.5, 1.0, 3), (-5.0, 5.0, 2 * stabmap._BLOCK_CELLS + 1)),
+])
+def test_sweep_works_in_row_blocks(monkeypatch, kp_axis, alpha_axis):
+    real = stabmap._routh_block
+    sizes = []
+
+    def spy(kp, alpha, t):
+        sizes.append(kp.size * alpha.size)
+        return real(kp, alpha, t)
+
+    monkeypatch.setattr(stabmap, "_routh_block", spy)
+    sweep(GridSpec(kp_axis, alpha_axis, default_t_axis(), FOR_ALL_T))
+    assert sizes and max(sizes) <= max(stabmap._BLOCK_CELLS, alpha_axis[2])
 
 
 def test_all_t_stable_set_within_fixed_t():
