@@ -242,6 +242,7 @@ DEFAULT_SEED = 20260819
 
 def _read_config_file(path: str) -> dict:
     kv = {}
+    line_of = {}
     try:
         with open(path, "r") as fh:
             lines = fh.readlines()
@@ -255,7 +256,12 @@ def _read_config_file(path: str) -> dict:
         if not sep:
             raise ConfigError("%s:%d: expected 'key = value', got '%s'"
                               % (path, lineno, stripped))
-        kv[key.strip()] = value.strip()
+        key = key.strip()
+        if key in line_of:
+            raise ConfigError("%s:%d: config key '%s' is already set on line %d"
+                              % (path, lineno, key, line_of[key]))
+        line_of[key] = lineno
+        kv[key] = value.strip()
     return kv
 
 

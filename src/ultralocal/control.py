@@ -133,10 +133,12 @@ def estimate_f(cfg: EstimatorConfig, d1: float, d2: float,
 def replay_estimator(cfg: EstimatorConfig, y_measured, u, h: float) -> np.ndarray:
     """Run an estimator offline over recorded output/input columns.
 
-    Uses the same filter and estimator code paths as the closed loop:
-    the input column is shifted by one sample (u_prev[0] = 0), matching
-    the in-loop convention that the estimate at sample k may only use
-    inputs up to k-1.
+    Performs the float operations of the closed loop's estimate, in its
+    order (DerivatorFilter and estimate_f here, their inlined form in
+    sim.run_closed_loop), so replaying a logged trace reproduces its
+    f_hat column bit for bit. The input column is shifted by one sample
+    (u_prev[0] = 0), matching the in-loop convention that the estimate at
+    sample k may only use inputs up to k-1.
     """
     y = np.asarray(y_measured, dtype=float)
     uu = np.asarray(u, dtype=float)

@@ -15,30 +15,27 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .control import (
+    ANALYSIS_FORM,
     CLASSIC_PID,
-    IP,
     IPD,
     IPI,
     IPID,
     ConfigMismatch,
     ControllerSpec,
-    DerivatorFilter,
     EstimatorConfig,
-    control_classic_pid,
-    control_ip,
-    control_ipd,
-    control_ipi,
-    control_ipid,
-    estimate_f,
 )
 
 # |y_true| beyond this is treated as loop divergence; the trace is truncated
 # at the first crossing sample and flagged.
 BLOWUP_THRESHOLD = 1e3
 
-# Largest sample count duration / h a run may ask for: the scalar loop logs
-# ten Python floats per sample, a few hundred MB at this cap.
+# Largest sample count duration / h a run may ask for. A run peaks at about
+# 370 bytes per sample, mostly the Python float lists of the four columns
+# it reads and the four it logs while it steps: about 370 MB at this cap.
 MAX_SAMPLES = 1_000_000
+
+# Rows per write of SimulationTrace.to_csv.
+_CSV_BLOCK_ROWS = 4096
 
 TRACE_COLUMNS = ("t", "u", "y_true", "y_measured", "y_ref", "e", "f_hat", "f_true")
 
@@ -175,22 +172,40 @@ class ReferenceTrajectory:
 
     def eval(self, t: float) -> tuple[float, float, float]:
         """Return (y_ref, yd_ref, ydd_ref) at time t."""
+        pos, vel, acc = self.eval_array(np.array([t], dtype=float))
+        return (float(pos[0]), float(vel[0]), float(acc[0]))
+
+    def eval_array(self, t) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Position, velocity and acceleration columns at the times t.
+
+        Elementwise the same float operations as a scalar evaluation, so
+        every entry equals eval at that time.
+        """
+        t = np.asarray(t, dtype=float)
+        pos = np.empty(t.shape)
+        vel = np.zeros(t.shape)
+        acc = np.zeros(t.shape)
         if self.kind == CONSTANT:
-            return (self.level, 0.0, 0.0)
+            pos[:] = self.level
+            return pos, vel, acc
         span = self.t_end - self.t_start
-        tau = (t - self.t_start) / span
-        if tau <= 0.0:
-            return (self.y_start, 0.0, 0.0)
-        if tau >= 1.0:
-            return (self.y_end, 0.0, 0.0)
-        rise = self.y_end - self.y_start
-        t2 = tau * tau
-        t3 = t2 * tau
-        # 6 tau^5 - 15 tau^4 + 10 tau^3 and its scaled derivatives
-        pos = self.y_start + rise * t3 * (10.0 + tau * (-15.0 + 6.0 * tau))
-        vel = rise * t2 * (30.0 + tau * (-60.0 + 30.0 * tau)) / span
-        acc = rise * tau * (60.0 + tau * (-180.0 + 120.0 * tau)) / (span * span)
-        return (pos, vel, acc)
+        with np.errstate(all="ignore"):
+            tau = (t - self.t_start) / span
+            before = tau <= 0.0
+            after = tau >= 1.0
+            pos[before] = self.y_start
+            pos[after] = self.y_end
+            inside = ~(before | after)
+            tau = tau[inside]
+            rise = self.y_end - self.y_start
+            t2 = tau * tau
+            t3 = t2 * tau
+            # 6 tau^5 - 15 tau^4 + 10 tau^3 and its scaled derivatives
+            pos[inside] = self.y_start + rise * t3 * (10.0 + tau * (-15.0 + 6.0 * tau))
+            vel[inside] = rise * t2 * (30.0 + tau * (-60.0 + 30.0 * tau)) / span
+            acc[inside] = (rise * tau * (60.0 + tau * (-180.0 + 120.0 * tau))
+                           / (span * span))
+        return pos, vel, acc
 
 
 @dataclass
@@ -225,12 +240,18 @@ class SimulationTrace:
         return getattr(self, name)
 
     def to_csv(self, path) -> None:
-        """Write the pinned columns with repr floats (round-trip exact), LF endings."""
-        cols = [getattr(self, name).tolist() for name in TRACE_COLUMNS]
+        """Write the pinned columns with repr floats (round-trip exact), LF endings.
+
+        Rows are formatted and written in blocks of _CSV_BLOCK_ROWS, so the
+        text of a long trace is never held in memory whole.
+        """
         with open(path, "w", newline="\n") as fh:
             fh.write(",".join(TRACE_COLUMNS) + "\n")
-            for row in zip(*cols):
-                fh.write(",".join(repr(v) for v in row) + "\n")
+            for start in range(0, len(self), _CSV_BLOCK_ROWS):
+                stop = start + _CSV_BLOCK_ROWS
+                cols = [map(repr, getattr(self, name)[start:stop].tolist())
+                        for name in TRACE_COLUMNS]
+                fh.write("\n".join(map(",".join, zip(*cols))) + "\n")
 
 
 def load_trace_csv(path) -> dict[str, np.ndarray]:
@@ -294,6 +315,13 @@ def run_closed_loop(plant: LtiPlant, controller: ControllerSpec,
     A |y_true| > blowup_threshold crossing or a non-finite integration
     state truncates the trace at that sample and sets the diverged flag
     instead of raising, so sweeps can treat divergence as data.
+
+    The step inlines DerivatorFilter's two stages, estimate_f and the
+    intelligent and classic laws of control, with their float operations
+    in their order, and calls _rk4; time, noise and reference columns are
+    computed before the loop and the columns derived from u, y and ydot
+    after it. The tests hold every column bit-identical to a
+    sample-by-sample loop built from those public functions.
     """
     if not (h > 0.0 and math.isfinite(h)):
         raise ValueError("h must be positive, got %r" % (h,))
@@ -320,9 +348,13 @@ def run_closed_loop(plant: LtiPlant, controller: ControllerSpec,
                 % (estimator.nu, controller.nu))
         if estimator.alpha != controller.alpha:
             raise ConfigMismatch("estimator and controller alpha must match")
+    elif not (pid_filter_time > 0.0 and math.isfinite(pid_filter_time)):
+        raise ValueError("pid_filter_time must be positive, got %r" % (pid_filter_time,))
 
     n = int(round(duration / h)) + 1
-    noise_seq = noise.sequence(n).tolist()
+    t = np.arange(n) * h
+    noise_col = noise.sequence(n)
+    y_ref, yd_ref, ydd_ref = reference.eval_array(t)
 
     a1 = plant.a1
     a0 = plant.a0
@@ -332,111 +364,120 @@ def run_closed_loop(plant: LtiPlant, controller: ControllerSpec,
     kd = controller.kd
     alpha = controller.alpha if intelligent else 0.0
     nu = controller.nu
+    hh = 0.5 * h
+    estimating = intelligent and not use_oracle_estimator
+    integral = kind in (IPI, IPID)
+    derivative = kind in (IPD, IPID)
+    # backward-Euler lag of DerivatorFilter: on the measured output for
+    # the estimate (two stages), on the error for the classic PID (one)
+    keep = gain = 0.0
+    if estimating or not intelligent:
+        t_lag = estimator.t_filter if estimating else pid_filter_time
+        keep = t_lag / (t_lag + h)
+        gain = h / (t_lag + h)
+    analysis = estimating and estimator.variant == ANALYSIS_FORM
+    ea1, ea0, eb = estimator.plant_coeffs if analysis else (0.0, 0.0, 1.0)
 
-    deriv = None
-    err_filter = None
-    if intelligent and not use_oracle_estimator:
-        deriv = DerivatorFilter(estimator.t_filter, 2, h)
-    if kind == CLASSIC_PID:
-        err_filter = DerivatorFilter(pid_filter_time, 1, h)
-
-    ref_eval = reference.eval
-    t_log = []
     u_log = []
     y_log = []
-    ym_log = []
-    yr_log = []
-    e_log = []
+    v_log = []
     fh_log = []
-    ft_log = []
-    yd_log = []
-    ydd_log = []
+    log_u = u_log.append
+    log_y = y_log.append
+    log_v = v_log.append
+    log_fh = fh_log.append
+    isfinite = math.isfinite
 
     y = float(y0)
     v = float(ydot0)
     e_int = 0.0
     e_prev = 0.0
-    e_int_true = 0.0
-    e_prev_true = 0.0
+    # d1, d2: the filter stages' outputs (d1 alone, on e, for the classic
+    # PID). Stage 2's memory is the previous d1. Sample 0 only primes the
+    # memories and leaves both outputs 0.0.
+    ym_prev = 0.0
+    d1 = 0.0
+    d2 = 0.0
     u_prev = 0.0
     diverged = False
-
-    for k in range(n):
-        t = k * h
-        ym = y + noise_seq[k]
-        ystar, ysd, ysdd = ref_eval(t)
-        e = ystar - ym
-        if k:
-            e_int += 0.5 * h * (e_prev + e)
-        e_prev = e
-
-        if use_oracle_estimator:
-            e_t = ystar - y
-            ed_t = ysd - v
+    last = n - 1
+    # ydn_r is the reference derivative of the law's order: yd_ref for
+    # nu = 1, ydd_ref otherwise (the oracle mode is second order)
+    columns = zip(range(n), noise_col.tolist(), y_ref.tolist(), yd_ref.tolist(),
+                  (yd_ref if nu == 1 else ydd_ref).tolist())
+    for k, nz, ys, yd_r, ydn_r in columns:
+        ym = y + nz
+        if estimating:
+            e = ys - ym
             if k:
-                e_int_true += 0.5 * h * (e_prev_true + e_t)
-            e_prev_true = e_t
-            u = (ysdd + kp * e_t + ki * e_int_true + kd * ed_t
-                 + a1 * v + a0 * y) / bd
-            ydd = bd * u - a1 * v - a0 * y
-            f_true = ydd - alpha * u
-            f_hat = f_true
+                e_int += hh * (e_prev + e)
+                s1 = keep * d1 + gain * ((ym - ym_prev) / h)
+                d2 = keep * d2 + gain * ((s1 - d1) / h)
+                d1 = s1
+            e_prev = e
+            ym_prev = ym
+            f_hat = ((d1 if nu == 1 else d2)
+                     - alpha * ((d2 + ea1 * d1 + ea0 * ym) / eb if analysis else u_prev))
+            log_fh(f_hat)
+            u = -(f_hat - ydn_r - kp * e - ki * (e_int if integral else 0.0)
+                  - kd * (yd_r - d1 if derivative else 0.0)) / alpha
         elif intelligent:
-            deriv.step(ym)
-            d1, d2 = deriv.stage_outputs
-            f_hat = estimate_f(estimator, d1, d2, ym, u_prev)
-            if kind == IP:
-                u = control_ip(f_hat, ysd, e, controller)
-            elif kind == IPD:
-                u = control_ipd(f_hat, ysdd, e, ysd - d1, controller)
-            elif kind == IPI:
-                u = control_ipi(f_hat, ysdd, e, e_int, controller)
-            else:
-                u = control_ipid(f_hat, ysdd, e, e_int, ysd - d1, controller)
-            ydd = bd * u - a1 * v - a0 * y
-            f_true = (v if nu == 1 else ydd) - alpha * u
+            # oracle mode: exact lumped term, on the true error
+            e = ys - y
+            if k:
+                e_int += hh * (e_prev + e)
+            e_prev = e
+            u = (ydn_r + kp * e + ki * e_int + kd * (yd_r - v) + a1 * v + a0 * y) / bd
         else:
-            ed_f = err_filter.step(e)
-            u = control_classic_pid(e, e_int, ed_f, controller)
-            ydd = bd * u - a1 * v - a0 * y
-            f_hat = 0.0
-            f_true = 0.0
+            e = ys - ym
+            if k:
+                e_int += hh * (e_prev + e)
+                d1 = keep * d1 + gain * ((e - e_prev) / h)
+            e_prev = e
+            u = kp * e + ki * e_int + kd * d1
 
-        t_log.append(t)
-        u_log.append(u)
-        y_log.append(y)
-        ym_log.append(ym)
-        yr_log.append(ystar)
-        e_log.append(e)
-        fh_log.append(f_hat)
-        ft_log.append(f_true)
-        yd_log.append(v)
-        ydd_log.append(ydd)
+        log_u(u)
+        log_y(y)
+        log_v(v)
 
         if abs(y) > blowup_threshold:
             diverged = True
             break
-        if k == n - 1:
+        if k == last:
             break
         y, v = _rk4(a1, a0, bd, y, v, u, h)
-        if not (math.isfinite(y) and math.isfinite(v)):
+        if not (isfinite(y) and isfinite(v)):
             diverged = True
             break
         u_prev = u
+
+    m = len(u_log)
+    u = np.array(u_log)
+    y_true = np.array(y_log)
+    ydot = np.array(v_log)
+    y_measured = y_true + noise_col[:m]
+    with np.errstate(over="ignore", invalid="ignore"):
+        yddot = bd * u - a1 * ydot - a0 * y_true
+        if intelligent:
+            f_true = (ydot if nu == 1 else yddot) - alpha * u
+        else:
+            f_true = np.zeros(m)
+    if estimating:
+        f_hat = np.array(fh_log)
+    else:
+        f_hat = f_true.copy()
 
     trace_meta = {"controller": controller.describe(),
                   "sigma": noise.sigma, "seed": noise.seed,
                   "delta": plant.delta, "h": h,
                   "oracle_estimator": bool(use_oracle_estimator)}
-    if estimator is not None and intelligent and not use_oracle_estimator:
+    if estimating:
         trace_meta["estimator"] = "%s(nu=%d, alpha=%g, T=%g)" % (
             estimator.variant, estimator.nu, estimator.alpha, estimator.t_filter)
     if meta:
         trace_meta.update(meta)
 
     return SimulationTrace(
-        t=np.asarray(t_log), u=np.asarray(u_log), y_true=np.asarray(y_log),
-        y_measured=np.asarray(ym_log), y_ref=np.asarray(yr_log),
-        e=np.asarray(e_log), f_hat=np.asarray(fh_log), f_true=np.asarray(ft_log),
-        ydot_true=np.asarray(yd_log), yddot_true=np.asarray(ydd_log),
-        h=h, diverged=diverged, meta=trace_meta)
+        t=t[:m], u=u, y_true=y_true, y_measured=y_measured, y_ref=y_ref[:m],
+        e=y_ref[:m] - y_measured, f_hat=f_hat, f_true=f_true,
+        ydot_true=ydot, yddot_true=yddot, h=h, diverged=diverged, meta=trace_meta)

@@ -103,6 +103,29 @@ class GridSpec:
             raise InvalidGrid("unknown aggregation %r" % (self.aggregation,))
         if not 0 <= self.t_index < len(self.t_axis):
             raise InvalidGrid("t_index out of range")
+        self._check_coefficients_finite()
+
+    def _check_coefficients_finite(self) -> None:
+        # |kp| / |alpha| sets the coefficients' size: they peak at an end
+        # of the kp axis and the non-excluded alpha nearest zero on either
+        # side, so a grid whose corner cells overflow is rejected here
+        # rather than by the Routh table of one of its cells.
+        kps = self.kp_values()[[0, -1], None]
+        alphas = self.alpha_values()
+        near_zero = np.array([side[np.argmin(np.abs(side))]
+                              for side in (alphas[alphas >= ALPHA_EXCLUSION],
+                                           alphas[alphas <= -ALPHA_EXCLUSION]) if side.size])
+        ts = self.t_axis if self.aggregation == FOR_ALL_T else (self.t_axis[self.t_index],)
+        finite = np.ones((len(ts), 2, len(near_zero)), bool)
+        with np.errstate(all="ignore"):
+            for c in _ip_coeffs(near_zero, kps, np.array(ts)[:, None, None]):
+                finite &= np.isfinite(c)
+        if not finite.all():
+            k, i, j = np.argwhere(~finite)[0]
+            raise InvalidGrid(
+                "kp_axis / alpha_axis: the quartic's coefficients overflow at "
+                "kp = %r, alpha = %r, T = %r"
+                % (float(kps[i, 0]), float(near_zero[j]), float(ts[k])))
 
     def kp_values(self) -> np.ndarray:
         lo, hi, n = self.kp_axis

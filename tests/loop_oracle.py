@@ -1,0 +1,219 @@
+"""Reference closed loop and trace writer that ultralocal.sim is tested against.
+
+A frozen copy of the sample-by-sample loop the package used to run: one
+DerivatorFilter object per derivative, estimate_f and the control_* laws
+called at every sample, the reference evaluated one time instant at a
+time, and ten Python lists logged per sample. It is slow and is kept only
+as the oracle: the package loop must reproduce every logged column of it
+bit for bit. Do not edit its arithmetic.
+"""
+
+import math
+
+import numpy as np
+
+from ultralocal.control import (
+    CLASSIC_PID,
+    IP,
+    IPD,
+    IPI,
+    ConfigMismatch,
+    DerivatorFilter,
+    control_classic_pid,
+    control_ip,
+    control_ipd,
+    control_ipi,
+    control_ipid,
+    estimate_f,
+)
+from ultralocal.sim import (
+    BLOWUP_THRESHOLD,
+    CONSTANT,
+    MAX_SAMPLES,
+    TRACE_COLUMNS,
+    SimulationTrace,
+    _rk4,
+)
+
+
+def reference_eval(reference, t):
+    """Scalar (y_ref, yd_ref, ydd_ref) of a ReferenceTrajectory at time t."""
+    if reference.kind == CONSTANT:
+        return (reference.level, 0.0, 0.0)
+    span = reference.t_end - reference.t_start
+    tau = (t - reference.t_start) / span
+    if tau <= 0.0:
+        return (reference.y_start, 0.0, 0.0)
+    if tau >= 1.0:
+        return (reference.y_end, 0.0, 0.0)
+    rise = reference.y_end - reference.y_start
+    t2 = tau * tau
+    t3 = t2 * tau
+    pos = reference.y_start + rise * t3 * (10.0 + tau * (-15.0 + 6.0 * tau))
+    vel = rise * t2 * (30.0 + tau * (-60.0 + 30.0 * tau)) / span
+    acc = rise * tau * (60.0 + tau * (-180.0 + 120.0 * tau)) / (span * span)
+    return (pos, vel, acc)
+
+
+def run_closed_loop_reference(plant, controller, estimator, reference, noise,
+                              h=1e-3, duration=20.0, y0=0.0, ydot0=0.0,
+                              use_oracle_estimator=False,
+                              blowup_threshold=BLOWUP_THRESHOLD,
+                              pid_filter_time=0.1, meta=None):
+    """Same signature and result as ultralocal.sim.run_closed_loop."""
+    if not (h > 0.0 and math.isfinite(h)):
+        raise ValueError("h must be positive, got %r" % (h,))
+    if duration < 10.0 * h:
+        raise ValueError("duration must cover at least ten steps")
+    if not duration / h <= MAX_SAMPLES:
+        raise ValueError("duration / h = %r samples, above the cap of %d"
+                         % (duration / h, MAX_SAMPLES))
+    kind = controller.kind
+    intelligent = kind != CLASSIC_PID
+
+    if use_oracle_estimator:
+        if not intelligent or controller.nu != 2:
+            raise ConfigMismatch(
+                "oracle estimator mode requires a second-order intelligent law")
+        if plant.b * plant.delta == 0.0:
+            raise ConfigMismatch("oracle estimator mode needs b*delta != 0")
+    elif intelligent:
+        if estimator is None:
+            raise ConfigMismatch("intelligent controller needs an estimator config")
+        if estimator.nu != controller.nu:
+            raise ConfigMismatch(
+                "estimator order %d does not match controller order %d"
+                % (estimator.nu, controller.nu))
+        if estimator.alpha != controller.alpha:
+            raise ConfigMismatch("estimator and controller alpha must match")
+
+    n = int(round(duration / h)) + 1
+    noise_seq = noise.sequence(n).tolist()
+
+    a1 = plant.a1
+    a0 = plant.a0
+    bd = plant.b * plant.delta
+    kp = controller.kp
+    ki = controller.ki
+    kd = controller.kd
+    alpha = controller.alpha if intelligent else 0.0
+    nu = controller.nu
+
+    deriv = None
+    err_filter = None
+    if intelligent and not use_oracle_estimator:
+        deriv = DerivatorFilter(estimator.t_filter, 2, h)
+    if kind == CLASSIC_PID:
+        err_filter = DerivatorFilter(pid_filter_time, 1, h)
+
+    def ref_eval(t):
+        return reference_eval(reference, t)
+
+    t_log = []
+    u_log = []
+    y_log = []
+    ym_log = []
+    yr_log = []
+    e_log = []
+    fh_log = []
+    ft_log = []
+    yd_log = []
+    ydd_log = []
+
+    y = float(y0)
+    v = float(ydot0)
+    e_int = 0.0
+    e_prev = 0.0
+    e_int_true = 0.0
+    e_prev_true = 0.0
+    u_prev = 0.0
+    diverged = False
+
+    for k in range(n):
+        t = k * h
+        ym = y + noise_seq[k]
+        ystar, ysd, ysdd = ref_eval(t)
+        e = ystar - ym
+        if k:
+            e_int += 0.5 * h * (e_prev + e)
+        e_prev = e
+
+        if use_oracle_estimator:
+            e_t = ystar - y
+            ed_t = ysd - v
+            if k:
+                e_int_true += 0.5 * h * (e_prev_true + e_t)
+            e_prev_true = e_t
+            u = (ysdd + kp * e_t + ki * e_int_true + kd * ed_t
+                 + a1 * v + a0 * y) / bd
+            ydd = bd * u - a1 * v - a0 * y
+            f_true = ydd - alpha * u
+            f_hat = f_true
+        elif intelligent:
+            deriv.step(ym)
+            d1, d2 = deriv.stage_outputs
+            f_hat = estimate_f(estimator, d1, d2, ym, u_prev)
+            if kind == IP:
+                u = control_ip(f_hat, ysd, e, controller)
+            elif kind == IPD:
+                u = control_ipd(f_hat, ysdd, e, ysd - d1, controller)
+            elif kind == IPI:
+                u = control_ipi(f_hat, ysdd, e, e_int, controller)
+            else:
+                u = control_ipid(f_hat, ysdd, e, e_int, ysd - d1, controller)
+            ydd = bd * u - a1 * v - a0 * y
+            f_true = (v if nu == 1 else ydd) - alpha * u
+        else:
+            ed_f = err_filter.step(e)
+            u = control_classic_pid(e, e_int, ed_f, controller)
+            ydd = bd * u - a1 * v - a0 * y
+            f_hat = 0.0
+            f_true = 0.0
+
+        t_log.append(t)
+        u_log.append(u)
+        y_log.append(y)
+        ym_log.append(ym)
+        yr_log.append(ystar)
+        e_log.append(e)
+        fh_log.append(f_hat)
+        ft_log.append(f_true)
+        yd_log.append(v)
+        ydd_log.append(ydd)
+
+        if abs(y) > blowup_threshold:
+            diverged = True
+            break
+        if k == n - 1:
+            break
+        y, v = _rk4(a1, a0, bd, y, v, u, h)
+        if not (math.isfinite(y) and math.isfinite(v)):
+            diverged = True
+            break
+        u_prev = u
+
+    trace_meta = {"controller": controller.describe(),
+                  "sigma": noise.sigma, "seed": noise.seed,
+                  "delta": plant.delta, "h": h,
+                  "oracle_estimator": bool(use_oracle_estimator)}
+    if estimator is not None and intelligent and not use_oracle_estimator:
+        trace_meta["estimator"] = "%s(nu=%d, alpha=%g, T=%g)" % (
+            estimator.variant, estimator.nu, estimator.alpha, estimator.t_filter)
+    if meta:
+        trace_meta.update(meta)
+
+    return SimulationTrace(
+        t=np.asarray(t_log), u=np.asarray(u_log), y_true=np.asarray(y_log),
+        y_measured=np.asarray(ym_log), y_ref=np.asarray(yr_log),
+        e=np.asarray(e_log), f_hat=np.asarray(fh_log), f_true=np.asarray(ft_log),
+        ydot_true=np.asarray(yd_log), yddot_true=np.asarray(ydd_log),
+        h=h, diverged=diverged, meta=trace_meta)
+
+
+def to_csv_reference(trace, path):
+    """Trace CSV written one row at a time, as SimulationTrace.to_csv did."""
+    cols = [getattr(trace, name).tolist() for name in TRACE_COLUMNS]
+    with open(path, "w", newline="\n") as fh:
+        fh.write(",".join(TRACE_COLUMNS) + "\n")
+        for row in zip(*cols):
+            fh.write(",".join(repr(v) for v in row) + "\n")

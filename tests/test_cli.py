@@ -6,6 +6,7 @@ import os
 import numpy as np
 import pytest
 
+from ultralocal import cli
 from ultralocal.cli import (
     DEFAULT_SEED,
     SCENARIOS,
@@ -387,3 +388,28 @@ def test_scenarios_tuple_is_complete():
     for name in SCENARIOS:
         assert isinstance(ScenarioConfig, type)
         assert name == name.strip().lower()
+
+
+def test_config_file_rejects_duplicate_keys(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "dup.cfg"
+    path.write_text("scenario = ipd-nominal\nsigma = 0.01\n# later\nsigma = 0.5\n")
+    with pytest.raises(ConfigError,
+                       match=r"dup.cfg:4: config key 'sigma' is already set on line 2"):
+        parse_config(str(path), {})
+    assert main(["--config", str(path), "--out", str(tmp_path)]) == 2
+    assert "'sigma'" in capsys.readouterr().err
+    # repeated --set overrides still resolve to the last one
+    path.write_text("scenario = ipd-nominal\nsigma = 0.01\n")
+    resolved = []
+    monkeypatch.setattr(cli, "run_scenario", lambda cfg: resolved.append(cfg) or [])
+    assert main(["--config", str(path), "--set", "sigma=0.2", "--set", "sigma=0.03"]) == 0
+    assert resolved[0].sigma == 0.03
+
+
+def test_main_names_both_axes_when_coefficients_overflow(tmp_path, capsys):
+    rc = main(["--scenario", "stabmap-fixed-t", "--out", str(tmp_path),
+               "--set", "kp_axis=1e300,2e300,2", "--set", "alpha_axis=2e-9,1,2"])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert "kp_axis" in err and "alpha_axis" in err and "overflow" in err
+    assert not os.path.exists(os.path.join(str(tmp_path), "stabmap-fixed-t", "grid.csv"))

@@ -214,13 +214,24 @@ def test_sweep_equals_cell_verdict_on_drawn_grids(spec):
     _assert_sweep_equals_cell_verdict(spec)
 
 
-def test_sweep_leaves_overflowing_cells_to_the_scalar_table():
-    # kp / alpha overflows at the (1e300, 2e-9) cell; the scalar table rejects it
-    spec = GridSpec((1e300, 2e300, 2), (2e-9, 1.0, 2), (0.1,))
+@pytest.mark.parametrize("kp_axis,alpha_axis,t_axis,aggregation,cell", [
+    ((1e300, 2e300, 2), (2e-9, 1.0, 2), (0.1,), FIXED_T, (1e300, 2e-9, 0.1)),
+    ((-2e300, 0.0, 3), (-1.0, -2e-9, 2), (0.1,), FIXED_T, (-2e300, -2e-9, 0.1)),
+    # kp / alpha is finite; T^2 kp / alpha overflows at the second T only
+    ((1e300, 2e300, 2), (-1.0, -2e-3, 2), (0.1, 1e154), FOR_ALL_T, (2e300, -2e-3, 1e154)),
+])
+def test_grid_spec_rejects_overflowing_coefficients(kp_axis, alpha_axis, t_axis,
+                                                    aggregation, cell):
+    # the scalar table rejects a cell whose quartic overflows; GridSpec
+    # rejects axes holding such a cell, naming them
+    kp, alpha, t = cell
     with pytest.raises(PolynomialError, match="non-finite"):
-        cell_verdict(1e300, 2e-9, spec)
-    with pytest.raises(PolynomialError, match="non-finite"):
-        sweep(spec)
+        cell_verdict(kp, alpha, GridSpec((0.0, 1.0, 2), (0.0, 1.0, 2), (t,)))
+    with pytest.raises(InvalidGrid, match="kp_axis / alpha_axis.*overflow"):
+        GridSpec(kp_axis, alpha_axis, t_axis, aggregation)
+    if aggregation == FOR_ALL_T:
+        # a fixed-t map at the first T never forms the overflowing quartic
+        sweep(GridSpec(kp_axis, alpha_axis, t_axis, FIXED_T, 0))
 
 
 @pytest.mark.parametrize("kp_axis,alpha_axis", [
