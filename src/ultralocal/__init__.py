@@ -15,10 +15,7 @@ from .control import (
     DerivatorFilter,
     EstimatorConfig,
     control_classic_pid,
-    control_ip,
-    control_ipd,
-    control_ipi,
-    control_ipid,
+    control_intelligent,
     estimate_f,
     replay_estimator,
 )
@@ -41,14 +38,12 @@ from .sim import (
     LtiPlant,
     Metrics,
     NoiseModel,
-    PlantState,
     ReferenceTrajectory,
     SimulationTrace,
     TRACE_COLUMNS,
     compute_metrics,
     example_plant,
     load_trace_csv,
-    plant_step,
     run_closed_loop,
 )
 from .stabmap import (

@@ -13,7 +13,7 @@ import argparse
 import math
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 
 from .control import (
     ANALYSIS_FORM,
@@ -45,66 +45,13 @@ from .stabmap import (
     sweep,
 )
 
-SCENARIOS = (
-    "ipd-nominal",
-    "pid-nominal",
-    "ipd-delta",
-    "pid-delta",
-    "ip-attempt",
-    "stabmap-fixed-t",
-    "stabmap-all-t",
-    "compare",
-)
-
 
 class ConfigError(ValueError):
     """Bad or missing configuration; message names the offending key."""
 
 
-@dataclass(frozen=True)
-class ScenarioConfig:
-    """Fully resolved, typed configuration of one scenario run."""
-
-    name: str
-    out: str
-    seed: int
-    sigma: float
-    h: float
-    duration: float
-    alpha: float
-    t_filter: float
-    y0: float
-    ydot0: float
-    deltas: tuple
-    ipd_pole: float
-    pid_pole: float
-    ref: ReferenceTrajectory
-    estimator_variant: str
-    kp_axis: tuple
-    alpha_axis: tuple
-    t_value: float
-    t_axis: tuple
-    ip_kp: float
-    ip_alpha: float
-    ip_stable_kp: float
-    ip_stable_alpha: float
-
-
-_DELTA_DEFAULTS = {
-    "ipd-delta": (0.8, 0.5),
-    "pid-delta": (0.8, 0.5),
-    "compare": (1.0, 0.8, 0.5),
-}
-
-_TRACKING_REF = ("smooth-step", 0.0, 1.0, 1.0, 6.0)
-
-
-def _default_ref(scenario: str) -> ReferenceTrajectory:
-    # regulation framing for the stability-study scenario, tracking otherwise
-    if scenario == "ip-attempt":
-        return ReferenceTrajectory.constant(0.0)
-    kind, a, b, t0, t1 = _TRACKING_REF
-    return ReferenceTrajectory.smooth_step(a, b, t0, t1)
+def _fmt(x: float) -> str:
+    return "%g" % x
 
 
 def _parse_float(key: str, raw: str) -> float:
@@ -149,15 +96,20 @@ def _parse_seed(key: str, raw: str) -> int:
 
 
 def _parse_deltas(key: str, raw: str) -> tuple:
-    out = []
+    # each delta's _fmt tag names its trace file and metrics keys, so two
+    # deltas with one tag would overwrite each other's outputs
+    by_tag = {}
     for part in raw.split(","):
-        v = _parse_float(key, part.strip())
+        part = part.strip()
+        v = _parse_float(key, part)
         if not 0.0 <= v <= 1.0:
-            raise ConfigError("delta must be within [0, 1], got %s" % part.strip())
-        out.append(v)
-    if not out:
-        raise ConfigError("config key '%s' needs at least one value" % key)
-    return tuple(out)
+            raise ConfigError("delta must be within [0, 1], got %s" % part)
+        tag = _fmt(v)
+        if tag in by_tag:
+            raise ConfigError("config key '%s': values %s and %s share the output tag '%s'"
+                              % (key, by_tag[tag][0], part, tag))
+        by_tag[tag] = (part, v)
+    return tuple(v for _, v in by_tag.values())
 
 
 def _parse_axis(key: str, raw: str) -> tuple:
@@ -176,10 +128,7 @@ def _parse_axis(key: str, raw: str) -> tuple:
 
 
 def _parse_t_axis(key: str, raw: str) -> tuple:
-    vals = tuple(_parse_positive(key, p.strip()) for p in raw.split(","))
-    if not vals:
-        raise ConfigError("config key '%s' needs at least one value" % key)
-    return tuple(sorted(vals))
+    return tuple(sorted(_parse_positive(key, p.strip()) for p in raw.split(",")))
 
 
 def _parse_ref(key: str, raw: str) -> ReferenceTrajectory:
@@ -212,32 +161,64 @@ def _parse_str(key: str, raw: str) -> str:
     return raw.strip()
 
 
-_PARSERS = {
-    "out": _parse_str,
-    "seed": _parse_seed,
-    "sigma": _parse_sigma,
-    "h": _parse_positive,
-    "duration": _parse_positive,
-    "alpha": _parse_alpha,
-    "t_filter": _parse_positive,
-    "y0": _parse_float,
-    "ydot0": _parse_float,
-    "delta": _parse_deltas,
-    "ipd_pole": _parse_float,
-    "pid_pole": _parse_float,
-    "ref": _parse_ref,
-    "estimator": _parse_estimator,
-    "kp_axis": _parse_axis,
-    "alpha_axis": _parse_axis,
-    "t_value": _parse_positive,
-    "t_axis": _parse_t_axis,
-    "ip_kp": _parse_float,
-    "ip_alpha": _parse_alpha,
-    "ip_stable_kp": _parse_float,
-    "ip_stable_alpha": _parse_alpha,
+DEFAULT_SEED = 20260819
+
+_DELTA_DEFAULTS = {
+    "ipd-delta": (0.8, 0.5),
+    "pid-delta": (0.8, 0.5),
+    "compare": (1.0, 0.8, 0.5),
 }
 
-DEFAULT_SEED = 20260819
+
+def _default_ref(scenario: str) -> ReferenceTrajectory:
+    # regulation framing for the stability-study scenario, tracking otherwise
+    if scenario == "ip-attempt":
+        return ReferenceTrajectory.constant(0.0)
+    return ReferenceTrajectory.smooth_step(0.0, 1.0, 1.0, 6.0)
+
+
+def _key(parse, default, key=None):
+    # one config key: its parser, its default (a value, or a function of
+    # the scenario name) and its name where it differs from the field's
+    return field(metadata={"parse": parse, "default": default, "key": key})
+
+
+@dataclass(frozen=True)
+class ScenarioConfig:
+    """Fully resolved, typed configuration of one scenario run.
+
+    Every field after name is one config key and declares, in its
+    metadata, the key's parser and default; this is the only list of keys.
+    """
+
+    name: str
+    out: str = _key(_parse_str, "out")
+    seed: int = _key(_parse_seed, DEFAULT_SEED)
+    sigma: float = _key(_parse_sigma, 0.01)
+    h: float = _key(_parse_positive, 1e-3)
+    duration: float = _key(_parse_positive, 20.0)
+    alpha: float = _key(_parse_alpha, 0.5)
+    t_filter: float = _key(_parse_positive, 0.1)
+    y0: float = _key(_parse_float, -0.05)
+    ydot0: float = _key(_parse_float, 0.0)
+    deltas: tuple = _key(_parse_deltas, lambda name: _DELTA_DEFAULTS.get(name, (1.0,)),
+                         "delta")
+    ipd_pole: float = _key(_parse_float, 0.5)
+    pid_pole: float = _key(_parse_float, 0.66)
+    ref: ReferenceTrajectory = _key(_parse_ref, _default_ref)
+    estimator_variant: str = _key(_parse_estimator, ANALYSIS_FORM, "estimator")
+    kp_axis: tuple = _key(_parse_axis, (-5.0, 5.0, 201))
+    alpha_axis: tuple = _key(_parse_axis, (-5.0, 5.0, 201))
+    t_value: float = _key(_parse_positive, 0.1)
+    t_axis: tuple = _key(_parse_t_axis, default_t_axis())
+    ip_kp: float = _key(_parse_float, 1.0)
+    ip_alpha: float = _key(_parse_alpha, 1.0)
+    ip_stable_kp: float = _key(_parse_float, -0.5)
+    ip_stable_alpha: float = _key(_parse_alpha, 0.2)
+
+
+# config key -> its ScenarioConfig field
+_CONFIG_KEYS = {f.metadata["key"] or f.name: f for f in fields(ScenarioConfig) if f.metadata}
 
 
 def _read_config_file(path: str) -> dict:
@@ -286,41 +267,18 @@ def parse_config(config_path, overrides: dict) -> ScenarioConfig:
         raise ConfigError("unknown scenario '%s'; choices: %s"
                           % (name, ", ".join(SCENARIOS)))
 
-    unknown = sorted(set(raw) - set(_PARSERS))
+    unknown = sorted(set(raw) - set(_CONFIG_KEYS))
     if unknown:
         raise ConfigError("unknown config key(s): %s" % ", ".join(unknown))
 
-    parsed = {key: _PARSERS[key](key, raw[key]) for key in raw}
-
-    return ScenarioConfig(
-        name=name,
-        out=parsed.get("out", "out"),
-        seed=parsed.get("seed", DEFAULT_SEED),
-        sigma=parsed.get("sigma", 0.01),
-        h=parsed.get("h", 1e-3),
-        duration=parsed.get("duration", 20.0),
-        alpha=parsed.get("alpha", 0.5),
-        t_filter=parsed.get("t_filter", 0.1),
-        y0=parsed.get("y0", -0.05),
-        ydot0=parsed.get("ydot0", 0.0),
-        deltas=parsed.get("delta", _DELTA_DEFAULTS.get(name, (1.0,))),
-        ipd_pole=parsed.get("ipd_pole", 0.5),
-        pid_pole=parsed.get("pid_pole", 0.66),
-        ref=parsed.get("ref", _default_ref(name)),
-        estimator_variant=parsed.get("estimator", ANALYSIS_FORM),
-        kp_axis=parsed.get("kp_axis", (-5.0, 5.0, 201)),
-        alpha_axis=parsed.get("alpha_axis", (-5.0, 5.0, 201)),
-        t_value=parsed.get("t_value", 0.1),
-        t_axis=parsed.get("t_axis", default_t_axis()),
-        ip_kp=parsed.get("ip_kp", 1.0),
-        ip_alpha=parsed.get("ip_alpha", 1.0),
-        ip_stable_kp=parsed.get("ip_stable_kp", -0.5),
-        ip_stable_alpha=parsed.get("ip_stable_alpha", 0.2),
-    )
-
-
-def _fmt(x: float) -> str:
-    return "%g" % x
+    # parsed in raw order, so the first bad key reported is the first given
+    values = {_CONFIG_KEYS[key].name: _CONFIG_KEYS[key].metadata["parse"](key, value)
+              for key, value in raw.items()}
+    for f in _CONFIG_KEYS.values():
+        if f.name not in values:
+            default = f.metadata["default"]
+            values[f.name] = default(name) if callable(default) else default
+    return ScenarioConfig(name=name, **values)
 
 
 def _nominal_plant_coeffs():
@@ -351,32 +309,45 @@ def _metrics_lines(tag: str, m: Metrics) -> list:
             "%s_diverged = %s" % (tag, m.diverged)]
 
 
-def _run_one(cfg: ScenarioConfig, kind: str, delta: float):
-    plant = example_plant(delta)
-    if kind == "pid":
-        controller = tuned_pid_controller(cfg)
-        estimator = None
-    else:
-        controller, estimator = tuned_ipd_controller(cfg)
+def _run_and_measure(cfg: ScenarioConfig, kinds: tuple):
+    """Run each kind ("ipd" or "pid") at each of cfg.deltas with one shared seed.
+
+    Returns (traces, metrics), both keyed by (kind, delta tag), deltas
+    outer and kinds inner.
+    """
+    laws = {"ipd": tuned_ipd_controller(cfg), "pid": (tuned_pid_controller(cfg), None)}
     noise = NoiseModel(cfg.sigma, cfg.seed)
-    return run_closed_loop(plant, controller, estimator, cfg.ref, noise,
-                           h=cfg.h, duration=cfg.duration, y0=cfg.y0,
-                           ydot0=cfg.ydot0, pid_filter_time=cfg.t_filter,
-                           meta={"scenario": cfg.name})
+    traces = {}
+    entries = {}
+    for delta in cfg.deltas:
+        for kind in kinds:
+            controller, estimator = laws[kind]
+            key = (kind, _fmt(delta))
+            traces[key] = run_closed_loop(example_plant(delta), controller, estimator,
+                                          cfg.ref, noise, h=cfg.h, duration=cfg.duration,
+                                          y0=cfg.y0, ydot0=cfg.ydot0,
+                                          pid_filter_time=cfg.t_filter,
+                                          meta={"scenario": cfg.name})
+            entries[key] = compute_metrics(traces[key])
+    return traces, entries
+
+
+def _write_traces(out_dir: str, traces: dict) -> list:
+    """Write each trace as trace_<controller>_<delta tag>.csv, in key order."""
+    paths = []
+    for (kind, tag), trace in traces.items():
+        path = os.path.join(out_dir, "trace_%s_%s.csv" % (kind, tag))
+        trace.to_csv(path)
+        paths.append(path)
+    return paths
 
 
 def _scenario_tracking(cfg: ScenarioConfig, out_dir: str, kind: str):
-    paths = []
+    traces, entries = _run_and_measure(cfg, (kind,))
     lines = ["scenario = %s" % cfg.name, "seed = %d" % cfg.seed]
-    for delta in cfg.deltas:
-        trace = _run_one(cfg, kind, delta)
-        name = "trace_%s_%s.csv" % (kind, _fmt(delta))
-        path = os.path.join(out_dir, name)
-        trace.to_csv(path)
-        paths.append(path)
-        lines.extend(_metrics_lines("%s_delta%s" % (kind, _fmt(delta)),
-                                    compute_metrics(trace)))
-    return paths, lines
+    for key, m in entries.items():
+        lines.extend(_metrics_lines("%s_delta%s" % key, m))
+    return _write_traces(out_dir, traces), lines
 
 
 @dataclass
@@ -412,15 +383,10 @@ def compare_controllers(cfg: ScenarioConfig):
     to the simulated trace. The winner per delta is the controller with
     the smaller settled-tail error; a diverged run always loses.
     """
-    entries = {}
-    traces = {}
+    traces, entries = _run_and_measure(cfg, ("ipd", "pid"))
     winners = {}
     for delta in cfg.deltas:
         key = _fmt(delta)
-        for kind in ("ipd", "pid"):
-            trace = _run_one(cfg, kind, delta)
-            traces[(kind, key)] = trace
-            entries[(kind, key)] = compute_metrics(trace)
         mi = entries[("ipd", key)]
         mp = entries[("pid", key)]
         if mi.diverged != mp.diverged:
@@ -432,16 +398,9 @@ def compare_controllers(cfg: ScenarioConfig):
 
 def _scenario_compare(cfg: ScenarioConfig, out_dir: str):
     report, traces = compare_controllers(cfg)
-    paths = []
-    for delta in cfg.deltas:
-        key = _fmt(delta)
-        for kind in ("ipd", "pid"):
-            path = os.path.join(out_dir, "trace_%s_%s.csv" % (kind, key))
-            traces[(kind, key)].to_csv(path)
-            paths.append(path)
     lines = ["scenario = %s" % cfg.name, "seed = %d" % cfg.seed]
     lines.extend(report.to_lines())
-    return paths, lines
+    return _write_traces(out_dir, traces), lines
 
 
 def _scenario_ip_attempt(cfg: ScenarioConfig, out_dir: str):
@@ -449,7 +408,7 @@ def _scenario_ip_attempt(cfg: ScenarioConfig, out_dir: str):
     plant = example_plant(cfg.deltas[0])
     est_coeffs = _nominal_plant_coeffs()
     noise = NoiseModel(cfg.sigma, cfg.seed)
-    paths = []
+    traces = {}
     lines = ["scenario = %s" % cfg.name, "seed = %d" % cfg.seed]
     cells = (("ip", cfg.ip_kp, cfg.ip_alpha),
              ("ip-stable", cfg.ip_stable_kp, cfg.ip_stable_alpha))
@@ -461,16 +420,14 @@ def _scenario_ip_attempt(cfg: ScenarioConfig, out_dir: str):
                                 h=cfg.h, duration=cfg.duration, y0=cfg.y0,
                                 ydot0=cfg.ydot0, meta={"scenario": cfg.name,
                                                        "cell": (kp, alpha)})
-        path = os.path.join(out_dir, "trace_%s_%s.csv" % (tag, _fmt(cfg.deltas[0])))
-        trace.to_csv(path)
-        paths.append(path)
+        traces[(tag, _fmt(cfg.deltas[0]))] = trace
         tag_us = tag.replace("-", "_")
         lines.append("%s_cell_kp = %r" % (tag_us, float(kp)))
         lines.append("%s_cell_alpha = %r" % (tag_us, float(alpha)))
         lines.append("%s_cell_max_root_real = %r"
                      % (tag_us, quartic_max_real_root(kp, alpha, cfg.t_filter)))
         lines.extend(_metrics_lines(tag_us, compute_metrics(trace)))
-    return paths, lines
+    return _write_traces(out_dir, traces), lines
 
 
 def _scenario_stabmap(cfg: ScenarioConfig, out_dir: str, aggregation: str):
@@ -489,22 +446,26 @@ def _scenario_stabmap(cfg: ScenarioConfig, out_dir: str, aggregation: str):
     return [path], lines
 
 
+# scenario name -> runner(cfg, out_dir) returning (files written, metrics lines)
+_RUNNERS = {
+    "ipd-nominal": lambda cfg, out_dir: _scenario_tracking(cfg, out_dir, "ipd"),
+    "pid-nominal": lambda cfg, out_dir: _scenario_tracking(cfg, out_dir, "pid"),
+    "ipd-delta": lambda cfg, out_dir: _scenario_tracking(cfg, out_dir, "ipd"),
+    "pid-delta": lambda cfg, out_dir: _scenario_tracking(cfg, out_dir, "pid"),
+    "ip-attempt": _scenario_ip_attempt,
+    "stabmap-fixed-t": lambda cfg, out_dir: _scenario_stabmap(cfg, out_dir, FIXED_T),
+    "stabmap-all-t": lambda cfg, out_dir: _scenario_stabmap(cfg, out_dir, FOR_ALL_T),
+    "compare": _scenario_compare,
+}
+
+SCENARIOS = tuple(_RUNNERS)
+
+
 def run_scenario(cfg: ScenarioConfig) -> list:
     """Execute one scenario; returns the list of files written."""
     out_dir = os.path.join(cfg.out, cfg.name)
     os.makedirs(out_dir, exist_ok=True)
-    if cfg.name in ("ipd-nominal", "ipd-delta"):
-        paths, lines = _scenario_tracking(cfg, out_dir, "ipd")
-    elif cfg.name in ("pid-nominal", "pid-delta"):
-        paths, lines = _scenario_tracking(cfg, out_dir, "pid")
-    elif cfg.name == "ip-attempt":
-        paths, lines = _scenario_ip_attempt(cfg, out_dir)
-    elif cfg.name == "stabmap-fixed-t":
-        paths, lines = _scenario_stabmap(cfg, out_dir, FIXED_T)
-    elif cfg.name == "stabmap-all-t":
-        paths, lines = _scenario_stabmap(cfg, out_dir, FOR_ALL_T)
-    else:
-        paths, lines = _scenario_compare(cfg, out_dir)
+    paths, lines = _RUNNERS[cfg.name](cfg, out_dir)
     metrics_path = os.path.join(out_dir, "metrics.txt")
     with open(metrics_path, "w", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")

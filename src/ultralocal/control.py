@@ -225,44 +225,25 @@ class ControllerSpec:
             self.kind, self.kp, self.ki, self.kd, self.alpha)
 
 
-def _intelligent_u(f_hat, ref_deriv, e, e_int, e_dot, spec) -> float:
+def control_intelligent(f_hat: float, ref_deriv: float, e: float, e_int: float,
+                        e_dot: float, spec: ControllerSpec) -> float:
+    """The intelligent law u = -(F - y*^(nu) - kp*e - ki*int(e) - kd*e_dot) / alpha.
+
+    iP, iPI, iPD and iPID differ only in nu and in which gains are zero:
+    ref_deriv is the reference derivative of order spec.nu, and a kind
+    without an integral or derivative term passes 0.0 for it. With exact
+    F the iPD error obeys edd + kd*ed + kp*e = 0.
+    """
+    if spec.kind not in _INTELLIGENT_KINDS:
+        raise ConfigMismatch("expected an intelligent controller, got %r" % (spec.kind,))
     # cancel the estimated lumped term, then impose the target error dynamics
     return -(f_hat - ref_deriv - spec.kp * e - spec.ki * e_int
              - spec.kd * e_dot) / spec.alpha
 
 
-def _require_kind(spec, kind):
-    if spec.kind != kind:
-        raise ConfigMismatch("expected %r controller, got %r" % (kind, spec.kind))
-
-
-def control_ip(f_hat: float, ystar_dot: float, e: float, spec: ControllerSpec) -> float:
-    """Intelligent proportional law; pairs with a first-order ultra-local model."""
-    _require_kind(spec, IP)
-    return _intelligent_u(f_hat, ystar_dot, e, 0.0, 0.0, spec)
-
-
-def control_ipi(f_hat: float, ystar_ddot: float, e: float, e_int: float,
-                spec: ControllerSpec) -> float:
-    _require_kind(spec, IPI)
-    return _intelligent_u(f_hat, ystar_ddot, e, e_int, 0.0, spec)
-
-
-def control_ipd(f_hat: float, ystar_ddot: float, e: float, e_dot: float,
-                spec: ControllerSpec) -> float:
-    """Intelligent PD law; with exact F the error obeys edd + kd*ed + kp*e = 0."""
-    _require_kind(spec, IPD)
-    return _intelligent_u(f_hat, ystar_ddot, e, 0.0, e_dot, spec)
-
-
-def control_ipid(f_hat: float, ystar_ddot: float, e: float, e_int: float,
-                 e_dot: float, spec: ControllerSpec) -> float:
-    _require_kind(spec, IPID)
-    return _intelligent_u(f_hat, ystar_ddot, e, e_int, e_dot, spec)
-
-
 def control_classic_pid(e: float, e_int: float, e_dot_filtered: float,
                         spec: ControllerSpec) -> float:
     """Classic PID on the tracking error; derivative term must be pre-filtered."""
-    _require_kind(spec, CLASSIC_PID)
+    if spec.kind != CLASSIC_PID:
+        raise ConfigMismatch("expected %r controller, got %r" % (CLASSIC_PID, spec.kind))
     return spec.kp * e + spec.ki * e_int + spec.kd * e_dot_filtered

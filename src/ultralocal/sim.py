@@ -40,14 +40,6 @@ _CSV_BLOCK_ROWS = 4096
 TRACE_COLUMNS = ("t", "u", "y_true", "y_measured", "y_ref", "e", "f_hat", "f_true")
 
 
-class SimulationError(RuntimeError):
-    """Base class for simulation failures."""
-
-
-class NonFiniteState(SimulationError):
-    """Integration produced NaN or Inf."""
-
-
 class EmptyTrace(ValueError):
     """Metrics require at least one logged sample."""
 
@@ -78,13 +70,6 @@ def example_plant(delta: float = 1.0) -> LtiPlant:
     return LtiPlant(a1=-1.0, a0=0.0, b=1.0, delta=delta)
 
 
-@dataclass(frozen=True)
-class PlantState:
-    y: float
-    ydot: float
-    t: float = 0.0
-
-
 def _rk4(a1: float, a0: float, bd: float, y: float, v: float,
          u: float, h: float) -> tuple[float, float]:
     # ydot = v, vdot = bd*u - a1*v - a0*y, u held constant over the step
@@ -105,17 +90,6 @@ def _rk4(a1: float, a0: float, bd: float, y: float, v: float,
     k4v = fu - a1 * v4 - a0 * y4
     return (y + h * (k1y + 2.0 * k2y + 2.0 * k3y + k4y) / 6.0,
             v + h * (k1v + 2.0 * k2v + 2.0 * k3v + k4v) / 6.0)
-
-
-def plant_step(plant: LtiPlant, state: PlantState, u: float, h: float) -> PlantState:
-    """Advance the plant one step of size h under zero-order-hold input u."""
-    if not h > 0.0:
-        raise ValueError("h must be positive, got %r" % (h,))
-    y, v = _rk4(plant.a1, plant.a0, plant.b * plant.delta,
-                state.y, state.ydot, u, h)
-    if not (math.isfinite(y) and math.isfinite(v)):
-        raise NonFiniteState("state became non-finite at t=%g" % (state.t + h,))
-    return PlantState(y, v, state.t + h)
 
 
 @dataclass(frozen=True)
@@ -316,11 +290,11 @@ def run_closed_loop(plant: LtiPlant, controller: ControllerSpec,
     state truncates the trace at that sample and sets the diverged flag
     instead of raising, so sweeps can treat divergence as data.
 
-    The step inlines DerivatorFilter's two stages, estimate_f and the
-    intelligent and classic laws of control, with their float operations
-    in their order, and calls _rk4; time, noise and reference columns are
-    computed before the loop and the columns derived from u, y and ydot
-    after it. The tests hold every column bit-identical to a
+    The step inlines DerivatorFilter's two stages, estimate_f,
+    control_intelligent and control_classic_pid, with their float
+    operations in their order, and calls _rk4; time, noise and reference
+    columns are computed before the loop and the columns derived from u,
+    y and ydot after it. The tests hold every column bit-identical to a
     sample-by-sample loop built from those public functions.
     """
     if not (h > 0.0 and math.isfinite(h)):
@@ -330,6 +304,9 @@ def run_closed_loop(plant: LtiPlant, controller: ControllerSpec,
     if not duration / h <= MAX_SAMPLES:
         raise ValueError("duration / h = %r samples, above the cap of %d"
                          % (duration / h, MAX_SAMPLES))
+    for name, value in (("y0", y0), ("ydot0", ydot0)):
+        if not math.isfinite(value):
+            raise ValueError("%s must be finite, got %r" % (name, value))
     kind = controller.kind
     intelligent = kind != CLASSIC_PID
 

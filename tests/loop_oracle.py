@@ -20,10 +20,7 @@ from ultralocal.control import (
     ConfigMismatch,
     DerivatorFilter,
     control_classic_pid,
-    control_ip,
-    control_ipd,
-    control_ipi,
-    control_ipid,
+    control_intelligent,
     estimate_f,
 )
 from ultralocal.sim import (
@@ -154,13 +151,13 @@ def run_closed_loop_reference(plant, controller, estimator, reference, noise,
             d1, d2 = deriv.stage_outputs
             f_hat = estimate_f(estimator, d1, d2, ym, u_prev)
             if kind == IP:
-                u = control_ip(f_hat, ysd, e, controller)
+                u = control_intelligent(f_hat, ysd, e, 0.0, 0.0, controller)
             elif kind == IPD:
-                u = control_ipd(f_hat, ysdd, e, ysd - d1, controller)
+                u = control_intelligent(f_hat, ysdd, e, 0.0, ysd - d1, controller)
             elif kind == IPI:
-                u = control_ipi(f_hat, ysdd, e, e_int, controller)
+                u = control_intelligent(f_hat, ysdd, e, e_int, 0.0, controller)
             else:
-                u = control_ipid(f_hat, ysdd, e, e_int, ysd - d1, controller)
+                u = control_intelligent(f_hat, ysdd, e, e_int, ysd - d1, controller)
             ydd = bd * u - a1 * v - a0 * y
             f_true = (v if nu == 1 else ydd) - alpha * u
         else:

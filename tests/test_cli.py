@@ -1,10 +1,16 @@
 """Tests for scenario configuration, runners, and the command-line entry."""
 
+import contextlib
+import io
 import math
 import os
+import re
+import tempfile
+from dataclasses import fields
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ultralocal import cli
 from ultralocal.cli import (
@@ -21,7 +27,9 @@ from ultralocal.cli import (
     tuned_pid_controller,
 )
 from ultralocal.control import ANALYSIS_FORM, DELAYED_INPUT
-from ultralocal.sim import CONSTANT, SMOOTH_STEP, load_trace_csv
+from ultralocal.sim import CONSTANT, SMOOTH_STEP, ReferenceTrajectory, load_trace_csv
+
+README = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "README.md")
 
 
 def _cfg(scenario, **overrides):
@@ -383,8 +391,8 @@ def test_main_dedicated_flags_beat_set(tmp_path):
 
 
 def test_scenarios_tuple_is_complete():
-    assert len(SCENARIOS) == 8
-    assert len(set(SCENARIOS)) == 8
+    assert SCENARIOS == ("ipd-nominal", "pid-nominal", "ipd-delta", "pid-delta",
+                         "ip-attempt", "stabmap-fixed-t", "stabmap-all-t", "compare")
     for name in SCENARIOS:
         assert isinstance(ScenarioConfig, type)
         assert name == name.strip().lower()
@@ -413,3 +421,171 @@ def test_main_names_both_axes_when_coefficients_overflow(tmp_path, capsys):
     assert rc == 2
     assert "kp_axis" in err and "alpha_axis" in err and "overflow" in err
     assert not os.path.exists(os.path.join(str(tmp_path), "stabmap-fixed-t", "grid.csv"))
+
+
+@pytest.mark.parametrize("scenario,delta,first,second", [
+    ("ipd-delta", "0.8,0.8000001", "0.8", "0.8000001"),
+    ("pid-delta", "0.5,0.8,0.5", "0.5", "0.5"),
+    ("compare", "0.5,0.5000001", "0.5", "0.5000001"),
+])
+def test_main_rejects_deltas_whose_output_tags_collide(tmp_path, capsys, scenario, delta,
+                                                       first, second):
+    # two deltas printing alike with %g would write one trace file twice
+    rc = main(["--scenario", scenario, "--out", str(tmp_path), "--set", "delta=" + delta])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert "config key 'delta': values %s and %s" % (first, second) in err
+    assert not os.path.exists(os.path.join(str(tmp_path), scenario))
+
+
+# ---------------------------------------------------------------------------
+# The key table: every config key is one ScenarioConfig field
+
+
+_finite = st.floats(allow_nan=False, allow_infinity=False)
+_positive = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+_nonzero = _finite.filter(lambda v: v != 0.0)
+_unit = st.floats(0.0, 1.0)
+_bounded = st.floats(-1e6, 1e6)
+
+
+def _as_float(values):
+    return values.map(lambda v: (repr(v), v))
+
+
+@st.composite
+def _axes(draw):
+    lo = draw(_bounded)
+    hi = lo + draw(st.floats(1e-3, 1e6))
+    count = draw(st.integers(2, 10 ** 6))
+    return "%r,%r,%d" % (lo, hi, count), (lo, hi, count)
+
+
+@st.composite
+def _refs(draw):
+    if draw(st.booleans()):
+        level = draw(_finite)
+        return "constant:%r" % level, ReferenceTrajectory.constant(level)
+    a, b, t0 = draw(_bounded), draw(_bounded), draw(_bounded)
+    t1 = t0 + draw(st.floats(1e-3, 1e6))
+    return ("smooth-step:%r,%r,%r,%r" % (a, b, t0, t1),
+            ReferenceTrajectory.smooth_step(a, b, t0, t1))
+
+
+def _lists(values, **kwargs):
+    return st.lists(values, min_size=1, max_size=6, **kwargs).map(
+        lambda vs: (",".join(map(repr, vs)), vs))
+
+
+# config key -> strategy of (raw value, the typed value it resolves to)
+IN_RANGE = {
+    "out": st.text("abcXYZ019/._- ").map(lambda s: (s, s.strip())),
+    "seed": st.integers(0, 2 ** 64 - 1).map(lambda v: (str(v), v)),
+    "sigma": _as_float(st.floats(min_value=0.0, allow_infinity=False)),
+    "h": _as_float(_positive),
+    "duration": _as_float(_positive),
+    "alpha": _as_float(_nonzero),
+    "t_filter": _as_float(_positive),
+    "y0": _as_float(_finite),
+    "ydot0": _as_float(_finite),
+    "delta": _lists(_unit, unique_by=lambda v: "%g" % v).map(lambda rv: (rv[0], tuple(rv[1]))),
+    "ipd_pole": _as_float(_finite),
+    "pid_pole": _as_float(_finite),
+    "ref": _refs(),
+    "estimator": st.sampled_from((DELAYED_INPUT, ANALYSIS_FORM)).map(lambda v: (v, v)),
+    "kp_axis": _axes(),
+    "alpha_axis": _axes(),
+    "t_value": _as_float(_positive),
+    "t_axis": _lists(_positive).map(lambda rv: (rv[0], tuple(sorted(rv[1])))),
+    "ip_kp": _as_float(_finite),
+    "ip_alpha": _as_float(_nonzero),
+    "ip_stable_kp": _as_float(_finite),
+    "ip_stable_alpha": _as_float(_nonzero),
+}
+
+# numeric config key -> raw values with one number replaced by "{}"
+NUMERIC = {
+    "seed": ["{}"], "sigma": ["{}"], "h": ["{}"], "duration": ["{}"],
+    "alpha": ["{}"], "t_filter": ["{}"], "y0": ["{}"], "ydot0": ["{}"],
+    "delta": ["{}", "0.5,{}"], "ipd_pole": ["{}"], "pid_pole": ["{}"],
+    "ref": ["constant:{}", "smooth-step:0,1,{},6", "smooth-step:0,1,1,{}"],
+    "kp_axis": ["{},5,11", "-5,{},11"], "alpha_axis": ["{},5,11", "-5,{},11"],
+    "t_value": ["{}"], "t_axis": ["{}", "0.1,{}"], "ip_kp": ["{}"], "ip_alpha": ["{}"],
+    "ip_stable_kp": ["{}"], "ip_stable_alpha": ["{}"],
+}
+
+# no digits, "i" or "n" in the alphabet, so float() and int() reject every draw
+_NOT_A_NUMBER = (st.sampled_from(("nan", "inf", "-inf", "+Infinity", "NaN"))
+                 | st.text("abcxyz_-+.e", min_size=1))
+
+
+# config key -> ScenarioConfig field name, read from the fields themselves
+KEYS = {f.metadata["key"] or f.name: f.name for f in fields(ScenarioConfig) if f.metadata}
+
+
+def test_key_strategies_cover_the_key_table():
+    assert len(KEYS) == 22
+    assert set(IN_RANGE) == set(KEYS)
+    assert set(NUMERIC) == set(KEYS) - {"out", "estimator"}
+
+
+@pytest.mark.parametrize("key", sorted(IN_RANGE))
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_every_key_resolves_an_in_range_value(key, data):
+    raw, expected = data.draw(IN_RANGE[key])
+    cfg = parse_config(None, {"scenario": "ipd-nominal", key: raw})
+    value = getattr(cfg, KEYS[key])
+    assert value == expected
+    assert type(value) is type(expected)
+
+
+@pytest.mark.parametrize("key", sorted(NUMERIC))
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_non_numbers_rejected_naming_the_key(key, data):
+    template = data.draw(st.sampled_from(NUMERIC[key]))
+    raw = template.format(data.draw(_NOT_A_NUMBER))
+    with pytest.raises(ConfigError, match="config key '%s'" % key):
+        parse_config(None, {"scenario": "ipd-nominal", key: raw})
+
+
+@settings(max_examples=50, deadline=None)
+@given(key=st.from_regex(r"[a-z][a-z0-9_]{0,15}", fullmatch=True).filter(
+    lambda k: k not in KEYS and k != "scenario"))
+def test_unknown_set_key_exits_2_naming_it(key):
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        rc = main(["--scenario", "ipd-nominal", "--set", "%s=1" % key])
+    assert rc == 2
+    assert "unknown config key(s): %s" % key in err.getvalue()
+
+
+@settings(max_examples=50, deadline=None)
+@given(key=st.sampled_from(sorted(KEYS)), comments=st.integers(0, 3), blanks=st.integers(0, 3))
+def test_repeated_config_file_key_names_both_lines(key, comments, blanks):
+    lines = (["scenario = ipd-nominal"] + ["# note"] * comments + ["%s = 1" % key]
+             + [""] * blanks + ["%s = 2" % key])
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "dup.cfg")
+        with open(path, "w") as fh:
+            fh.write("\n".join(lines) + "\n")
+        with pytest.raises(ConfigError, match=re.escape(
+                "%s:%d: config key '%s' is already set on line %d"
+                % (path, len(lines), key, comments + 2))):
+            parse_config(path, {})
+
+
+def test_readme_config_keys_table_matches_the_key_table():
+    # the README's table is the one list of keys kept outside the code
+    text = open(README).read()
+    section = text.split("### Config keys", 1)[1].split("\n#", 1)[0]
+    rows = [line for line in section.splitlines() if line.startswith("| `")]
+    named = [key for row in rows for key in re.findall(r"`([a-z0-9_]+)`", row.split("|")[1])]
+    assert sorted(named) == sorted(KEYS)
+
+
+def test_first_bad_key_given_is_the_one_reported():
+    for first, second in (("sigma", "h"), ("h", "sigma")):
+        with pytest.raises(ConfigError, match="'%s'" % first):
+            parse_config(None, {"scenario": "ipd-nominal", first: "-1", second: "-1"})

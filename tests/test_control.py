@@ -13,10 +13,7 @@ from ultralocal.control import (
     DerivatorFilter,
     EstimatorConfig,
     control_classic_pid,
-    control_ip,
-    control_ipd,
-    control_ipi,
-    control_ipid,
+    control_intelligent,
     estimate_f,
     replay_estimator,
 )
@@ -251,25 +248,25 @@ def test_controller_spec_describe():
 
 def test_control_ip_substitution():
     spec = ControllerSpec.ip(kp=3.0, alpha=2.0)
-    u = control_ip(2.0, 1.0, 0.1, spec)
+    u = control_intelligent(2.0, 1.0, 0.1, 0.0, 0.0, spec)
     assert math.isclose(u, -(2.0 - 1.0 - 0.3) / 2.0)
 
 
 def test_control_ipd_substitution():
     spec = ControllerSpec.ipd(kp=0.25, kd=1.0, alpha=0.5)
-    u = control_ipd(1.0, 0.5, 0.2, -0.1, spec)
+    u = control_intelligent(1.0, 0.5, 0.2, 0.0, -0.1, spec)
     assert math.isclose(u, -(1.0 - 0.5 - 0.05 + 0.1) / 0.5)
 
 
 def test_control_ipi_substitution():
     spec = ControllerSpec.ipi(kp=1.0, ki=0.5, alpha=1.0)
-    u = control_ipi(0.0, 0.0, 1.0, 2.0, spec)
+    u = control_intelligent(0.0, 0.0, 1.0, 2.0, 0.0, spec)
     assert math.isclose(u, 2.0)
 
 
 def test_control_ipid_substitution():
     spec = ControllerSpec.ipid(kp=1.0, ki=2.0, kd=3.0, alpha=0.5)
-    u = control_ipid(1.0, 2.0, 0.3, 0.4, 0.5, spec)
+    u = control_intelligent(1.0, 2.0, 0.3, 0.4, 0.5, spec)
     assert math.isclose(u, -(1.0 - 2.0 - 0.3 - 0.8 - 1.5) / 0.5)
 
 
@@ -280,7 +277,8 @@ def test_control_classic_pid_substitution():
 
 
 def test_zero_gain_masking_identities():
-    # ipid with ki=0 must agree with ipd, and with kd=0 with ipi, on any input
+    # an ipid with ki=0 must agree with an ipd, and with kd=0 with an ipi,
+    # on any input: a zero gain masks its term exactly
     rng = np.random.default_rng(37)
     for _ in range(50):
         kp, ki, kd, alpha = rng.uniform(0.1, 2.0, size=4)
@@ -288,15 +286,17 @@ def test_zero_gain_masking_identities():
         alpha = float(alpha)
         no_i = ControllerSpec.ipid(kp, 0.0, kd, alpha=alpha)
         as_ipd = ControllerSpec.ipd(kp, kd, alpha=alpha)
-        assert control_ipid(f, r, e, ei, ed, no_i) == control_ipd(f, r, e, ed, as_ipd)
+        assert (control_intelligent(f, r, e, ei, ed, no_i)
+                == control_intelligent(f, r, e, 0.0, ed, as_ipd))
         no_d = ControllerSpec.ipid(kp, ki, 0.0, alpha=alpha)
         as_ipi = ControllerSpec.ipi(kp, ki, alpha=alpha)
-        assert control_ipid(f, r, e, ei, ed, no_d) == control_ipi(f, r, e, ei, as_ipi)
+        assert (control_intelligent(f, r, e, ei, ed, no_d)
+                == control_intelligent(f, r, e, ei, 0.0, as_ipi))
 
 
 def test_control_laws_reject_wrong_kind():
     ipd = ControllerSpec.ipd(0.25, 1.0, alpha=0.5)
-    with pytest.raises(ConfigMismatch):
-        control_ip(0.0, 0.0, 0.0, ipd)
+    with pytest.raises(ConfigMismatch, match="intelligent"):
+        control_intelligent(0.0, 0.0, 0.0, 0.0, 0.0, ControllerSpec.classic_pid(1.0, 0.0, 0.0))
     with pytest.raises(ConfigMismatch):
         control_classic_pid(0.0, 0.0, 0.0, ipd)

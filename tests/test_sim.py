@@ -19,14 +19,12 @@ from ultralocal.sim import (
     LtiPlant,
     Metrics,
     NoiseModel,
-    NonFiniteState,
-    PlantState,
     ReferenceTrajectory,
     SimulationTrace,
     compute_metrics,
     example_plant,
     load_trace_csv,
-    plant_step,
+    _rk4,
     run_closed_loop,
 )
 
@@ -66,57 +64,40 @@ def test_example_plant_coefficients():
     assert (p.a1, p.a0, p.b, p.delta) == (-1.0, 0.0, 1.0, 0.8)
 
 
+def _rk4_steps(plant, y, v, u, h, n):
+    for _ in range(n):
+        y, v = _rk4(plant.a1, plant.a0, plant.b * plant.delta, y, v, u, h)
+    return y, v
+
+
 def test_plant_step_equilibrium():
-    state = PlantState(0.0, 0.0)
-    nxt = plant_step(example_plant(), state, 0.0, H)
-    assert nxt.y == 0.0 and nxt.ydot == 0.0
-    assert nxt.t == H
-
-
-def test_plant_step_rejects_bad_h():
-    with pytest.raises(ValueError):
-        plant_step(example_plant(), PlantState(0.0, 0.0), 0.0, 0.0)
+    assert _rk4_steps(example_plant(), 0.0, 0.0, 0.0, H, 1) == (0.0, 0.0)
 
 
 def test_plant_free_response_is_exponential():
     # ydd = yd with yd(0)=1 gives yd(t) = e^t
-    state = PlantState(0.0, 1.0)
-    plant = example_plant()
-    for _ in range(1000):
-        state = plant_step(plant, state, 0.0, H)
-    assert math.isclose(state.ydot, math.e, rel_tol=1e-10)
-    assert math.isclose(state.y, math.e - 1.0, rel_tol=1e-10)
+    y, v = _rk4_steps(example_plant(), 0.0, 1.0, 0.0, H, 1000)
+    assert math.isclose(v, math.e, rel_tol=1e-10)
+    assert math.isclose(y, math.e - 1.0, rel_tol=1e-10)
 
 
 def test_plant_forced_response_with_degradation():
     # ydd - yd = 0.5 from rest: y(t) = 0.5*(e^t - 1 - t)
-    state = PlantState(0.0, 0.0)
-    plant = example_plant(0.5)
-    for _ in range(1000):
-        state = plant_step(plant, state, 1.0, H)
-    assert math.isclose(state.y, 0.5 * (math.e - 2.0), rel_tol=1e-9)
-    assert math.isclose(state.ydot, 0.5 * (math.e - 1.0), rel_tol=1e-9)
+    y, v = _rk4_steps(example_plant(0.5), 0.0, 0.0, 1.0, H, 1000)
+    assert math.isclose(y, 0.5 * (math.e - 2.0), rel_tol=1e-9)
+    assert math.isclose(v, 0.5 * (math.e - 1.0), rel_tol=1e-9)
 
 
 def test_plant_step_fourth_order_convergence():
     # global error at t=1 must shrink ~16x per halving of h
     y0, v0, u = 0.2, -0.3, 1.0
     exact_y = y0 + (v0 + 1.0) * (math.e - 1.0) - 1.0
-    plant = example_plant()
     errors = []
     for h in (1e-2, 5e-3, 2.5e-3):
-        state = PlantState(y0, v0)
-        for _ in range(round(1.0 / h)):
-            state = plant_step(plant, state, u, h)
-        errors.append(abs(state.y - exact_y))
+        y, _ = _rk4_steps(example_plant(), y0, v0, u, h, round(1.0 / h))
+        errors.append(abs(y - exact_y))
     slope = math.log2(errors[0] / errors[2]) / 2.0
     assert 3.5 < slope < 4.5
-
-
-def test_plant_step_raises_on_overflow():
-    state = PlantState(1e308, 1e308)
-    with pytest.raises(NonFiniteState):
-        plant_step(example_plant(), state, 0.0, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -205,6 +186,9 @@ def test_loop_validation_errors():
     with pytest.raises(ValueError, match="cap"):
         run_closed_loop(plant, ipd, _estimator(), ref, noise, h=1e-3,
                         duration=1e-3 * (MAX_SAMPLES + 1))
+    for name, bad in (("y0", float("nan")), ("ydot0", float("inf"))):
+        with pytest.raises(ValueError, match="%s must be finite" % name):
+            run_closed_loop(plant, ipd, _estimator(), ref, noise, **{name: bad})
     with pytest.raises(ConfigMismatch):
         run_closed_loop(plant, ipd, None, ref, noise)
     with pytest.raises(ConfigMismatch):
