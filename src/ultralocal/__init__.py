@@ -54,7 +54,7 @@ from .stabmap import (
     default_grid_spec,
     default_t_axis,
     export_grid,
-    ip_spec_for_cell,
+    ip_loop_for_cell,
     quartic_max_real_root,
     sweep,
 )

@@ -15,12 +15,7 @@ import os
 import sys
 from dataclasses import dataclass, field, fields
 
-from .control import (
-    ANALYSIS_FORM,
-    DELAYED_INPUT,
-    ControllerSpec,
-    EstimatorConfig,
-)
+from .control import ANALYSIS_FORM, ESTIMATOR_VARIANTS, ControllerSpec, EstimatorConfig
 from .poly import expand_pole, ipd_gains_from_target, pid_gains_from_target
 from .sim import (
     Metrics,
@@ -31,6 +26,7 @@ from .sim import (
     run_closed_loop,
 )
 from .stabmap import (
+    DEFAULT_AXIS,
     FIXED_T,
     FOR_ALL_T,
     GridSpec,
@@ -40,7 +36,7 @@ from .stabmap import (
     VERDICT_UNSTABLE,
     default_t_axis,
     export_grid,
-    ip_spec_for_cell,
+    ip_loop_for_cell,
     quartic_max_real_root,
     sweep,
 )
@@ -86,10 +82,15 @@ def _parse_alpha(key: str, raw: str) -> float:
 
 
 def _parse_seed(key: str, raw: str) -> int:
-    try:
-        v = int(raw, 0)
-    except ValueError:
-        raise ConfigError("config key '%s': expected an integer, got '%s'" % (key, raw)) from None
+    # base 0 reads 0x1F, 0b11 and 1_000; base 10 reads a leading zero (007)
+    for base in (0, 10):
+        try:
+            v = int(raw, base)
+            break
+        except ValueError:
+            pass
+    else:
+        raise ConfigError("config key '%s': expected an integer, got '%s'" % (key, raw))
     if not 0 <= v < 2 ** 64:
         raise ConfigError("config key '%s' must be an unsigned 64-bit integer" % key)
     return v
@@ -151,9 +152,9 @@ def _parse_ref(key: str, raw: str) -> ReferenceTrajectory:
 
 def _parse_estimator(key: str, raw: str) -> str:
     v = raw.strip()
-    if v not in (DELAYED_INPUT, ANALYSIS_FORM):
-        raise ConfigError("config key '%s' must be '%s' or '%s'"
-                          % (key, DELAYED_INPUT, ANALYSIS_FORM))
+    if v not in ESTIMATOR_VARIANTS:
+        raise ConfigError("config key '%s' must be %s"
+                          % (key, " or ".join("'%s'" % n for n in ESTIMATOR_VARIANTS)))
     return v
 
 
@@ -163,23 +164,11 @@ def _parse_str(key: str, raw: str) -> str:
 
 DEFAULT_SEED = 20260819
 
-_DELTA_DEFAULTS = {
-    "ipd-delta": (0.8, 0.5),
-    "pid-delta": (0.8, 0.5),
-    "compare": (1.0, 0.8, 0.5),
-}
-
-
-def _default_ref(scenario: str) -> ReferenceTrajectory:
-    # regulation framing for the stability-study scenario, tracking otherwise
-    if scenario == "ip-attempt":
-        return ReferenceTrajectory.constant(0.0)
-    return ReferenceTrajectory.smooth_step(0.0, 1.0, 1.0, 6.0)
-
 
 def _key(parse, default, key=None):
-    # one config key: its parser, its default (a value, or a function of
-    # the scenario name) and its name where it differs from the field's
+    # one config key: its parser, its default (which a scenario's own
+    # default in _SCENARIOS beats) and its name where it differs from the
+    # field's
     return field(metadata={"parse": parse, "default": default, "key": key})
 
 
@@ -189,6 +178,7 @@ class ScenarioConfig:
 
     Every field after name is one config key and declares, in its
     metadata, the key's parser and default; this is the only list of keys.
+    A scenario's own defaults are in _SCENARIOS.
     """
 
     name: str
@@ -201,14 +191,14 @@ class ScenarioConfig:
     t_filter: float = _key(_parse_positive, 0.1)
     y0: float = _key(_parse_float, -0.05)
     ydot0: float = _key(_parse_float, 0.0)
-    deltas: tuple = _key(_parse_deltas, lambda name: _DELTA_DEFAULTS.get(name, (1.0,)),
-                         "delta")
+    deltas: tuple = _key(_parse_deltas, (1.0,), "delta")
     ipd_pole: float = _key(_parse_float, 0.5)
     pid_pole: float = _key(_parse_float, 0.66)
-    ref: ReferenceTrajectory = _key(_parse_ref, _default_ref)
+    ref: ReferenceTrajectory = _key(_parse_ref,
+                                    ReferenceTrajectory.smooth_step(0.0, 1.0, 1.0, 6.0))
     estimator_variant: str = _key(_parse_estimator, ANALYSIS_FORM, "estimator")
-    kp_axis: tuple = _key(_parse_axis, (-5.0, 5.0, 201))
-    alpha_axis: tuple = _key(_parse_axis, (-5.0, 5.0, 201))
+    kp_axis: tuple = _key(_parse_axis, DEFAULT_AXIS)
+    alpha_axis: tuple = _key(_parse_axis, DEFAULT_AXIS)
     t_value: float = _key(_parse_positive, 0.1)
     t_axis: tuple = _key(_parse_t_axis, default_t_axis())
     ip_kp: float = _key(_parse_float, 1.0)
@@ -271,26 +261,21 @@ def parse_config(config_path, overrides: dict) -> ScenarioConfig:
     if unknown:
         raise ConfigError("unknown config key(s): %s" % ", ".join(unknown))
 
+    defaults = _SCENARIOS[name][1]
+    values = {f.name: defaults.get(f.name, f.metadata["default"])
+              for f in _CONFIG_KEYS.values()}
     # parsed in raw order, so the first bad key reported is the first given
-    values = {_CONFIG_KEYS[key].name: _CONFIG_KEYS[key].metadata["parse"](key, value)
-              for key, value in raw.items()}
-    for f in _CONFIG_KEYS.values():
-        if f.name not in values:
-            default = f.metadata["default"]
-            values[f.name] = default(name) if callable(default) else default
+    values.update((_CONFIG_KEYS[key].name, _CONFIG_KEYS[key].metadata["parse"](key, value))
+                  for key, value in raw.items())
     return ScenarioConfig(name=name, **values)
-
-
-def _nominal_plant_coeffs():
-    p = example_plant(1.0)
-    return (p.a1, p.a0, p.b)
 
 
 def tuned_ipd_controller(cfg: ScenarioConfig):
     """iPD controller and estimator from the configured double-pole target."""
     kp, kd = ipd_gains_from_target(expand_pole(cfg.ipd_pole, 2))
     spec = ControllerSpec.ipd(kp=kp, kd=kd, alpha=cfg.alpha)
-    coeffs = _nominal_plant_coeffs() if cfg.estimator_variant == ANALYSIS_FORM else None
+    p = example_plant(1.0)
+    coeffs = (p.a1, p.a0, p.b) if cfg.estimator_variant == ANALYSIS_FORM else None
     est = EstimatorConfig(nu=2, alpha=cfg.alpha, t_filter=cfg.t_filter,
                           variant=cfg.estimator_variant, plant_coeffs=coeffs)
     return spec, est
@@ -309,20 +294,30 @@ def _metrics_lines(tag: str, m: Metrics) -> list:
             "%s_diverged = %s" % (tag, m.diverged)]
 
 
-def _run_and_measure(cfg: ScenarioConfig, kinds: tuple):
-    """Run each kind ("ipd" or "pid") at each of cfg.deltas with one shared seed.
+def _delta_metrics_lines(entries: dict) -> list:
+    """The <kind>_delta<tag>_* lines of each (kind, delta tag) entry, in key order."""
+    return [line for key, m in entries.items()
+            for line in _metrics_lines("%s_delta%s" % key, m)]
 
-    Returns (traces, metrics), both keyed by (kind, delta tag), deltas
-    outer and kinds inner.
+
+def _tuned_laws(cfg: ScenarioConfig) -> dict:
+    """The tuned iPD and classic PID, as kind -> (controller, estimator)."""
+    return {"ipd": tuned_ipd_controller(cfg), "pid": (tuned_pid_controller(cfg), None)}
+
+
+def _run_and_measure(cfg: ScenarioConfig, laws: dict):
+    """Run each law (tag -> (controller, estimator)) at each of cfg.deltas
+    with one shared seed.
+
+    Returns (traces, metrics), both keyed by (tag, delta tag), deltas
+    outer and laws inner.
     """
-    laws = {"ipd": tuned_ipd_controller(cfg), "pid": (tuned_pid_controller(cfg), None)}
     noise = NoiseModel(cfg.sigma, cfg.seed)
     traces = {}
     entries = {}
     for delta in cfg.deltas:
-        for kind in kinds:
-            controller, estimator = laws[kind]
-            key = (kind, _fmt(delta))
+        for tag, (controller, estimator) in laws.items():
+            key = (tag, _fmt(delta))
             traces[key] = run_closed_loop(example_plant(delta), controller, estimator,
                                           cfg.ref, noise, h=cfg.h, duration=cfg.duration,
                                           y0=cfg.y0, ydot0=cfg.ydot0,
@@ -343,10 +338,8 @@ def _write_traces(out_dir: str, traces: dict) -> list:
 
 
 def _scenario_tracking(cfg: ScenarioConfig, out_dir: str, kind: str):
-    traces, entries = _run_and_measure(cfg, (kind,))
-    lines = ["scenario = %s" % cfg.name, "seed = %d" % cfg.seed]
-    for key, m in entries.items():
-        lines.extend(_metrics_lines("%s_delta%s" % key, m))
+    traces, entries = _run_and_measure(cfg, {kind: _tuned_laws(cfg)[kind]})
+    lines = ["seed = %d" % cfg.seed] + _delta_metrics_lines(entries)
     return _write_traces(out_dir, traces), lines
 
 
@@ -359,12 +352,7 @@ class CompareReport:
     winners: dict
 
     def to_lines(self) -> list:
-        lines = []
-        for delta in self.deltas:
-            key = _fmt(delta)
-            for kind in ("ipd", "pid"):
-                lines.extend(_metrics_lines("%s_delta%s" % (kind, key),
-                                            self.entries[(kind, key)]))
+        lines = _delta_metrics_lines(self.entries)
         for delta in self.deltas:
             key = _fmt(delta)
             lines.append("winner_delta%s = %s" % (key, self.winners[key]))
@@ -383,7 +371,7 @@ def compare_controllers(cfg: ScenarioConfig):
     to the simulated trace. The winner per delta is the controller with
     the smaller settled-tail error; a diverged run always loses.
     """
-    traces, entries = _run_and_measure(cfg, ("ipd", "pid"))
+    traces, entries = _run_and_measure(cfg, _tuned_laws(cfg))
     winners = {}
     for delta in cfg.deltas:
         key = _fmt(delta)
@@ -398,77 +386,79 @@ def compare_controllers(cfg: ScenarioConfig):
 
 def _scenario_compare(cfg: ScenarioConfig, out_dir: str):
     report, traces = compare_controllers(cfg)
-    lines = ["scenario = %s" % cfg.name, "seed = %d" % cfg.seed]
-    lines.extend(report.to_lines())
-    return _write_traces(out_dir, traces), lines
+    return _write_traces(out_dir, traces), ["seed = %d" % cfg.seed] + report.to_lines()
 
 
 def _scenario_ip_attempt(cfg: ScenarioConfig, out_dir: str):
     """Simulate the tabulated default iP cell and a stable counterpart cell."""
-    plant = example_plant(cfg.deltas[0])
-    est_coeffs = _nominal_plant_coeffs()
-    noise = NoiseModel(cfg.sigma, cfg.seed)
-    traces = {}
-    lines = ["scenario = %s" % cfg.name, "seed = %d" % cfg.seed]
-    cells = (("ip", cfg.ip_kp, cfg.ip_alpha),
-             ("ip-stable", cfg.ip_stable_kp, cfg.ip_stable_alpha))
-    for tag, kp, alpha in cells:
-        controller = ip_spec_for_cell(kp, alpha)
-        est = EstimatorConfig(nu=1, alpha=alpha, t_filter=cfg.t_filter,
-                              variant=ANALYSIS_FORM, plant_coeffs=est_coeffs)
-        trace = run_closed_loop(plant, controller, est, cfg.ref, noise,
-                                h=cfg.h, duration=cfg.duration, y0=cfg.y0,
-                                ydot0=cfg.ydot0, meta={"scenario": cfg.name,
-                                                       "cell": (kp, alpha)})
-        traces[(tag, _fmt(cfg.deltas[0]))] = trace
+    # the metrics keys carry no delta tag, so a second delta would collide
+    if len(cfg.deltas) > 1:
+        raise ConfigError("config key 'delta': scenario %s takes one value, got %d"
+                          % (cfg.name, len(cfg.deltas)))
+    cells = {"ip": (cfg.ip_kp, cfg.ip_alpha),
+             "ip-stable": (cfg.ip_stable_kp, cfg.ip_stable_alpha)}
+    traces, entries = _run_and_measure(
+        cfg, {tag: ip_loop_for_cell(kp, alpha, cfg.t_filter)
+              for tag, (kp, alpha) in cells.items()})
+    lines = ["seed = %d" % cfg.seed]
+    for (tag, _), m in entries.items():
+        kp, alpha = cells[tag]
         tag_us = tag.replace("-", "_")
         lines.append("%s_cell_kp = %r" % (tag_us, float(kp)))
         lines.append("%s_cell_alpha = %r" % (tag_us, float(alpha)))
         lines.append("%s_cell_max_root_real = %r"
                      % (tag_us, quartic_max_real_root(kp, alpha, cfg.t_filter)))
-        lines.extend(_metrics_lines(tag_us, compute_metrics(trace)))
+        lines.extend(_metrics_lines(tag_us, m))
     return _write_traces(out_dir, traces), lines
 
 
 def _scenario_stabmap(cfg: ScenarioConfig, out_dir: str, aggregation: str):
-    if aggregation == FIXED_T:
-        spec = GridSpec(cfg.kp_axis, cfg.alpha_axis, (cfg.t_value,), FIXED_T, 0)
-    else:
-        spec = GridSpec(cfg.kp_axis, cfg.alpha_axis, cfg.t_axis, FOR_ALL_T, 0)
-    grid = sweep(spec)
+    t_axis = (cfg.t_value,) if aggregation == FIXED_T else cfg.t_axis
+    grid = sweep(GridSpec(cfg.kp_axis, cfg.alpha_axis, t_axis, aggregation, 0))
     path = os.path.join(out_dir, "grid.csv")
     export_grid(grid, path)
-    lines = ["scenario = %s" % cfg.name,
-             "stable_fraction = %r" % grid.stable_fraction]
+    lines = ["stable_fraction = %r" % grid.stable_fraction]
     lines.extend("%s_cells = %d" % (k, sum(row.count(k) for row in grid.verdicts))
                  for k in (VERDICT_STABLE, VERDICT_UNSTABLE, VERDICT_MARGINAL,
                            VERDICT_EXCLUDED))
     return [path], lines
 
 
-# scenario name -> runner(cfg, out_dir) returning (files written, metrics lines)
-_RUNNERS = {
-    "ipd-nominal": lambda cfg, out_dir: _scenario_tracking(cfg, out_dir, "ipd"),
-    "pid-nominal": lambda cfg, out_dir: _scenario_tracking(cfg, out_dir, "pid"),
-    "ipd-delta": lambda cfg, out_dir: _scenario_tracking(cfg, out_dir, "ipd"),
-    "pid-delta": lambda cfg, out_dir: _scenario_tracking(cfg, out_dir, "pid"),
-    "ip-attempt": _scenario_ip_attempt,
-    "stabmap-fixed-t": lambda cfg, out_dir: _scenario_stabmap(cfg, out_dir, FIXED_T),
-    "stabmap-all-t": lambda cfg, out_dir: _scenario_stabmap(cfg, out_dir, FOR_ALL_T),
-    "compare": _scenario_compare,
+# scenario name -> (runner, defaults). runner(cfg, out_dir) returns the
+# files written and the metrics lines after the scenario line; defaults
+# holds the scenario's own values of some ScenarioConfig fields.
+_SCENARIOS = {
+    "ipd-nominal": (lambda cfg, out_dir: _scenario_tracking(cfg, out_dir, "ipd"), {}),
+    "pid-nominal": (lambda cfg, out_dir: _scenario_tracking(cfg, out_dir, "pid"), {}),
+    "ipd-delta": (lambda cfg, out_dir: _scenario_tracking(cfg, out_dir, "ipd"),
+                  {"deltas": (0.8, 0.5)}),
+    "pid-delta": (lambda cfg, out_dir: _scenario_tracking(cfg, out_dir, "pid"),
+                  {"deltas": (0.8, 0.5)}),
+    # regulation rather than tracking: the stability study starts at y0
+    "ip-attempt": (_scenario_ip_attempt, {"ref": ReferenceTrajectory.constant(0.0)}),
+    "stabmap-fixed-t": (lambda cfg, out_dir: _scenario_stabmap(cfg, out_dir, FIXED_T), {}),
+    "stabmap-all-t": (lambda cfg, out_dir: _scenario_stabmap(cfg, out_dir, FOR_ALL_T), {}),
+    "compare": (_scenario_compare, {"deltas": (1.0, 0.8, 0.5)}),
 }
 
-SCENARIOS = tuple(_RUNNERS)
+SCENARIOS = tuple(_SCENARIOS)
+
+# the dedicated flags: keys settable without --set, which they beat
+_FLAGS = {
+    "scenario": "scenario name",
+    "out": "output directory (default ./out)",
+    "seed": "unsigned 64-bit noise seed",
+}
 
 
 def run_scenario(cfg: ScenarioConfig) -> list:
     """Execute one scenario; returns the list of files written."""
     out_dir = os.path.join(cfg.out, cfg.name)
     os.makedirs(out_dir, exist_ok=True)
-    paths, lines = _RUNNERS[cfg.name](cfg, out_dir)
+    paths, lines = _SCENARIOS[cfg.name][0](cfg, out_dir)
     metrics_path = os.path.join(out_dir, "metrics.txt")
     with open(metrics_path, "w", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write("\n".join(["scenario = %s" % cfg.name] + lines) + "\n")
     return paths + [metrics_path]
 
 
@@ -477,10 +467,9 @@ def main(argv=None) -> int:
         prog="ultralocal",
         description="Run closed-loop control scenarios and stability sweeps.",
         epilog="scenarios: %s" % ", ".join(SCENARIOS))
-    parser.add_argument("--scenario", help="scenario name")
+    for key, help_text in _FLAGS.items():
+        parser.add_argument("--" + key, help=help_text)
     parser.add_argument("--config", help="key=value config file")
-    parser.add_argument("--out", help="output directory (default ./out)")
-    parser.add_argument("--seed", help="unsigned 64-bit noise seed")
     parser.add_argument("--set", dest="sets", action="append", default=[],
                         metavar="KEY=VALUE",
                         help="override one config key (repeatable; beaten only "
@@ -494,12 +483,8 @@ def main(argv=None) -> int:
             print("error: --set expects KEY=VALUE, got '%s'" % item, file=sys.stderr)
             return 2
         overrides[key.strip()] = value.strip()
-    if args.scenario is not None:
-        overrides["scenario"] = args.scenario
-    if args.out is not None:
-        overrides["out"] = args.out
-    if args.seed is not None:
-        overrides["seed"] = args.seed
+    overrides.update((key, getattr(args, key)) for key in _FLAGS
+                     if getattr(args, key) is not None)
 
     try:
         cfg = parse_config(args.config, overrides)

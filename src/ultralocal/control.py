@@ -76,7 +76,7 @@ class DerivatorFilter:
 DELAYED_INPUT = "delayed-input"
 ANALYSIS_FORM = "analysis-form"
 
-_ESTIMATOR_VARIANTS = (DELAYED_INPUT, ANALYSIS_FORM)
+ESTIMATOR_VARIANTS = (DELAYED_INPUT, ANALYSIS_FORM)
 
 
 @dataclass(frozen=True)
@@ -105,7 +105,7 @@ class EstimatorConfig:
             raise ConfigMismatch("alpha must be finite and nonzero, got %r" % (self.alpha,))
         if not (math.isfinite(self.t_filter) and self.t_filter > 0.0):
             raise ConfigMismatch("t_filter must be positive, got %r" % (self.t_filter,))
-        if self.variant not in _ESTIMATOR_VARIANTS:
+        if self.variant not in ESTIMATOR_VARIANTS:
             raise ConfigMismatch("unknown estimator variant %r" % (self.variant,))
         if self.variant == ANALYSIS_FORM:
             if self.plant_coeffs is None or len(self.plant_coeffs) != 3:

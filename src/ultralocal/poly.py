@@ -287,7 +287,7 @@ def ip_charpoly(params: IpLoopParams) -> Polynomial:
     directly on the measured output; under the error convention
     e = y_ref - y used by the control laws in this package, the simulated
     loop matching a tabulated cell (kp, alpha) uses proportional gain
-    -kp (see stabmap.ip_spec_for_cell).
+    -kp (see stabmap.ip_loop_for_cell).
 
     Ascending coefficients, degree 4 with leading coefficient T**2.
     """

@@ -42,6 +42,9 @@ ALPHA_EXCLUSION = 1e-9
 # 201x201 map. The verdict lists alone take about 8 bytes per cell.
 MAX_GRID_CELLS = 4_000_000
 
+# The default kp and alpha axis of a map: [-5, 5] in 201 points.
+DEFAULT_AXIS = (-5.0, 5.0, 201)
+
 # Cells per block of the vector sweep, rounded down to whole kp rows (at
 # least one), so its temporaries stay small whatever the grid size.
 _BLOCK_CELLS = 4096
@@ -115,7 +118,7 @@ class GridSpec:
         near_zero = np.array([side[np.argmin(np.abs(side))]
                               for side in (alphas[alphas >= ALPHA_EXCLUSION],
                                            alphas[alphas <= -ALPHA_EXCLUSION]) if side.size])
-        ts = self.t_axis if self.aggregation == FOR_ALL_T else (self.t_axis[self.t_index],)
+        ts = self.t_values()
         finite = np.ones((len(ts), 2, len(near_zero)), bool)
         with np.errstate(all="ignore"):
             for c in _ip_coeffs(near_zero, kps, np.array(ts)[:, None, None]):
@@ -126,6 +129,11 @@ class GridSpec:
                 "kp_axis / alpha_axis: the quartic's coefficients overflow at "
                 "kp = %r, alpha = %r, T = %r"
                 % (float(kps[i, 0]), float(near_zero[j]), float(ts[k])))
+
+    def t_values(self) -> tuple:
+        """The filter constants a verdict considers: the whole axis for
+        FOR_ALL_T, t_axis[t_index] alone for FIXED_T."""
+        return self.t_axis if self.aggregation == FOR_ALL_T else (self.t_axis[self.t_index],)
 
     def kp_values(self) -> np.ndarray:
         lo, hi, n = self.kp_axis
@@ -149,13 +157,11 @@ def default_t_axis() -> tuple:
 
 def default_grid_spec(t_filter: float = 0.1) -> GridSpec:
     """The default 201x201 map over kp, alpha in [-5, 5] at one filter constant."""
-    return GridSpec((-5.0, 5.0, 201), (-5.0, 5.0, 201), (float(t_filter),),
-                    FIXED_T, 0)
+    return GridSpec(DEFAULT_AXIS, DEFAULT_AXIS, (float(t_filter),), FIXED_T, 0)
 
 
 def default_all_t_grid_spec() -> GridSpec:
-    return GridSpec((-5.0, 5.0, 201), (-5.0, 5.0, 201), default_t_axis(),
-                    FOR_ALL_T, 0)
+    return GridSpec(DEFAULT_AXIS, DEFAULT_AXIS, default_t_axis(), FOR_ALL_T, 0)
 
 
 @dataclass
@@ -167,32 +173,23 @@ class StabilityGrid:
     stable_fraction: float
 
 
-_KIND_TO_VERDICT = {
-    StabilityKind.HURWITZ: VERDICT_STABLE,
-    StabilityKind.UNSTABLE: VERDICT_UNSTABLE,
-    StabilityKind.MARGINAL: VERDICT_MARGINAL,
-}
-
-
-def _verdict_at(kp: float, alpha: float, t: float) -> str:
-    v = routh_hurwitz(ip_charpoly(IpLoopParams(alpha=alpha, kp=kp, t_filter=t)))
-    return _KIND_TO_VERDICT[v.kind]
-
-
 def cell_verdict(kp: float, alpha: float, spec: GridSpec) -> str:
-    """Classify one cell under the grid's aggregation rule."""
+    """Classify one cell under the grid's aggregation rule.
+
+    Unstable if the quartic is unstable at any of spec.t_values(),
+    marginal if it is marginal at some and Hurwitz at the others, stable
+    if it is Hurwitz at all of them.
+    """
     if abs(alpha) < ALPHA_EXCLUSION:
         return VERDICT_EXCLUDED
-    if spec.aggregation == FIXED_T:
-        return _verdict_at(kp, alpha, spec.t_axis[spec.t_index])
-    saw_marginal = False
-    for t in spec.t_axis:
-        v = _verdict_at(kp, alpha, t)
-        if v == VERDICT_UNSTABLE:
+    verdict = VERDICT_STABLE
+    for t in spec.t_values():
+        kind = routh_hurwitz(ip_charpoly(IpLoopParams(alpha=alpha, kp=kp, t_filter=t))).kind
+        if kind == StabilityKind.UNSTABLE:
             return VERDICT_UNSTABLE
-        if v == VERDICT_MARGINAL:
-            saw_marginal = True
-    return VERDICT_MARGINAL if saw_marginal else VERDICT_STABLE
+        if kind == StabilityKind.MARGINAL:
+            verdict = VERDICT_MARGINAL
+    return verdict
 
 
 # Verdict codes of the vector sweep index this table, so that every
@@ -243,7 +240,7 @@ def sweep(spec: GridSpec) -> StabilityGrid:
     """
     kps = spec.kp_values()
     alphas = spec.alpha_values()
-    ts = spec.t_axis if spec.aggregation == FOR_ALL_T else (spec.t_axis[spec.t_index],)
+    ts = spec.t_values()
     excluded = np.abs(alphas) < ALPHA_EXCLUSION
     rows_per_block = max(1, _BLOCK_CELLS // len(alphas))
     verdicts = []
@@ -295,16 +292,22 @@ def export_grid(grid: StabilityGrid, path) -> None:
         raise IoFailure("cannot write grid to %r: %s" % (path, exc)) from exc
 
 
-def ip_spec_for_cell(kp: float, alpha: float) -> ControllerSpec:
-    """Intelligent-proportional controller realizing a tabulated map cell.
+def ip_loop_for_cell(kp: float, alpha: float, t: float) -> tuple:
+    """Intelligent-proportional loop realizing map cell (kp, alpha) at filter constant t.
 
-    The map's quartic is tabulated with the proportional correction acting
-    on the measured output directly; the control law here uses the error
-    convention e = y_ref - y, so the loop whose characteristic polynomial
-    matches cell (kp, alpha) carries proportional gain -kp. Verified by
-    the grid-vs-simulation cross-validation suite.
+    Returns (controller, estimator). The map's quartic is tabulated with
+    the proportional correction acting on the measured output directly;
+    the control law here uses the error convention e = y_ref - y, so the
+    loop whose characteristic polynomial matches cell (kp, alpha) carries
+    proportional gain -kp. The quartic models the nu = 1 analysis-form
+    estimator with the nominal plant's coefficients, so that is the
+    estimator returned. Verified by the grid-vs-simulation
+    cross-validation suite.
     """
-    return ControllerSpec.ip(kp=-kp, alpha=alpha)
+    plant = example_plant(delta=1.0)
+    return (ControllerSpec.ip(kp=-kp, alpha=alpha),
+            EstimatorConfig(nu=1, alpha=alpha, t_filter=t, variant=ANALYSIS_FORM,
+                            plant_coeffs=(plant.a1, plant.a0, plant.b)))
 
 
 def quartic_max_real_root(kp: float, alpha: float, t: float) -> float:
@@ -351,7 +354,7 @@ def cross_validate(grid: StabilityGrid, samples: int = 50, seed: int = 0,
     quartic has a root within boundary_band of the imaginary axis, where
     a 20 s run cannot separate slow growth from slow decay. Each sampled
     cell is simulated as the matching intelligent-proportional loop
-    (gain bridge of ip_spec_for_cell, regulation to zero from y0 = -0.05,
+    (ip_loop_for_cell, regulation to zero from y0 = -0.05,
     no noise); a stable verdict should mean a bounded run and an unstable
     verdict a diverged one.
     """
@@ -360,55 +363,43 @@ def cross_validate(grid: StabilityGrid, samples: int = 50, seed: int = 0,
         raise InvalidGrid("cross_validate needs a fixed-t grid")
     if samples < 1:
         raise InvalidGrid("samples must be >= 1")
-    t = spec.t_axis[spec.t_index]
+    (t,) = spec.t_values()
     kps = spec.kp_values().tolist()
     alphas = spec.alpha_values().tolist()
 
-    by_class = {VERDICT_STABLE: [], VERDICT_UNSTABLE: []}
-    for i, kp in enumerate(kps):
-        row = grid.verdicts[i]
-        for j in range(len(alphas)):
-            if row[j] in by_class:
-                by_class[row[j]].append((i, j))
+    def off_band(cells):
+        # the cells in the given order, skipping those within the band
+        for i, j in cells:
+            max_re = quartic_max_real_root(kps[i], alphas[j], t)
+            if abs(max_re) > boundary_band:
+                yield kps[i], alphas[j], grid.verdicts[i][j], max_re
 
     rng = np.random.default_rng(seed)
     pools = []
     for verdict in (VERDICT_STABLE, VERDICT_UNSTABLE):
-        cells = by_class[verdict]
-        order = rng.permutation(len(cells))
-        pools.append([cells[int(ix)] for ix in order])
+        cells = [(i, j) for i, row in enumerate(grid.verdicts)
+                 for j, v in enumerate(row) if v == verdict]
+        pools.append(off_band([cells[ix] for ix in rng.permutation(len(cells))]))
 
+    # round robin: one cell from each pool in turn, dropping a pool once empty
     picked = []
-    cursor = [0, 0]
-    while len(picked) < samples and (cursor[0] < len(pools[0]) or cursor[1] < len(pools[1])):
-        for which in (0, 1):
-            while cursor[which] < len(pools[which]):
-                i, j = pools[which][cursor[which]]
-                cursor[which] += 1
-                kp = kps[i]
-                alpha = alphas[j]
-                max_re = quartic_max_real_root(kp, alpha, t)
-                if abs(max_re) > boundary_band:
-                    picked.append((kp, alpha, grid.verdicts[i][j], max_re))
-                    break
-            if len(picked) >= samples:
-                break
+    while pools and len(picked) < samples:
+        pool = pools.pop(0)
+        cell = next(pool, None)
+        if cell is not None:
+            picked.append(cell)
+            pools.append(pool)
 
     checks = []
-    agree_count = 0
     plant = example_plant(delta=1.0)
     ref = ReferenceTrajectory.constant(0.0)
     quiet = NoiseModel(0.0, 0)
     for kp, alpha, verdict, max_re in picked:
-        controller = ip_spec_for_cell(kp, alpha)
-        est = EstimatorConfig(nu=1, alpha=alpha, t_filter=t, variant=ANALYSIS_FORM,
-                              plant_coeffs=(plant.a1, plant.a0, plant.b))
-        trace = run_closed_loop(plant, controller, est, ref, quiet,
+        controller, estimator = ip_loop_for_cell(kp, alpha, t)
+        trace = run_closed_loop(plant, controller, estimator, ref, quiet,
                                 h=1e-3, duration=20.0, y0=-0.05)
-        agrees = trace.diverged == (verdict == VERDICT_UNSTABLE)
-        agree_count += agrees
-        checks.append(SampleCheck(kp, alpha, t, verdict, max_re,
-                                  trace.diverged, agrees))
+        checks.append(SampleCheck(kp, alpha, t, verdict, max_re, trace.diverged,
+                                  trace.diverged == (verdict == VERDICT_UNSTABLE)))
 
-    rate = agree_count / len(checks) if checks else 0.0
+    rate = sum(c.agrees for c in checks) / len(checks) if checks else 0.0
     return AgreementReport(checks, rate, boundary_band)

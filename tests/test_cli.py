@@ -26,8 +26,9 @@ from ultralocal.cli import (
     tuned_ipd_controller,
     tuned_pid_controller,
 )
-from ultralocal.control import ANALYSIS_FORM, DELAYED_INPUT
+from ultralocal.control import ANALYSIS_FORM, DELAYED_INPUT, ESTIMATOR_VARIANTS
 from ultralocal.sim import CONSTANT, SMOOTH_STEP, ReferenceTrajectory, load_trace_csv
+from ultralocal.stabmap import default_grid_spec
 
 README = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "README.md")
 
@@ -84,6 +85,20 @@ def test_default_ref_for_ip_attempt():
     assert cfg.ref.level == 0.0
 
 
+def test_scenario_defaults_name_config_fields():
+    # parse_config looks each default up by field name, so a misspelt
+    # key in a scenario's defaults would be ignored without this check
+    names = {f.name for f in fields(ScenarioConfig) if f.metadata}
+    for name, (_, defaults) in cli._SCENARIOS.items():
+        assert set(defaults) <= names, name
+
+
+def test_default_axes_are_the_default_map_axes():
+    cfg = _cfg("stabmap-fixed-t")
+    spec = default_grid_spec()
+    assert (cfg.kp_axis, cfg.alpha_axis) == (spec.kp_axis, spec.alpha_axis)
+
+
 def test_missing_scenario_rejected():
     with pytest.raises(ConfigError, match="scenario"):
         parse_config(None, {})
@@ -111,7 +126,9 @@ def test_delta_list_parsing():
 
 
 def test_seed_bounds():
-    assert _cfg("ipd-nominal", seed="12").seed == 12
+    for raw, seed in (("12", 12), ("0x1F", 31), ("0b11", 3), ("1_000", 1000), ("00", 0),
+                      ("007", 7), ("08", 8)):
+        assert _cfg("ipd-nominal", seed=raw).seed == seed
     with pytest.raises(ConfigError, match="seed"):
         _cfg("ipd-nominal", seed="-1")
     with pytest.raises(ConfigError, match="seed"):
@@ -157,8 +174,11 @@ def test_non_finite_values_rejected_naming_the_key(key, raw):
 
 def test_estimator_variant_parsing():
     assert _cfg("ipd-nominal", estimator="delayed-input").estimator_variant == DELAYED_INPUT
-    with pytest.raises(ConfigError, match="estimator"):
+    for variant in ESTIMATOR_VARIANTS:
+        assert _cfg("ipd-nominal", estimator=variant).estimator_variant == variant
+    with pytest.raises(ConfigError, match="estimator") as err:
         _cfg("ipd-nominal", estimator="kalman")
+    assert all("'%s'" % variant in str(err.value) for variant in ESTIMATOR_VARIANTS)
 
 
 def test_config_file_and_precedence(tmp_path):
@@ -270,6 +290,15 @@ def test_run_scenario_ip_attempt(tmp_path):
     assert float(m["ip_stable_tail_max_abs_error"]) < 0.05
     diverged = load_trace_csv(os.path.join(base, "trace_ip_1.csv"))
     assert abs(diverged["y_true"][-1]) > 1e3
+
+
+def test_main_rejects_ip_attempt_with_two_deltas(tmp_path, capsys):
+    # ip-attempt's metrics keys carry no delta tag: one delta only
+    rc = main(["--scenario", "ip-attempt", "--out", str(tmp_path), "--set", "delta=0.8,0.5"])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert "config key 'delta'" in err
+    assert not any(files for _, _, files in os.walk(tmp_path))
 
 
 def test_run_scenario_stabmap_fixed_t(tmp_path):
@@ -388,6 +417,15 @@ def test_main_dedicated_flags_beat_set(tmp_path):
     assert rc == 0
     m = _read_metrics(os.path.join(str(tmp_path), "ipd-nominal", "metrics.txt"))
     assert m["seed"] == "2"
+
+
+def test_main_help_lists_every_flag(capsys):
+    with pytest.raises(SystemExit) as exit_:
+        main(["--help"])
+    assert exit_.value.code == 0
+    out = capsys.readouterr().out
+    for flag in ("--scenario", "--config", "--out", "--seed", "--set"):
+        assert flag in out
 
 
 def test_scenarios_tuple_is_complete():

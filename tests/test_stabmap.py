@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from ultralocal import stabmap
+from ultralocal.control import ANALYSIS_FORM
 from ultralocal.poly import PolynomialError
 from ultralocal.stabmap import (
     ALPHA_EXCLUSION,
@@ -27,7 +28,7 @@ from ultralocal.stabmap import (
     default_grid_spec,
     default_t_axis,
     export_grid,
-    ip_spec_for_cell,
+    ip_loop_for_cell,
     quartic_max_real_root,
     sweep,
 )
@@ -193,10 +194,13 @@ def _axes(draw):
     return (lo, lo + draw(st.floats(1e-3, 20.0)), count)
 
 
+_t_axes = st.lists(st.sampled_from((2.0, 1e-3, 0.1, 1.9)) | st.floats(1e-3, 3.0),
+                   min_size=1, max_size=4).map(tuple)
+
+
 @st.composite
 def _grid_specs(draw):
-    t_axis = tuple(draw(st.lists(st.sampled_from((2.0, 1e-3, 0.1, 1.9)) | st.floats(1e-3, 3.0),
-                                 min_size=1, max_size=4)))
+    t_axis = draw(_t_axes)
     aggregation = draw(st.sampled_from((FIXED_T, FOR_ALL_T)))
     t_index = draw(st.integers(0, len(t_axis) - 1))
     return GridSpec(draw(_axes()), draw(_axes()), t_axis, aggregation, t_index)
@@ -212,6 +216,23 @@ def _grid_specs(draw):
 @example(GridSpec((-0.8258533954434202, 0.0, 2), (0.2, 1.0, 2), (0.1,)))
 def test_sweep_equals_cell_verdict_on_drawn_grids(spec):
     _assert_sweep_equals_cell_verdict(spec)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_axes(), _axes(), _t_axes, st.integers(0, 3))
+@example((-1.0, 1.0, 5), (-1.0, 1.0, 5), (0.1, 2.0), 1)  # 2T - T^2 = 0: every cell flagged
+@example((-1.0, 1.0, 5), (-2e-9, 2e-9, 5), (2.0, 0.1), 0)  # kp = 0 row, |alpha| ~ exclusion
+def test_fixed_t_grid_equals_all_t_grid_over_its_one_t(kp_axis, alpha_axis, t_axis, k):
+    # a fixed-t grid is the all-t grid over the one T it selects
+    k %= len(t_axis)
+    fixed = GridSpec(kp_axis, alpha_axis, t_axis, FIXED_T, k)
+    one_t = GridSpec(kp_axis, alpha_axis, (t_axis[k],), FOR_ALL_T)
+    a, b = sweep(fixed), sweep(one_t)
+    assert a.verdicts == b.verdicts
+    assert a.stable_fraction == b.stable_fraction
+    for kp in fixed.kp_values().tolist():
+        for alpha in fixed.alpha_values().tolist():
+            assert cell_verdict(kp, alpha, fixed) == cell_verdict(kp, alpha, one_t)
 
 
 @pytest.mark.parametrize("kp_axis,alpha_axis,t_axis,aggregation,cell", [
@@ -305,11 +326,14 @@ def test_export_io_failure(tmp_path):
 # Gain bridge and root oracle
 
 
-def test_ip_spec_for_cell_bridges_sign():
-    spec = ip_spec_for_cell(1.5, 0.7)
+def test_ip_loop_for_cell_bridges_sign():
+    spec, est = ip_loop_for_cell(1.5, 0.7, 0.3)
     assert spec.kind == "ip"
     assert spec.kp == -1.5
     assert spec.alpha == 0.7
+    assert (est.nu, est.alpha, est.t_filter) == (1, 0.7, 0.3)
+    assert est.variant == ANALYSIS_FORM
+    assert est.plant_coeffs == (-1.0, 0.0, 1.0)
 
 
 def test_quartic_max_real_root_known_cells():
@@ -373,3 +397,34 @@ def test_cross_validate_deterministic():
     a = cross_validate(grid, samples=4, seed=9)
     b = cross_validate(grid, samples=4, seed=9)
     assert [(c.kp, c.alpha) for c in a.checks] == [(c.kp, c.alpha) for c in b.checks]
+
+
+@pytest.mark.parametrize("grid,samples,seed,expected", [
+    # no cell of this grid is stable, and the unstable pool runs out at 19
+    (GridSpec((-1, 1, 5), (-1, 1, 5), (0.1,)), 50, 2, [
+        (-0.5, 0.5, "unstable"), (1.0, 0.5, "unstable"), (-0.5, 1.0, "unstable"),
+        (-1.0, 0.5, "unstable"), (0.0, 1.0, "unstable"), (-1.0, -1.0, "unstable"),
+        (1.0, -0.5, "unstable"), (1.0, 1.0, "unstable"), (1.0, -1.0, "unstable"),
+        (0.0, -0.5, "unstable"), (0.5, -1.0, "unstable"), (-0.5, -0.5, "unstable"),
+        (0.5, 1.0, "unstable"), (0.5, -0.5, "unstable"), (0.5, 0.5, "unstable"),
+        (-1.0, 1.0, "unstable"), (-0.5, -1.0, "unstable"), (0.0, -1.0, "unstable"),
+        (-1.0, -0.5, "unstable")]),
+    # the stable pool runs out after two cells; unstable cells fill the rest
+    (GridSpec((-1.0, 1.0, 5), (0.1, 1.0, 4), (0.1,)), 50, 3, [
+        (-0.5, 0.1, "stable"), (1.0, 0.1, "unstable"), (-1.0, 0.1, "stable"),
+        (0.5, 0.1, "unstable"), (0.5, 0.7, "unstable"), (-1.0, 0.7, "unstable"),
+        (1.0, 0.4, "unstable"), (-1.0, 1.0, "unstable"), (1.0, 1.0, "unstable"),
+        (0.5, 1.0, "unstable"), (-1.0, 0.4, "unstable"), (0.5, 0.4, "unstable"),
+        (-0.5, 0.7, "unstable"), (0.0, 1.0, "unstable"), (0.0, 0.7, "unstable"),
+        (1.0, 0.7, "unstable"), (-0.5, 1.0, "unstable"), (-0.5, 0.4, "unstable")]),
+    (default_grid_spec(), 10, 1, [
+        (-3.95, 0.05000000000000071, "stable"), (-0.5, 0.8500000000000005, "unstable"),
+        (-1.0999999999999996, 0.10000000000000053, "stable"),
+        (1.2000000000000002, -3.15, "unstable"), (-0.09999999999999964, 0.25, "stable"),
+        (-1.4, -0.34999999999999964, "unstable"), (-2.0, 0.05000000000000071, "stable"),
+        (0.10000000000000053, -3.8499999999999996, "unstable"),
+        (-4.65, 0.05000000000000071, "stable"), (-1.15, -4.05, "unstable")]),
+], ids=["both-pools-run-out", "stable-pool-runs-out", "default-grid"])
+def test_cross_validate_sample_order_is_pinned(grid, samples, seed, expected):
+    report = cross_validate(sweep(grid), samples, seed)
+    assert [(c.kp, c.alpha, c.verdict) for c in report.checks] == expected
