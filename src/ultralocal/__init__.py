@@ -12,11 +12,7 @@ from .control import (
     DELAYED_INPUT,
     ConfigMismatch,
     ControllerSpec,
-    DerivatorFilter,
     EstimatorConfig,
-    control_classic_pid,
-    control_intelligent,
-    estimate_f,
     replay_estimator,
 )
 from .poly import (

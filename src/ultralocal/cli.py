@@ -16,7 +16,7 @@ import sys
 from dataclasses import dataclass, field, fields
 
 from .control import ANALYSIS_FORM, ESTIMATOR_VARIANTS, ControllerSpec, EstimatorConfig
-from .poly import expand_pole, ipd_gains_from_target, pid_gains_from_target
+from .poly import PolynomialError, expand_pole, ipd_gains_from_target, pid_gains_from_target
 from .sim import (
     Metrics,
     NoiseModel,
@@ -270,9 +270,22 @@ def parse_config(config_path, overrides: dict) -> ScenarioConfig:
     return ScenarioConfig(name=name, **values)
 
 
+def _pole_gains(key: str, pole: float, multiplicity: int, gains_from_target):
+    """Gains placing a pole of the given multiplicity at -pole.
+
+    A pole whose target polynomial overflows, or loses its small
+    coefficients to trimming, is reported as a bad value of the key.
+    """
+    try:
+        return gains_from_target(expand_pole(pole, multiplicity))
+    except PolynomialError as exc:
+        raise ConfigError("config key '%s' = %s gives no usable pole target: %s"
+                          % (key, _fmt(pole), exc)) from None
+
+
 def tuned_ipd_controller(cfg: ScenarioConfig):
     """iPD controller and estimator from the configured double-pole target."""
-    kp, kd = ipd_gains_from_target(expand_pole(cfg.ipd_pole, 2))
+    kp, kd = _pole_gains("ipd_pole", cfg.ipd_pole, 2, ipd_gains_from_target)
     spec = ControllerSpec.ipd(kp=kp, kd=kd, alpha=cfg.alpha)
     p = example_plant(1.0)
     coeffs = (p.a1, p.a0, p.b) if cfg.estimator_variant == ANALYSIS_FORM else None
@@ -283,7 +296,8 @@ def tuned_ipd_controller(cfg: ScenarioConfig):
 
 def tuned_pid_controller(cfg: ScenarioConfig) -> ControllerSpec:
     """Classic PID from the configured triple-pole target, tuned at delta=1."""
-    kp, ki, kd = pid_gains_from_target(example_plant(1.0), expand_pole(cfg.pid_pole, 3))
+    kp, ki, kd = _pole_gains("pid_pole", cfg.pid_pole, 3,
+                             lambda target: pid_gains_from_target(example_plant(1.0), target))
     return ControllerSpec.classic_pid(kp, ki, kd)
 
 
@@ -327,20 +341,15 @@ def _run_and_measure(cfg: ScenarioConfig, laws: dict):
     return traces, entries
 
 
-def _write_traces(out_dir: str, traces: dict) -> list:
-    """Write each trace as trace_<controller>_<delta tag>.csv, in key order."""
-    paths = []
-    for (kind, tag), trace in traces.items():
-        path = os.path.join(out_dir, "trace_%s_%s.csv" % (kind, tag))
-        trace.to_csv(path)
-        paths.append(path)
-    return paths
+def _trace_files(traces: dict) -> dict:
+    """trace_<controller>_<delta tag>.csv -> the writer of its trace, in key order."""
+    return {"trace_%s_%s.csv" % key: trace.to_csv for key, trace in traces.items()}
 
 
-def _scenario_tracking(cfg: ScenarioConfig, out_dir: str, kind: str):
+def _scenario_tracking(cfg: ScenarioConfig, kind: str):
     traces, entries = _run_and_measure(cfg, {kind: _tuned_laws(cfg)[kind]})
     lines = ["seed = %d" % cfg.seed] + _delta_metrics_lines(entries)
-    return _write_traces(out_dir, traces), lines
+    return _trace_files(traces), lines
 
 
 @dataclass
@@ -384,12 +393,12 @@ def compare_controllers(cfg: ScenarioConfig):
     return CompareReport(cfg.deltas, entries, winners), traces
 
 
-def _scenario_compare(cfg: ScenarioConfig, out_dir: str):
+def _scenario_compare(cfg: ScenarioConfig):
     report, traces = compare_controllers(cfg)
-    return _write_traces(out_dir, traces), ["seed = %d" % cfg.seed] + report.to_lines()
+    return _trace_files(traces), ["seed = %d" % cfg.seed] + report.to_lines()
 
 
-def _scenario_ip_attempt(cfg: ScenarioConfig, out_dir: str):
+def _scenario_ip_attempt(cfg: ScenarioConfig):
     """Simulate the tabulated default iP cell and a stable counterpart cell."""
     # the metrics keys carry no delta tag, so a second delta would collide
     if len(cfg.deltas) > 1:
@@ -409,35 +418,32 @@ def _scenario_ip_attempt(cfg: ScenarioConfig, out_dir: str):
         lines.append("%s_cell_max_root_real = %r"
                      % (tag_us, quartic_max_real_root(kp, alpha, cfg.t_filter)))
         lines.extend(_metrics_lines(tag_us, m))
-    return _write_traces(out_dir, traces), lines
+    return _trace_files(traces), lines
 
 
-def _scenario_stabmap(cfg: ScenarioConfig, out_dir: str, aggregation: str):
+def _scenario_stabmap(cfg: ScenarioConfig, aggregation: str):
     t_axis = (cfg.t_value,) if aggregation == FIXED_T else cfg.t_axis
     grid = sweep(GridSpec(cfg.kp_axis, cfg.alpha_axis, t_axis, aggregation, 0))
-    path = os.path.join(out_dir, "grid.csv")
-    export_grid(grid, path)
     lines = ["stable_fraction = %r" % grid.stable_fraction]
     lines.extend("%s_cells = %d" % (k, sum(row.count(k) for row in grid.verdicts))
                  for k in (VERDICT_STABLE, VERDICT_UNSTABLE, VERDICT_MARGINAL,
                            VERDICT_EXCLUDED))
-    return [path], lines
+    return {"grid.csv": lambda path: export_grid(grid, path)}, lines
 
 
-# scenario name -> (runner, defaults). runner(cfg, out_dir) returns the
-# files written and the metrics lines after the scenario line; defaults
-# holds the scenario's own values of some ScenarioConfig fields.
+# scenario name -> (runner, defaults). runner(cfg) computes without
+# writing and returns {file name: write(path)} and the metrics lines after
+# the scenario line; defaults holds the scenario's own values of some
+# ScenarioConfig fields.
 _SCENARIOS = {
-    "ipd-nominal": (lambda cfg, out_dir: _scenario_tracking(cfg, out_dir, "ipd"), {}),
-    "pid-nominal": (lambda cfg, out_dir: _scenario_tracking(cfg, out_dir, "pid"), {}),
-    "ipd-delta": (lambda cfg, out_dir: _scenario_tracking(cfg, out_dir, "ipd"),
-                  {"deltas": (0.8, 0.5)}),
-    "pid-delta": (lambda cfg, out_dir: _scenario_tracking(cfg, out_dir, "pid"),
-                  {"deltas": (0.8, 0.5)}),
+    "ipd-nominal": (lambda cfg: _scenario_tracking(cfg, "ipd"), {}),
+    "pid-nominal": (lambda cfg: _scenario_tracking(cfg, "pid"), {}),
+    "ipd-delta": (lambda cfg: _scenario_tracking(cfg, "ipd"), {"deltas": (0.8, 0.5)}),
+    "pid-delta": (lambda cfg: _scenario_tracking(cfg, "pid"), {"deltas": (0.8, 0.5)}),
     # regulation rather than tracking: the stability study starts at y0
     "ip-attempt": (_scenario_ip_attempt, {"ref": ReferenceTrajectory.constant(0.0)}),
-    "stabmap-fixed-t": (lambda cfg, out_dir: _scenario_stabmap(cfg, out_dir, FIXED_T), {}),
-    "stabmap-all-t": (lambda cfg, out_dir: _scenario_stabmap(cfg, out_dir, FOR_ALL_T), {}),
+    "stabmap-fixed-t": (lambda cfg: _scenario_stabmap(cfg, FIXED_T), {}),
+    "stabmap-all-t": (lambda cfg: _scenario_stabmap(cfg, FOR_ALL_T), {}),
     "compare": (_scenario_compare, {"deltas": (1.0, 0.8, 0.5)}),
 }
 
@@ -452,10 +458,18 @@ _FLAGS = {
 
 
 def run_scenario(cfg: ScenarioConfig) -> list:
-    """Execute one scenario; returns the list of files written."""
+    """Execute one scenario; returns the list of files written.
+
+    The scenario runs to the end before <out>/<scenario>/ is created, so
+    a run rejected on the way leaves no directory behind.
+    """
+    files, lines = _SCENARIOS[cfg.name][0](cfg)
     out_dir = os.path.join(cfg.out, cfg.name)
     os.makedirs(out_dir, exist_ok=True)
-    paths, lines = _SCENARIOS[cfg.name][0](cfg, out_dir)
+    paths = []
+    for name, write in files.items():
+        paths.append(os.path.join(out_dir, name))
+        write(paths[-1])
     metrics_path = os.path.join(out_dir, "metrics.txt")
     with open(metrics_path, "w", newline="\n") as fh:
         fh.write("\n".join(["scenario = %s" % cfg.name] + lines) + "\n")

@@ -1,10 +1,11 @@
-"""Derivative filters, lumped-term estimators, and control laws.
+"""Lumped-term estimators and controller specifications.
 
 The controllers act on an ultra-local input/output model: the nu-th output
 derivative equals a lumped term F plus alpha times the input. F absorbs
 every unmodeled effect and is re-estimated at each sample from filtered
-output derivatives and the previous input, so the laws below need no plant
-model beyond the scalar alpha.
+output derivatives and the previous input, so the intelligent laws need no
+plant model beyond the scalar alpha. The estimate and the laws run in
+sim.run_closed_loop; replay_estimator reruns the estimate offline.
 """
 
 from __future__ import annotations
@@ -17,60 +18,6 @@ import numpy as np
 
 class ConfigMismatch(ValueError):
     """Estimator/controller configuration is inconsistent with its use."""
-
-
-class DerivatorFilter:
-    """Causal filtered differentiator.
-
-    order=1 realizes s/(T s + 1); order=2 realizes s^2/(T s + 1)^2 as a
-    cascade of two identical first-order stages. Each stage is a backward
-    difference followed by a backward-Euler low-pass, which is stable for
-    any step size. The first sample only primes the difference memory, so
-    startup produces 0 instead of an O(1/h) spike.
-    """
-
-    __slots__ = ("t_filter", "order", "h", "_keep", "_gain", "_prev", "_state",
-                 "stage_outputs")
-
-    def __init__(self, t_filter: float, order: int, h: float):
-        if not (t_filter > 0.0 and math.isfinite(t_filter)):
-            raise ValueError("t_filter must be positive, got %r" % (t_filter,))
-        if order not in (1, 2):
-            raise ValueError("order must be 1 or 2, got %r" % (order,))
-        if not (h > 0.0 and math.isfinite(h)):
-            raise ValueError("h must be positive, got %r" % (h,))
-        self.t_filter = float(t_filter)
-        self.order = int(order)
-        self.h = float(h)
-        # backward-Euler lag: state <- (T*state + h*d) / (T + h)
-        self._keep = t_filter / (t_filter + h)
-        self._gain = h / (t_filter + h)
-        self.reset()
-
-    def reset(self) -> None:
-        self._prev = [None] * self.order
-        self._state = [0.0] * self.order
-        self.stage_outputs = (0.0,) * self.order
-
-    def step(self, sample: float) -> float:
-        """Advance one sample; returns the order-th filtered derivative.
-
-        stage_outputs then holds every stage, so an order-2 filter also
-        provides the first filtered derivative without a second pass.
-        """
-        x = float(sample)
-        h = self.h
-        outs = []
-        for i in range(self.order):
-            prev = self._prev[i]
-            d = 0.0 if prev is None else (x - prev) / h
-            self._prev[i] = x
-            s = self._keep * self._state[i] + self._gain * d
-            self._state[i] = s
-            outs.append(s)
-            x = s
-        self.stage_outputs = tuple(outs)
-        return outs[-1]
 
 
 DELAYED_INPUT = "delayed-input"
@@ -114,45 +61,66 @@ class EstimatorConfig:
                 raise ConfigMismatch("analysis-form estimator needs nonzero input gain b")
 
 
-def estimate_f(cfg: EstimatorConfig, d1: float, d2: float,
-               y_measured: float, u_prev: float) -> float:
-    """Current lumped-term estimate from filtered derivatives of the output.
+def filter_constants(t_lag: float, h: float,
+                     estimator: EstimatorConfig | None = None) -> tuple:
+    """Per-run constants of the derivative filter and the lumped-term estimate.
 
-    d1 and d2 are the first and second filtered-derivative estimates of the
-    measured output (d2 is ignored for nu=1 delayed-input estimation).
+    Returns (keep, gain, ea1, ea0, eb). keep and gain define one
+    backward-Euler lag stage with time constant t_lag at step h: each
+    sample, state <- keep*state + gain*d, where d is the backward
+    difference of the stage's input over h. (ea1, ea0, eb) are the plant
+    coefficients an analysis-form estimator substitutes the input with,
+    and (0.0, 0.0, 1.0), which the delayed-input estimate never reads,
+    for any other estimator.
     """
-    dny = d1 if cfg.nu == 1 else d2
-    if cfg.variant == DELAYED_INPUT:
-        return dny - cfg.alpha * u_prev
-    a1, a0, b = cfg.plant_coeffs
-    # substitute u from the plant equation ydd + a1*yd + a0*y = b*u
-    u_sub = (d2 + a1 * d1 + a0 * y_measured) / b
-    return dny - cfg.alpha * u_sub
+    keep = t_lag / (t_lag + h)
+    gain = h / (t_lag + h)
+    if estimator is not None and estimator.variant == ANALYSIS_FORM:
+        ea1, ea0, eb = estimator.plant_coeffs
+        return keep, gain, ea1, ea0, eb
+    return keep, gain, 0.0, 0.0, 1.0
 
 
 def replay_estimator(cfg: EstimatorConfig, y_measured, u, h: float) -> np.ndarray:
     """Run an estimator offline over recorded output/input columns.
 
-    Performs the float operations of the closed loop's estimate, in its
-    order (DerivatorFilter and estimate_f here, their inlined form in
-    sim.run_closed_loop), so replaying a logged trace reproduces its
-    f_hat column bit for bit. The input column is shifted by one sample
-    (u_prev[0] = 0), matching the in-loop convention that the estimate at
-    sample k may only use inputs up to k-1.
+    The recursion is sim.run_closed_loop's estimate, statement for
+    statement: two backward-Euler lag stages on the measured output give
+    the filtered derivatives d1 and d2 (sample 0 only primes their
+    memories and leaves both 0.0), and the estimate is d_nu - alpha*u_prev
+    (delayed-input) or d_nu - alpha*(d2 + a1*d1 + a0*y)/b (analysis-form).
+    Replaying a logged trace therefore reproduces its f_hat column bit for
+    bit. The input column is shifted by one sample (u_prev[0] = 0),
+    matching the in-loop convention that the estimate at sample k may only
+    use inputs up to k-1.
     """
     y = np.asarray(y_measured, dtype=float)
     uu = np.asarray(u, dtype=float)
     if y.shape != uu.shape or y.ndim != 1:
         raise ValueError("y_measured and u must be 1-D arrays of equal length")
-    deriv = DerivatorFilter(cfg.t_filter, 2, h)
-    out = np.empty(y.shape[0])
+    if not (h > 0.0 and math.isfinite(h)):
+        raise ValueError("h must be positive, got %r" % (h,))
+    keep, gain, ea1, ea0, eb = filter_constants(cfg.t_filter, h, cfg)
+    nu = cfg.nu
+    alpha = cfg.alpha
+    analysis = cfg.variant == ANALYSIS_FORM
+    out = []
+    log = out.append
+    ym_prev = 0.0
+    d1 = 0.0
+    d2 = 0.0
     u_prev = 0.0
-    for k in range(y.shape[0]):
-        deriv.step(y[k])
-        d1, d2 = deriv.stage_outputs
-        out[k] = estimate_f(cfg, d1, d2, y[k], u_prev)
-        u_prev = uu[k]
-    return out
+    # sim.run_closed_loop's filter and f_hat statements: change both
+    for k, ym, uk in zip(range(y.shape[0]), y.tolist(), uu.tolist()):
+        if k:
+            s1 = keep * d1 + gain * ((ym - ym_prev) / h)
+            d2 = keep * d2 + gain * ((s1 - d1) / h)
+            d1 = s1
+        ym_prev = ym
+        log((d1 if nu == 1 else d2)
+            - alpha * ((d2 + ea1 * d1 + ea0 * ym) / eb if analysis else u_prev))
+        u_prev = uk
+    return np.array(out, dtype=float)
 
 
 IP = "ip"
@@ -223,27 +191,3 @@ class ControllerSpec:
             return "pid(kp=%g, ki=%g, kd=%g)" % (self.kp, self.ki, self.kd)
         return "%s(kp=%g, ki=%g, kd=%g, alpha=%g)" % (
             self.kind, self.kp, self.ki, self.kd, self.alpha)
-
-
-def control_intelligent(f_hat: float, ref_deriv: float, e: float, e_int: float,
-                        e_dot: float, spec: ControllerSpec) -> float:
-    """The intelligent law u = -(F - y*^(nu) - kp*e - ki*int(e) - kd*e_dot) / alpha.
-
-    iP, iPI, iPD and iPID differ only in nu and in which gains are zero:
-    ref_deriv is the reference derivative of order spec.nu, and a kind
-    without an integral or derivative term passes 0.0 for it. With exact
-    F the iPD error obeys edd + kd*ed + kp*e = 0.
-    """
-    if spec.kind not in _INTELLIGENT_KINDS:
-        raise ConfigMismatch("expected an intelligent controller, got %r" % (spec.kind,))
-    # cancel the estimated lumped term, then impose the target error dynamics
-    return -(f_hat - ref_deriv - spec.kp * e - spec.ki * e_int
-             - spec.kd * e_dot) / spec.alpha
-
-
-def control_classic_pid(e: float, e_int: float, e_dot_filtered: float,
-                        spec: ControllerSpec) -> float:
-    """Classic PID on the tracking error; derivative term must be pre-filtered."""
-    if spec.kind != CLASSIC_PID:
-        raise ConfigMismatch("expected %r controller, got %r" % (CLASSIC_PID, spec.kind))
-    return spec.kp * e + spec.ki * e_int + spec.kd * e_dot_filtered

@@ -311,11 +311,21 @@ def _ip_coeffs(a, kp, t):
 
 
 def expand_pole(r: float, multiplicity: int) -> Polynomial:
-    """Expand (s + r)**multiplicity into ascending coefficients."""
+    """Expand (s + r)**multiplicity into ascending coefficients.
+
+    Raises InvalidParams when a coefficient overflows a float or is nan.
+    """
     m = int(multiplicity)
     if m != multiplicity or m < 1:
         raise InvalidParams("multiplicity must be an integer >= 1, got %r" % (multiplicity,))
-    return Polynomial([math.comb(m, k) * r ** (m - k) for k in range(m + 1)])
+    try:
+        coeffs = [float(math.comb(m, k) * r ** (m - k)) for k in range(m + 1)]
+    except OverflowError:
+        coeffs = [math.inf]
+    if not all(map(math.isfinite, coeffs)):
+        raise InvalidParams("(s + %r)**%d: a coefficient overflows a float or is not finite"
+                            % (r, m))
+    return Polynomial(coeffs)
 
 
 def _require_monic(target: Polynomial, degree: int, what: str) -> None:

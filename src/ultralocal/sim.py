@@ -23,6 +23,7 @@ from .control import (
     ConfigMismatch,
     ControllerSpec,
     EstimatorConfig,
+    filter_constants,
 )
 
 # |y_true| beyond this is treated as loop divergence; the trace is truncated
@@ -144,16 +145,11 @@ class ReferenceTrajectory:
         return cls(SMOOTH_STEP, y_start=y_start, y_end=y_end,
                    t_start=t_start, t_end=t_end)
 
-    def eval(self, t: float) -> tuple[float, float, float]:
-        """Return (y_ref, yd_ref, ydd_ref) at time t."""
-        pos, vel, acc = self.eval_array(np.array([t], dtype=float))
-        return (float(pos[0]), float(vel[0]), float(acc[0]))
-
     def eval_array(self, t) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Position, velocity and acceleration columns at the times t.
 
-        Elementwise the same float operations as a scalar evaluation, so
-        every entry equals eval at that time.
+        Elementwise the same float operations as a scalar evaluation of
+        the quintic at that time.
         """
         t = np.asarray(t, dtype=float)
         pos = np.empty(t.shape)
@@ -290,12 +286,16 @@ def run_closed_loop(plant: LtiPlant, controller: ControllerSpec,
     state truncates the trace at that sample and sets the diverged flag
     instead of raising, so sweeps can treat divergence as data.
 
-    The step inlines DerivatorFilter's two stages, estimate_f,
-    control_intelligent and control_classic_pid, with their float
-    operations in their order, and calls _rk4; time, noise and reference
-    columns are computed before the loop and the columns derived from u,
-    y and ydot after it. The tests hold every column bit-identical to a
-    sample-by-sample loop built from those public functions.
+    The step is straight-line code on local floats. The estimate is
+    control.replay_estimator's recursion: two backward-Euler lag stages on
+    the measured output (constants from control.filter_constants) and the
+    delayed-input or analysis-form estimate. One expression serves iP,
+    iPI, iPD and iPID, a kind's unused terms multiplying a literal 0.0;
+    the classic PID lags its error with one such stage; _rk4 integrates.
+    Time, noise and reference columns are computed before the loop and
+    the columns derived from u, y and ydot after it. The tests hold every
+    column bit-identical to the frozen per-sample loop in
+    tests/loop_oracle.py, and f_hat to replay_estimator.
     """
     if not (h > 0.0 and math.isfinite(h)):
         raise ValueError("h must be positive, got %r" % (h,))
@@ -345,15 +345,15 @@ def run_closed_loop(plant: LtiPlant, controller: ControllerSpec,
     estimating = intelligent and not use_oracle_estimator
     integral = kind in (IPI, IPID)
     derivative = kind in (IPD, IPID)
-    # backward-Euler lag of DerivatorFilter: on the measured output for
-    # the estimate (two stages), on the error for the classic PID (one)
-    keep = gain = 0.0
-    if estimating or not intelligent:
-        t_lag = estimator.t_filter if estimating else pid_filter_time
-        keep = t_lag / (t_lag + h)
-        gain = h / (t_lag + h)
+    # backward-Euler lag stages: on the measured output for the estimate
+    # (two stages), on the error for the classic PID (one)
+    keep = gain = ea1 = ea0 = 0.0
+    eb = 1.0
+    if estimating:
+        keep, gain, ea1, ea0, eb = filter_constants(estimator.t_filter, h, estimator)
+    elif not intelligent:
+        keep, gain, ea1, ea0, eb = filter_constants(pid_filter_time, h)
     analysis = estimating and estimator.variant == ANALYSIS_FORM
-    ea1, ea0, eb = estimator.plant_coeffs if analysis else (0.0, 0.0, 1.0)
 
     u_log = []
     y_log = []
@@ -385,6 +385,8 @@ def run_closed_loop(plant: LtiPlant, controller: ControllerSpec,
     for k, nz, ys, yd_r, ydn_r in columns:
         ym = y + nz
         if estimating:
+            # the filter and f_hat statements are replay_estimator's, so
+            # that a replay reproduces f_hat bit for bit: change both
             e = ys - ym
             if k:
                 e_int += hh * (e_prev + e)

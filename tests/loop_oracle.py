@@ -1,11 +1,15 @@
 """Reference closed loop and trace writer that ultralocal.sim is tested against.
 
 A frozen copy of the sample-by-sample loop the package used to run: one
-DerivatorFilter object per derivative, estimate_f and the control_* laws
+DerivatorFilter object per derivative, estimate_f and the control laws
 called at every sample, the reference evaluated one time instant at a
-time, and ten Python lists logged per sample. It is slow and is kept only
-as the oracle: the package loop must reproduce every logged column of it
-bit for bit. Do not edit its arithmetic.
+time, and ten Python lists logged per sample. DerivatorFilter, estimate_f,
+control_intelligent and control_classic_pid are verbatim copies of the
+per-sample building blocks the package used to export; the package now
+writes their arithmetic once, as the straight-line step shared by
+sim.run_closed_loop and control.replay_estimator. All of this is slow and
+is kept only as the oracle: the package loop must reproduce every logged
+column of it bit for bit. Do not edit its arithmetic.
 """
 
 import math
@@ -13,15 +17,15 @@ import math
 import numpy as np
 
 from ultralocal.control import (
+    _INTELLIGENT_KINDS,
     CLASSIC_PID,
+    DELAYED_INPUT,
     IP,
     IPD,
     IPI,
     ConfigMismatch,
-    DerivatorFilter,
-    control_classic_pid,
-    control_intelligent,
-    estimate_f,
+    ControllerSpec,
+    EstimatorConfig,
 )
 from ultralocal.sim import (
     BLOWUP_THRESHOLD,
@@ -31,6 +35,100 @@ from ultralocal.sim import (
     SimulationTrace,
     _rk4,
 )
+
+
+class DerivatorFilter:
+    """Causal filtered differentiator.
+
+    order=1 realizes s/(T s + 1); order=2 realizes s^2/(T s + 1)^2 as a
+    cascade of two identical first-order stages. Each stage is a backward
+    difference followed by a backward-Euler low-pass, which is stable for
+    any step size. The first sample only primes the difference memory, so
+    startup produces 0 instead of an O(1/h) spike.
+    """
+
+    __slots__ = ("t_filter", "order", "h", "_keep", "_gain", "_prev", "_state",
+                 "stage_outputs")
+
+    def __init__(self, t_filter: float, order: int, h: float):
+        if not (t_filter > 0.0 and math.isfinite(t_filter)):
+            raise ValueError("t_filter must be positive, got %r" % (t_filter,))
+        if order not in (1, 2):
+            raise ValueError("order must be 1 or 2, got %r" % (order,))
+        if not (h > 0.0 and math.isfinite(h)):
+            raise ValueError("h must be positive, got %r" % (h,))
+        self.t_filter = float(t_filter)
+        self.order = int(order)
+        self.h = float(h)
+        # backward-Euler lag: state <- (T*state + h*d) / (T + h)
+        self._keep = t_filter / (t_filter + h)
+        self._gain = h / (t_filter + h)
+        self.reset()
+
+    def reset(self) -> None:
+        self._prev = [None] * self.order
+        self._state = [0.0] * self.order
+        self.stage_outputs = (0.0,) * self.order
+
+    def step(self, sample: float) -> float:
+        """Advance one sample; returns the order-th filtered derivative.
+
+        stage_outputs then holds every stage, so an order-2 filter also
+        provides the first filtered derivative without a second pass.
+        """
+        x = float(sample)
+        h = self.h
+        outs = []
+        for i in range(self.order):
+            prev = self._prev[i]
+            d = 0.0 if prev is None else (x - prev) / h
+            self._prev[i] = x
+            s = self._keep * self._state[i] + self._gain * d
+            self._state[i] = s
+            outs.append(s)
+            x = s
+        self.stage_outputs = tuple(outs)
+        return outs[-1]
+
+
+def estimate_f(cfg: EstimatorConfig, d1: float, d2: float,
+               y_measured: float, u_prev: float) -> float:
+    """Current lumped-term estimate from filtered derivatives of the output.
+
+    d1 and d2 are the first and second filtered-derivative estimates of the
+    measured output (d2 is ignored for nu=1 delayed-input estimation).
+    """
+    dny = d1 if cfg.nu == 1 else d2
+    if cfg.variant == DELAYED_INPUT:
+        return dny - cfg.alpha * u_prev
+    a1, a0, b = cfg.plant_coeffs
+    # substitute u from the plant equation ydd + a1*yd + a0*y = b*u
+    u_sub = (d2 + a1 * d1 + a0 * y_measured) / b
+    return dny - cfg.alpha * u_sub
+
+
+def control_intelligent(f_hat: float, ref_deriv: float, e: float, e_int: float,
+                        e_dot: float, spec: ControllerSpec) -> float:
+    """The intelligent law u = -(F - y*^(nu) - kp*e - ki*int(e) - kd*e_dot) / alpha.
+
+    iP, iPI, iPD and iPID differ only in nu and in which gains are zero:
+    ref_deriv is the reference derivative of order spec.nu, and a kind
+    without an integral or derivative term passes 0.0 for it. With exact
+    F the iPD error obeys edd + kd*ed + kp*e = 0.
+    """
+    if spec.kind not in _INTELLIGENT_KINDS:
+        raise ConfigMismatch("expected an intelligent controller, got %r" % (spec.kind,))
+    # cancel the estimated lumped term, then impose the target error dynamics
+    return -(f_hat - ref_deriv - spec.kp * e - spec.ki * e_int
+             - spec.kd * e_dot) / spec.alpha
+
+
+def control_classic_pid(e: float, e_int: float, e_dot_filtered: float,
+                        spec: ControllerSpec) -> float:
+    """Classic PID on the tracking error; derivative term must be pre-filtered."""
+    if spec.kind != CLASSIC_PID:
+        raise ConfigMismatch("expected %r controller, got %r" % (CLASSIC_PID, spec.kind))
+    return spec.kp * e + spec.ki * e_int + spec.kd * e_dot_filtered
 
 
 def reference_eval(reference, t):

@@ -1,6 +1,7 @@
 """Tests for scenario configuration, runners, and the command-line entry."""
 
 import contextlib
+import hashlib
 import io
 import math
 import os
@@ -450,6 +451,84 @@ def test_config_file_rejects_duplicate_keys(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(cli, "run_scenario", lambda cfg: resolved.append(cfg) or [])
     assert main(["--config", str(path), "--set", "sigma=0.2", "--set", "sigma=0.03"]) == 0
     assert resolved[0].sigma == 0.03
+
+
+@pytest.mark.parametrize("scenario,item,key", [
+    ("ipd-nominal", "ipd_pole=1e160", "ipd_pole"),  # (s + r)^2 overflows
+    ("ipd-nominal", "ipd_pole=1e100", "ipd_pole"),  # the target's s and 1 are trimmed
+    ("compare", "ipd_pole=1e160", "ipd_pole"),
+    ("pid-nominal", "pid_pole=1e120", "pid_pole"),
+    ("pid-nominal", "pid_pole=1e100", "pid_pole"),
+])
+def test_main_rejects_unusable_pole_naming_the_key(tmp_path, capsys, scenario, item, key):
+    rc = main(["--scenario", scenario, "--out", str(tmp_path), "--set", item])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("error: config key '%s' = " % key)
+    tuned = tuned_ipd_controller if key == "ipd_pole" else tuned_pid_controller
+    with pytest.raises(ConfigError, match="config key '%s'" % key):
+        tuned(_cfg(scenario, **dict([item.split("=")])))
+
+
+_REJECTED_RUNS = {
+    "two-deltas": ["--scenario", "ip-attempt", "--set", "delta=0.8,0.5"],
+    "overflowing-axes": ["--scenario", "stabmap-fixed-t", "--set", "kp_axis=1e300,2e300,2",
+                         "--set", "alpha_axis=2e-9,1,2"],
+    "pole": ["--scenario", "pid-nominal", "--set", "pid_pole=1e120"],
+}
+
+
+@pytest.mark.parametrize("argv", _REJECTED_RUNS.values(), ids=_REJECTED_RUNS.keys())
+def test_rejected_run_creates_no_directory(tmp_path, capsys, argv):
+    out = tmp_path / "out"
+    assert main(argv + ["--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+    assert not out.exists()
+    # a directory that existed before the run stays, untouched
+    existing = out / argv[1]
+    existing.mkdir(parents=True)
+    (existing / "keep.txt").write_text("kept")
+    assert main(argv + ["--out", str(out)]) == 2
+    assert [p.name for p in out.iterdir()] == [argv[1]]
+    assert [p.name for p in existing.iterdir()] == ["keep.txt"]
+
+
+# sha256 of every file the eight scenarios write at their defaults,
+# recorded before the estimator was collapsed into one recursion
+SCENARIO_DIGESTS = {
+    "compare/metrics.txt": "1fe93991202212514ad3407168aca470a49f9c58d3bf7692f2f7d6ff8fb3637a",
+    "compare/trace_ipd_0.5.csv": "5f34d9b86ff3bca8ae07ae6eb5e2ed6a13fe0b906c30c5dbefccbf850703e594",
+    "compare/trace_ipd_0.8.csv": "251c3b23e825a8e962643f19a2abb88a0b88ce14ad3e2e7b343a6c84f1429b5b",
+    "compare/trace_ipd_1.csv": "3cda6f05e93ecd2457a99c71d51b64c635d3391cea5a09d1206c86fc041326eb",
+    "compare/trace_pid_0.5.csv": "4f823462415ffc9fd8c604ce903f4451b99d8aee4979eca514b163c2eb911c50",
+    "compare/trace_pid_0.8.csv": "adfd43114c7116ea14e54fec607439a4274e763ac5b8e66895c65e84d5b0cd90",
+    "compare/trace_pid_1.csv": "b717b65d7f699003487e585fb3b6f8e030010dc3bee6337dc20b27e4845f7619",
+    "ip-attempt/metrics.txt": "e59856996cbb7c558482eb7ecd8c73e4a0fbeac9c5c76ae87e6ecf81e7e6f9f0",
+    "ip-attempt/trace_ip-stable_1.csv": "18623ef715b9dd5ea9cf45fb394a4e2f0d58f6be400f5d495682cf6e03f0472e",
+    "ip-attempt/trace_ip_1.csv": "595fab05fb1c58a864cbb086f73d1aba7d93235e46d86d95387871b9f76c8ebf",
+    "ipd-delta/metrics.txt": "7de9b8f6a734f29beb0f679189b452e625195fccb5325a35623a2bb334fbd477",
+    "ipd-delta/trace_ipd_0.5.csv": "5f34d9b86ff3bca8ae07ae6eb5e2ed6a13fe0b906c30c5dbefccbf850703e594",
+    "ipd-delta/trace_ipd_0.8.csv": "251c3b23e825a8e962643f19a2abb88a0b88ce14ad3e2e7b343a6c84f1429b5b",
+    "ipd-nominal/metrics.txt": "d12e031c634f1f41553411bd01139e81d267a4fe103fb4a007e839ba94b84b1c",
+    "ipd-nominal/trace_ipd_1.csv": "3cda6f05e93ecd2457a99c71d51b64c635d3391cea5a09d1206c86fc041326eb",
+    "pid-delta/metrics.txt": "fc350066b9e934cfcac4b98fcda2bb79f2ed2c9d27a457d299d67d653df80c2b",
+    "pid-delta/trace_pid_0.5.csv": "4f823462415ffc9fd8c604ce903f4451b99d8aee4979eca514b163c2eb911c50",
+    "pid-delta/trace_pid_0.8.csv": "adfd43114c7116ea14e54fec607439a4274e763ac5b8e66895c65e84d5b0cd90",
+    "pid-nominal/metrics.txt": "01a9bbc24d63972163b485c5ee27f5a5223ff5d517a19fcb11e12b14ad7aac6f",
+    "pid-nominal/trace_pid_1.csv": "b717b65d7f699003487e585fb3b6f8e030010dc3bee6337dc20b27e4845f7619",
+    "stabmap-all-t/grid.csv": "ffd8a1d5cc493b86455c73c0a2a73e8a2482aaa7d91966c37b8ec6ad74bc15d9",
+    "stabmap-all-t/metrics.txt": "e80f7cc5cea28b63cbad53cf7db99f7c06a1f4819b28b034ea607723bd43a0d5",
+    "stabmap-fixed-t/grid.csv": "a59f9f5ebe0a5bb1cdd2d2f3cab42e26dcc7ca9198238321df09866734519b99",
+    "stabmap-fixed-t/metrics.txt": "7b0b999146ee073d9f8dbd179b980dc18e1d6b6595ffc03e006bf530a8349201",
+}
+
+
+def test_scenario_outputs_at_defaults_are_pinned(tmp_path):
+    for name in SCENARIOS:
+        assert main(["--scenario", name, "--out", str(tmp_path)]) == 0
+    written = {p.relative_to(tmp_path).as_posix(): hashlib.sha256(p.read_bytes()).hexdigest()
+               for p in tmp_path.rglob("*") if p.is_file()}
+    assert written == SCENARIO_DIGESTS
 
 
 def test_main_names_both_axes_when_coefficients_overflow(tmp_path, capsys):

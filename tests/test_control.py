@@ -1,20 +1,21 @@
-"""Tests for derivator filters, lumped-term estimators, and control laws."""
+"""Tests for the derivative filter, lumped-term estimators, and control laws.
+
+estimate_f and the control laws are the frozen per-sample copies in
+loop_oracle, whose algebra the package loop reproduces.
+"""
 
 import math
 
 import numpy as np
 import pytest
 
+from loop_oracle import DerivatorFilter, control_classic_pid, control_intelligent, estimate_f
 from ultralocal.control import (
     ANALYSIS_FORM,
     DELAYED_INPUT,
     ConfigMismatch,
     ControllerSpec,
-    DerivatorFilter,
     EstimatorConfig,
-    control_classic_pid,
-    control_intelligent,
-    estimate_f,
     replay_estimator,
 )
 from ultralocal.sim import (
@@ -30,49 +31,44 @@ EXAMPLE_COEFFS = (-1.0, 0.0, 1.0)
 
 
 # ---------------------------------------------------------------------------
-# DerivatorFilter
+# The derivative filter, through replay_estimator: delayed-input with u = 0
+# makes the estimate the nu-th filtered derivative itself
+
+
+def _filtered(nu, y):
+    y = np.asarray(y, dtype=float)
+    cfg = EstimatorConfig(nu=nu, alpha=0.5, t_filter=T_FILTER, variant=DELAYED_INPUT)
+    return replay_estimator(cfg, y, np.zeros_like(y), H)
 
 
 def test_filter_rejects_bad_params():
-    with pytest.raises(ValueError):
-        DerivatorFilter(0.0, 1, H)
-    with pytest.raises(ValueError):
-        DerivatorFilter(T_FILTER, 3, H)
-    with pytest.raises(ValueError):
-        DerivatorFilter(T_FILTER, 1, 0.0)
+    cfg = EstimatorConfig(nu=2, alpha=0.5, t_filter=T_FILTER)
+    for h in (0.0, -1e-3, math.nan, math.inf):
+        with pytest.raises(ValueError, match="h must be positive"):
+            replay_estimator(cfg, np.zeros(3), np.zeros(3), h)
 
 
 def test_filter_first_sample_primes_without_spike():
-    f = DerivatorFilter(T_FILTER, 2, H)
-    assert f.step(5.0) == 0.0
-    assert f.stage_outputs == (0.0, 0.0)
+    for nu in (1, 2):
+        assert _filtered(nu, [5.0]).tolist() == [0.0]
 
 
 def test_filter_constant_input_gives_zero():
-    for order in (1, 2):
-        f = DerivatorFilter(T_FILTER, order, H)
-        outs = [f.step(3.7) for _ in range(500)]
-        assert max(abs(o) for o in outs) == 0.0
+    for nu in (1, 2):
+        assert np.max(np.abs(_filtered(nu, np.full(500, 3.7)))) == 0.0
 
 
 def test_filter_ramp_converges_to_slope():
     # derivative of 3t is 3; transient decays like (T/(T+h))^k
-    f = DerivatorFilter(T_FILTER, 1, H)
-    out = 0.0
-    for k in range(2001):
-        out = f.step(3.0 * k * H)
-    assert abs(out - 3.0) < 1e-6
+    out = _filtered(1, 3.0 * np.arange(2001) * H)
+    assert abs(out[-1] - 3.0) < 1e-6
 
 
 def test_filter_second_derivative_of_parabola():
-    f = DerivatorFilter(T_FILTER, 2, H)
-    out = 0.0
-    for k in range(3001):
-        out = f.step((k * H) ** 2)
-    assert abs(out - 2.0) < 1e-6
-    # first stage output approximates the first derivative 2t with a lag
-    d1 = f.stage_outputs[0]
-    assert abs(d1 - 2.0 * 3000 * H) < 3.0 * T_FILTER
+    y = (np.arange(3001) * H) ** 2
+    assert abs(_filtered(2, y)[-1] - 2.0) < 1e-6
+    # the first stage approximates the first derivative 2t with a lag
+    assert abs(_filtered(1, y)[-1] - 2.0 * 3000 * H) < 3.0 * T_FILTER
 
 
 def test_filter_is_linear():
@@ -80,31 +76,11 @@ def test_filter_is_linear():
     x1 = rng.standard_normal(300)
     x2 = rng.standard_normal(300)
     a, b = 1.7, -0.3
-    fa = DerivatorFilter(T_FILTER, 2, H)
-    fb = DerivatorFilter(T_FILTER, 2, H)
-    fc = DerivatorFilter(T_FILTER, 2, H)
-    for k in range(300):
-        ya = fa.step(x1[k])
-        yb = fb.step(x2[k])
-        yc = fc.step(a * x1[k] + b * x2[k])
-        assert abs(yc - (a * ya + b * yb)) < 1e-9
-
-
-def test_filter_reset_reproduces_run():
-    rng = np.random.default_rng(31)
-    x = rng.standard_normal(200)
-    f = DerivatorFilter(T_FILTER, 2, H)
-    first = [f.step(v) for v in x]
-    f.reset()
-    second = [f.step(v) for v in x]
-    assert first == second
-
-
-def test_filter_stage_outputs_shape():
-    f = DerivatorFilter(T_FILTER, 2, H)
-    out = f.step(1.0)
-    assert len(f.stage_outputs) == 2
-    assert f.stage_outputs[1] == out
+    for nu in (1, 2):
+        ya = _filtered(nu, x1)
+        yb = _filtered(nu, x2)
+        yc = _filtered(nu, a * x1 + b * x2)
+        assert np.max(np.abs(yc - (a * ya + b * yb))) < 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -187,6 +163,27 @@ def test_replay_matches_in_loop_estimates_exactly():
                           variant=ANALYSIS_FORM, plant_coeffs=EXAMPLE_COEFFS)
     replayed = replay_estimator(cfg, trace.y_measured, trace.u, H)
     assert np.array_equal(replayed, trace.f_hat)
+
+
+@pytest.mark.parametrize("variant", [DELAYED_INPUT, ANALYSIS_FORM])
+@pytest.mark.parametrize("nu", [1, 2])
+def test_replay_equals_per_sample_oracle(nu, variant):
+    # arbitrary signals and a plant with every coefficient nontrivial
+    rng = np.random.default_rng(41)
+    y = rng.standard_normal(400).cumsum() * 0.1
+    u = rng.standard_normal(400)
+    h = 3e-3
+    cfg = EstimatorConfig(nu=nu, alpha=-0.7, t_filter=0.05, variant=variant,
+                          plant_coeffs=(0.3, -1.7, 1.3))
+    deriv = DerivatorFilter(cfg.t_filter, 2, h)
+    expected = []
+    u_prev = 0.0
+    for k in range(y.shape[0]):
+        deriv.step(y[k])
+        d1, d2 = deriv.stage_outputs
+        expected.append(estimate_f(cfg, d1, d2, y[k], u_prev))
+        u_prev = u[k]
+    assert replay_estimator(cfg, y, u, h).tobytes() == np.array(expected).tobytes()
 
 
 def test_replay_delayed_input_tracks_true_lumped_term():

@@ -1,9 +1,13 @@
-"""The closed loop, reference columns and trace writer against their oracles.
+"""The closed loop, its replayed estimate, reference columns and trace writer
+against their oracles.
 
 run_closed_loop must reproduce, bit for bit, the sample-by-sample loop in
-loop_oracle, which is built from the public DerivatorFilter, estimate_f,
-control_* laws and _rk4: every column's bytes and dtype, the length, the
-diverged flag and the meta dict.
+loop_oracle, which is built from the frozen per-sample DerivatorFilter,
+estimate_f and control laws there and the package's _rk4: every column's
+bytes and dtype, the length, the diverged flag and the meta dict. Wherever
+the loop estimates the lumped term, replay_estimator run over the logged
+y_measured and u columns must reproduce its f_hat column byte for byte,
+since the loop and the replay write the same estimator recursion.
 """
 
 import itertools
@@ -29,6 +33,7 @@ from ultralocal.control import (
     IPID,
     ControllerSpec,
     EstimatorConfig,
+    replay_estimator,
 )
 from ultralocal.sim import (
     TRACE_COLUMNS,
@@ -72,6 +77,11 @@ def _assert_same(new, old):
 def _run_both(*args, **kwargs):
     new = run_closed_loop(*args, **kwargs)
     _assert_same(new, run_closed_loop_reference(*args, **kwargs))
+    estimator = args[2]
+    if estimator is not None and not kwargs.get("use_oracle_estimator", False):
+        replayed = replay_estimator(estimator, new.y_measured, new.u, new.h)
+        assert replayed.dtype == np.float64
+        assert replayed.tobytes() == new.f_hat.tobytes()
     return new
 
 
@@ -81,10 +91,10 @@ def _controller(kind, alpha=0.5):
                           alpha=None if kind == CLASSIC_PID else alpha)
 
 
-def _estimator(kind, variant, alpha=0.5, t_filter=0.1):
+def _estimator(kind, variant, alpha=0.5, t_filter=0.1, plant_coeffs=EXAMPLE_COEFFS):
     if kind == CLASSIC_PID:
         return None
-    coeffs = EXAMPLE_COEFFS if variant == ANALYSIS_FORM else None
+    coeffs = plant_coeffs if variant == ANALYSIS_FORM else None
     return EstimatorConfig(nu=1 if kind == IP else 2, alpha=alpha, t_filter=t_filter,
                            variant=variant, plant_coeffs=coeffs)
 
@@ -172,7 +182,8 @@ def test_loop_equals_oracle_on_drawn_configurations(kind, variant, gains, alpha,
                                 alpha=None if kind == CLASSIC_PID else alpha)
     oracle = oracle and controller.nu == 2
     _run_both(plant, controller,
-              None if oracle else _estimator(kind, variant, alpha, t_filter),
+              None if oracle else _estimator(kind, variant, alpha, t_filter,
+                                             (plant.a1, plant.a0, plant.b)),
               REFERENCES["smooth-step"], NoiseModel(sigma, 9), h=h,
               duration=steps * h, y0=-0.05, ydot0=0.2, use_oracle_estimator=oracle,
               pid_filter_time=t_filter)
@@ -190,7 +201,8 @@ def test_reference_columns_equal_scalar_quintic(ref):
     for got, want in zip((pos, vel, acc), expected.T):
         assert got.dtype == np.float64
         assert got.tobytes() == want.tobytes()
-    assert ref.eval(3.5) == tuple(reference_eval(ref, 3.5))
+    assert (tuple(col.item() for col in ref.eval_array(np.array([3.5])))
+            == tuple(reference_eval(ref, 3.5)))
 
 
 @pytest.mark.parametrize("duration", [0.02, 10.0])

@@ -288,6 +288,15 @@ def test_expand_pole_rejects_bad_multiplicity():
         expand_pole(1.0, 2.5)
 
 
+@pytest.mark.parametrize("r,m", [(1e160, 2), (-1e160, 2), (1e120, 3), (10 ** 400, 1),
+                                 (math.nan, 2)],
+                         ids=["double", "negative", "triple", "huge-int", "nan"])
+def test_expand_pole_rejects_non_finite_coefficients(r, m):
+    # r**m overflows for the floats; the int 10**400 overflows in float()
+    with pytest.raises(InvalidParams, match=r"a coefficient overflows a float or is not finite"):
+        expand_pole(r, m)
+
+
 def test_ipd_gains_from_double_pole():
     kp, kd = ipd_gains_from_target(expand_pole(0.5, 2))
     assert kp == 0.25

@@ -134,19 +134,20 @@ def test_noise_statistics():
 # Reference trajectories
 
 
+def _ref_at(ref, *times):
+    """(pos, vel, acc) lists at the given times, from eval_array."""
+    return tuple(col.tolist() for col in ref.eval_array(np.array(times)))
+
+
 def test_reference_constant():
     ref = ReferenceTrajectory.constant(0.7)
-    assert ref.eval(0.0) == (0.7, 0.0, 0.0)
-    assert ref.eval(123.0) == (0.7, 0.0, 0.0)
+    assert _ref_at(ref, 0.0, 123.0) == ([0.7, 0.7], [0.0, 0.0], [0.0, 0.0])
 
 
 def test_reference_smooth_step_endpoints_and_midpoint():
     ref = ReferenceTrajectory.smooth_step(0.0, 1.0, 1.0, 6.0)
-    assert ref.eval(0.0) == (0.0, 0.0, 0.0)
-    assert ref.eval(1.0) == (0.0, 0.0, 0.0)
-    assert ref.eval(6.0) == (1.0, 0.0, 0.0)
-    assert ref.eval(20.0) == (1.0, 0.0, 0.0)
-    pos, vel, acc = ref.eval(3.5)
+    assert _ref_at(ref, 0.0, 1.0, 6.0, 20.0) == ([0.0, 0.0, 1.0, 1.0], [0.0] * 4, [0.0] * 4)
+    (pos,), (vel,), (acc,) = _ref_at(ref, 3.5)
     assert math.isclose(pos, 0.5, abs_tol=1e-15)
     assert math.isclose(vel, 0.375, abs_tol=1e-15)
     assert abs(acc) < 1e-15
@@ -162,12 +163,12 @@ def test_reference_derivatives_consistent():
     # the position column to second order
     ref = ReferenceTrajectory.smooth_step(-0.5, 2.0, 1.0, 6.0)
     fd = 1e-4
-    for t in np.linspace(1.2, 5.8, 40):
-        y0, v0, a0 = ref.eval(t)
-        yp = ref.eval(t + fd)[0]
-        ym = ref.eval(t - fd)[0]
-        assert abs((yp - ym) / (2.0 * fd) - v0) < 1e-6
-        assert abs((yp - 2.0 * y0 + ym) / (fd * fd) - a0) < 1e-5
+    t = np.linspace(1.2, 5.8, 40)
+    y0, v0, a0 = ref.eval_array(t)
+    yp = ref.eval_array(t + fd)[0]
+    ym = ref.eval_array(t - fd)[0]
+    assert np.all(np.abs((yp - ym) / (2.0 * fd) - v0) < 1e-6)
+    assert np.all(np.abs((yp - 2.0 * y0 + ym) / (fd * fd) - a0) < 1e-5)
 
 
 # ---------------------------------------------------------------------------
