@@ -18,6 +18,7 @@ from dataclasses import dataclass, field, fields
 from .control import ANALYSIS_FORM, ESTIMATOR_VARIANTS, ControllerSpec, EstimatorConfig
 from .poly import PolynomialError, expand_pole, ipd_gains_from_target, pid_gains_from_target
 from .sim import (
+    MAX_SAMPLES,
     Metrics,
     NoiseModel,
     ReferenceTrajectory,
@@ -326,6 +327,16 @@ def _run_and_measure(cfg: ScenarioConfig, laws: dict):
     Returns (traces, metrics), both keyed by (tag, delta tag), deltas
     outer and laws inner.
     """
+    # run_closed_loop's own limits, checked first so that the message
+    # names the key
+    if cfg.duration < 10.0 * cfg.h:
+        raise ConfigError("config key 'duration' = %s must cover at least ten steps of h = %s"
+                          % (_fmt(cfg.duration), _fmt(cfg.h)))
+    if not cfg.duration / cfg.h <= MAX_SAMPLES:
+        raise ConfigError("config key 'duration' = %s and config key 'h' = %s give"
+                          " duration / h = %r samples, above the cap of %d"
+                          % (_fmt(cfg.duration), _fmt(cfg.h), cfg.duration / cfg.h,
+                             MAX_SAMPLES))
     noise = NoiseModel(cfg.sigma, cfg.seed)
     traces = {}
     entries = {}

@@ -81,16 +81,33 @@ def filter_constants(t_lag: float, h: float,
     return keep, gain, 0.0, 0.0, 1.0
 
 
+def _lag(keep: float, drive: np.ndarray) -> np.ndarray:
+    """One backward-Euler lag stage: s[0] = 0.0, s[k] = keep*s[k-1] + drive[k-1].
+
+    The recursion is the only per-sample Python of a replay; an empty
+    drive gives the one primed sample.
+    """
+    out = [0.0]
+    log = out.append
+    s = 0.0
+    for g in drive.tolist():
+        s = keep * s + g
+        log(s)
+    return np.array(out)
+
+
 def replay_estimator(cfg: EstimatorConfig, y_measured, u, h: float) -> np.ndarray:
     """Run an estimator offline over recorded output/input columns.
 
-    The recursion is sim.run_closed_loop's estimate, statement for
-    statement: two backward-Euler lag stages on the measured output give
+    The arithmetic is sim.run_closed_loop's estimate, operation for
+    operation: two backward-Euler lag stages on the measured output give
     the filtered derivatives d1 and d2 (sample 0 only primes their
     memories and leaves both 0.0), and the estimate is d_nu - alpha*u_prev
     (delayed-input) or d_nu - alpha*(d2 + a1*d1 + a0*y)/b (analysis-form).
-    Replaying a logged trace therefore reproduces its f_hat column bit for
-    bit. The input column is shifted by one sample (u_prev[0] = 0),
+    Each stage's drive gain*(backward difference / h) and the estimate are
+    numpy elementwise operations, which round as the loop's float
+    statements do, so replaying a logged trace reproduces its f_hat column
+    bit for bit. The input column is shifted by one sample (u_prev[0] = 0),
     matching the in-loop convention that the estimate at sample k may only
     use inputs up to k-1.
     """
@@ -100,27 +117,18 @@ def replay_estimator(cfg: EstimatorConfig, y_measured, u, h: float) -> np.ndarra
         raise ValueError("y_measured and u must be 1-D arrays of equal length")
     if not (h > 0.0 and math.isfinite(h)):
         raise ValueError("h must be positive, got %r" % (h,))
+    if y.shape[0] == 0:
+        return np.empty(0)
     keep, gain, ea1, ea0, eb = filter_constants(cfg.t_filter, h, cfg)
-    nu = cfg.nu
-    alpha = cfg.alpha
-    analysis = cfg.variant == ANALYSIS_FORM
-    out = []
-    log = out.append
-    ym_prev = 0.0
-    d1 = 0.0
-    d2 = 0.0
-    u_prev = 0.0
     # sim.run_closed_loop's filter and f_hat statements: change both
-    for k, ym, uk in zip(range(y.shape[0]), y.tolist(), uu.tolist()):
-        if k:
-            s1 = keep * d1 + gain * ((ym - ym_prev) / h)
-            d2 = keep * d2 + gain * ((s1 - d1) / h)
-            d1 = s1
-        ym_prev = ym
-        log((d1 if nu == 1 else d2)
-            - alpha * ((d2 + ea1 * d1 + ea0 * ym) / eb if analysis else u_prev))
-        u_prev = uk
-    return np.array(out, dtype=float)
+    with np.errstate(all="ignore"):
+        d1 = _lag(keep, gain * (np.diff(y) / h))
+        d2 = _lag(keep, gain * (np.diff(d1) / h))
+        if cfg.variant == ANALYSIS_FORM:
+            u_sub = (d2 + ea1 * d1 + ea0 * y) / eb
+        else:
+            u_sub = np.concatenate(([0.0], uu[:-1]))
+        return (d1 if cfg.nu == 1 else d2) - cfg.alpha * u_sub
 
 
 IP = "ip"

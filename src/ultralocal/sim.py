@@ -10,6 +10,7 @@ logged alongside for analysis.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -69,28 +70,6 @@ class LtiPlant:
 def example_plant(delta: float = 1.0) -> LtiPlant:
     """The unstable test plant ydd - yd = delta*u used across the package."""
     return LtiPlant(a1=-1.0, a0=0.0, b=1.0, delta=delta)
-
-
-def _rk4(a1: float, a0: float, bd: float, y: float, v: float,
-         u: float, h: float) -> tuple[float, float]:
-    # ydot = v, vdot = bd*u - a1*v - a0*y, u held constant over the step
-    fu = bd * u
-    k1y = v
-    k1v = fu - a1 * v - a0 * y
-    y2 = y + 0.5 * h * k1y
-    v2 = v + 0.5 * h * k1v
-    k2y = v2
-    k2v = fu - a1 * v2 - a0 * y2
-    y3 = y + 0.5 * h * k2y
-    v3 = v + 0.5 * h * k2v
-    k3y = v3
-    k3v = fu - a1 * v3 - a0 * y3
-    y4 = y + h * k3y
-    v4 = v + h * k3v
-    k4y = v4
-    k4v = fu - a1 * v4 - a0 * y4
-    return (y + h * (k1y + 2.0 * k2y + 2.0 * k3y + k4y) / 6.0,
-            v + h * (k1v + 2.0 * k2v + 2.0 * k3v + k4v) / 6.0)
 
 
 @dataclass(frozen=True)
@@ -225,11 +204,18 @@ class SimulationTrace:
 
 
 def load_trace_csv(path) -> dict[str, np.ndarray]:
-    """Read a trace CSV back into a column dict (inverse of to_csv)."""
+    """Read a trace CSV back into a column dict (inverse of to_csv).
+
+    numpy's C reader parses the rows with the same correctly rounded
+    string-to-double as float(), so repr-written floats load bit for bit.
+    A header-only file gives empty columns; a ragged row raises ValueError.
+    """
     with open(path, "r", newline="") as fh:
         header = fh.readline().strip().split(",")
-        rows = [line.split(",") for line in fh if line.strip()]
-    data = np.array(rows, dtype=float)
+        with warnings.catch_warnings():
+            # a header-only file is an empty trace, not a fault
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+            data = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2)
     if data.size == 0:
         data = data.reshape(0, len(header))
     return {name: data[:, i] for i, name in enumerate(header)}
@@ -243,6 +229,21 @@ class Metrics:
     diverged: bool
 
 
+def _overflow_safe(stat, e: np.ndarray) -> float:
+    """stat(e) for a stat with stat(c*e) = c*stat(e) at c > 0.
+
+    Where e*e or a sum overflows although every e is finite, the value is
+    max|e| * stat(e / max|e|) instead; a value that is finite keeps its
+    bits.
+    """
+    with np.errstate(over="ignore"):
+        value = stat(e)
+        if math.isfinite(value):
+            return value
+        scale = float(np.max(np.abs(e)))
+        return scale * stat(e / scale) if 0.0 < scale < math.inf else value
+
+
 def compute_metrics(trace: SimulationTrace) -> Metrics:
     """Tracking-error metrics over the logged samples.
 
@@ -254,8 +255,10 @@ def compute_metrics(trace: SimulationTrace) -> Metrics:
     if n == 0:
         raise EmptyTrace("trace has no samples")
     e = trace.e
-    rmse = float(np.sqrt(np.mean(e * e)))
-    iae = float(np.trapezoid(np.abs(e), trace.t)) if n > 1 else 0.0
+    rmse = _overflow_safe(lambda x: float(np.sqrt(np.mean(x * x))), e)
+    iae = 0.0
+    if n > 1:
+        iae = _overflow_safe(lambda x: float(np.trapezoid(np.abs(x), trace.t)), e)
     start = min(int(math.floor(0.8 * n)), n - 1)
     tail = float(np.max(np.abs(e[start:])))
     return Metrics(rmse, iae, tail, trace.diverged)
@@ -287,11 +290,12 @@ def run_closed_loop(plant: LtiPlant, controller: ControllerSpec,
     instead of raising, so sweeps can treat divergence as data.
 
     The step is straight-line code on local floats. The estimate is
-    control.replay_estimator's recursion: two backward-Euler lag stages on
-    the measured output (constants from control.filter_constants) and the
-    delayed-input or analysis-form estimate. One expression serves iP,
+    control.replay_estimator's arithmetic: two backward-Euler lag stages
+    on the measured output (constants from control.filter_constants) and
+    the delayed-input or analysis-form estimate. One expression serves iP,
     iPI, iPD and iPID, a kind's unused terms multiplying a literal 0.0;
-    the classic PID lags its error with one such stage; _rk4 integrates.
+    the classic PID lags its error with one such stage; an inline RK4
+    step integrates the plant.
     Time, noise and reference columns are computed before the loop and
     the columns derived from u, y and ydot after it. The tests hold every
     column bit-identical to the frozen per-sample loop in
@@ -424,7 +428,20 @@ def run_closed_loop(plant: LtiPlant, controller: ControllerSpec,
             break
         if k == last:
             break
-        y, v = _rk4(a1, a0, bd, y, v, u, h)
+        # RK4 over the step with u held: ydot = v, vdot = bd*u - a1*v - a0*y
+        fu = bd * u
+        k1v = fu - a1 * v - a0 * y
+        y2 = y + hh * v
+        v2 = v + hh * k1v
+        k2v = fu - a1 * v2 - a0 * y2
+        y3 = y + hh * v2
+        v3 = v + hh * k2v
+        k3v = fu - a1 * v3 - a0 * y3
+        y4 = y + h * v3
+        v4 = v + h * k3v
+        k4v = fu - a1 * v4 - a0 * y4
+        y, v = (y + h * (v + 2.0 * v2 + 2.0 * v3 + v4) / 6.0,
+                v + h * (k1v + 2.0 * k2v + 2.0 * k3v + k4v) / 6.0)
         if not (isfinite(y) and isfinite(v)):
             diverged = True
             break

@@ -279,14 +279,16 @@ def export_grid(grid: StabilityGrid, path) -> None:
         header, mid = "kp,alpha,verdict\n", ","
     else:
         header, mid = "kp,alpha,t,verdict\n", ",all,"
-    alpha_fields = ["," + repr(alpha) + mid for alpha in spec.alpha_values().tolist()]
+    # each alpha's row tail for each verdict; a kp row is its tails joined
+    # by, and led by, the kp field
+    tails = [{v: "," + repr(alpha) + mid + v + "\n" for v in _VERDICTS.tolist()}
+             for alpha in spec.alpha_values().tolist()]
     try:
         with open(path, "w", newline="\n") as fh:
             fh.write(header)
             for kp, row in zip(spec.kp_values().tolist(), grid.verdicts):
                 kp_field = repr(kp)
-                fh.write("".join([kp_field + a + v + "\n"
-                                  for a, v in zip(alpha_fields, row)]))
+                fh.write(kp_field + kp_field.join([t[v] for t, v in zip(tails, row)]))
             fh.write("# stable_fraction = %s\n" % repr(grid.stable_fraction))
     except OSError as exc:
         raise IoFailure("cannot write grid to %r: %s" % (path, exc)) from exc

@@ -3,13 +3,14 @@
 A frozen copy of the sample-by-sample loop the package used to run: one
 DerivatorFilter object per derivative, estimate_f and the control laws
 called at every sample, the reference evaluated one time instant at a
-time, and ten Python lists logged per sample. DerivatorFilter, estimate_f,
-control_intelligent and control_classic_pid are verbatim copies of the
-per-sample building blocks the package used to export; the package now
-writes their arithmetic once, as the straight-line step shared by
-sim.run_closed_loop and control.replay_estimator. All of this is slow and
-is kept only as the oracle: the package loop must reproduce every logged
-column of it bit for bit. Do not edit its arithmetic.
+time, and ten Python lists logged per sample. _rk4, DerivatorFilter,
+estimate_f, control_intelligent and control_classic_pid are verbatim
+copies of the per-sample building blocks the package used to have; the
+package now writes their arithmetic inline in sim.run_closed_loop, and
+the estimate once more in numpy form in control.replay_estimator. All
+of this is slow and is kept only as the oracle: the package loop must
+reproduce every logged column of it bit for bit. Do not edit its
+arithmetic.
 """
 
 import math
@@ -33,8 +34,29 @@ from ultralocal.sim import (
     MAX_SAMPLES,
     TRACE_COLUMNS,
     SimulationTrace,
-    _rk4,
 )
+
+
+def _rk4(a1: float, a0: float, bd: float, y: float, v: float,
+         u: float, h: float) -> tuple[float, float]:
+    # ydot = v, vdot = bd*u - a1*v - a0*y, u held constant over the step
+    fu = bd * u
+    k1y = v
+    k1v = fu - a1 * v - a0 * y
+    y2 = y + 0.5 * h * k1y
+    v2 = v + 0.5 * h * k1v
+    k2y = v2
+    k2v = fu - a1 * v2 - a0 * y2
+    y3 = y + 0.5 * h * k2y
+    v3 = v + 0.5 * h * k2v
+    k3y = v3
+    k3v = fu - a1 * v3 - a0 * y3
+    y4 = y + h * k3y
+    v4 = v + h * k3v
+    k4y = v4
+    k4v = fu - a1 * v4 - a0 * y4
+    return (y + h * (k1y + 2.0 * k2y + 2.0 * k3y + k4y) / 6.0,
+            v + h * (k1v + 2.0 * k2v + 2.0 * k3v + k4v) / 6.0)
 
 
 class DerivatorFilter:

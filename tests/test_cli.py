@@ -400,6 +400,8 @@ def test_main_requires_scenario(capsys):
     ("stabmap-fixed-t", "kp_axis=-5,5,100000000", ("kp_axis", "cap")),
     ("stabmap-fixed-t", "kp_axis=-1e308,1e308,3", ("kp_axis", "overflows")),
     ("ipd-nominal", "duration=1e300", ("duration / h", "cap")),
+    ("ipd-nominal", "h=1e-9", ("config key 'h' = 1e-09", "cap")),
+    ("compare", "duration=1e-5", ("config key 'duration' = 1e-05", "ten steps")),
 ])
 def test_main_rejects_unusable_values_naming_the_key(tmp_path, capsys, scenario, item, names):
     rc = main(["--scenario", scenario, "--out", str(tmp_path), "--set", item])

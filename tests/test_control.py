@@ -5,6 +5,7 @@ loop_oracle, whose algebra the package loop reproduces.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -165,25 +166,74 @@ def test_replay_matches_in_loop_estimates_exactly():
     assert np.array_equal(replayed, trace.f_hat)
 
 
-@pytest.mark.parametrize("variant", [DELAYED_INPUT, ANALYSIS_FORM])
-@pytest.mark.parametrize("nu", [1, 2])
-def test_replay_equals_per_sample_oracle(nu, variant):
+def _oracle_replay(cfg, y, u, h):
+    """The per-sample estimate of loop_oracle's DerivatorFilter and estimate_f."""
+    deriv = DerivatorFilter(cfg.t_filter, 2, h)
+    expected = []
+    u_prev = 0.0
+    for yk, uk in zip(y.tolist(), u.tolist()):
+        deriv.step(yk)
+        d1, d2 = deriv.stage_outputs
+        expected.append(estimate_f(cfg, d1, d2, yk, u_prev))
+        u_prev = uk
+    return np.array(expected)
+
+
+def _oracle_signals():
     # arbitrary signals and a plant with every coefficient nontrivial
     rng = np.random.default_rng(41)
     y = rng.standard_normal(400).cumsum() * 0.1
     u = rng.standard_normal(400)
-    h = 3e-3
-    cfg = EstimatorConfig(nu=nu, alpha=-0.7, t_filter=0.05, variant=variant,
-                          plant_coeffs=(0.3, -1.7, 1.3))
-    deriv = DerivatorFilter(cfg.t_filter, 2, h)
-    expected = []
-    u_prev = 0.0
-    for k in range(y.shape[0]):
-        deriv.step(y[k])
-        d1, d2 = deriv.stage_outputs
-        expected.append(estimate_f(cfg, d1, d2, y[k], u_prev))
-        u_prev = u[k]
-    assert replay_estimator(cfg, y, u, h).tobytes() == np.array(expected).tobytes()
+    return y, u, 3e-3
+
+
+def _oracle_estimator(nu, variant):
+    return EstimatorConfig(nu=nu, alpha=-0.7, t_filter=0.05, variant=variant,
+                           plant_coeffs=(0.3, -1.7, 1.3))
+
+
+@pytest.mark.parametrize("variant", [DELAYED_INPUT, ANALYSIS_FORM])
+@pytest.mark.parametrize("nu", [1, 2])
+def test_replay_equals_per_sample_oracle(nu, variant):
+    y, u, h = _oracle_signals()
+    cfg = _oracle_estimator(nu, variant)
+    assert replay_estimator(cfg, y, u, h).tobytes() == _oracle_replay(cfg, y, u, h).tobytes()
+
+
+@pytest.mark.parametrize("kind", ["inf", "nan", "overflow"])
+@pytest.mark.parametrize("variant", [DELAYED_INPUT, ANALYSIS_FORM])
+@pytest.mark.parametrize("nu", [1, 2])
+def test_replay_of_non_finite_inputs_equals_per_sample_oracle(nu, variant, kind):
+    # a non-finite or overflowing output sample poisons the lag states
+    # from there on; input samples enter the estimate only elementwise
+    y, u, h = _oracle_signals()
+    y[300:303] = {"inf": [math.inf, 0.0, -math.inf],
+                  "nan": [math.nan, 0.0, 0.0],
+                  "overflow": [1e308, -1e308, 1.7e308]}[kind]
+    u[[60, 250]] = [math.nan, math.inf]
+    u[120:123] = [1e308, -1.7e308, 1e308]
+    cfg = _oracle_estimator(nu, variant)
+    expected = _oracle_replay(cfg, y, u, h)
+    # the oracle's Python floats never warn, so neither may the replay
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = replay_estimator(cfg, y, u, h)
+    # a NaN's sign and payload depend on the operation order, so NaN
+    # positions are compared, and the bits of every other entry
+    nan = np.isnan(expected)
+    assert np.array_equal(np.isnan(got), nan)
+    assert got[~nan].tobytes() == expected[~nan].tobytes()
+
+
+@pytest.mark.parametrize("variant", [DELAYED_INPUT, ANALYSIS_FORM])
+@pytest.mark.parametrize("nu", [1, 2])
+def test_replay_keeps_the_length_of_short_inputs(nu, variant):
+    cfg = EstimatorConfig(nu=nu, alpha=0.5, t_filter=T_FILTER, variant=variant,
+                          plant_coeffs=EXAMPLE_COEFFS)
+    for n in (0, 1):
+        f = replay_estimator(cfg, np.full(n, 2.0), np.full(n, 3.0), H)
+        assert f.shape == (n,)
+        assert f.dtype == np.float64
 
 
 def test_replay_delayed_input_tracks_true_lumped_term():

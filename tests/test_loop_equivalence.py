@@ -2,8 +2,8 @@
 against their oracles.
 
 run_closed_loop must reproduce, bit for bit, the sample-by-sample loop in
-loop_oracle, which is built from the frozen per-sample DerivatorFilter,
-estimate_f and control laws there and the package's _rk4: every column's
+loop_oracle, which is built from the frozen per-sample _rk4,
+DerivatorFilter, estimate_f and control laws there: every column's
 bytes and dtype, the length, the diverged flag and the meta dict. Wherever
 the loop estimates the lumped term, replay_estimator run over the logged
 y_measured and u columns must reproduce its f_hat column byte for byte,

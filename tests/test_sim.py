@@ -1,10 +1,14 @@
 """Tests for the plant model, references, noise, closed loop, and metrics."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from loop_oracle import _rk4
 from ultralocal.control import (
     ANALYSIS_FORM,
     ConfigMismatch,
@@ -24,7 +28,6 @@ from ultralocal.sim import (
     compute_metrics,
     example_plant,
     load_trace_csv,
-    _rk4,
     run_closed_loop,
 )
 
@@ -311,6 +314,67 @@ def test_trace_csv_round_trip(tmp_path):
         assert np.array_equal(data[name], trace.column(name))
 
 
+def _float_trace(values):
+    """A trace whose eight CSV columns all hold the given float64 values."""
+    return SimulationTrace(*([values] * 8), ydot_true=values, yddot_true=values,
+                           h=1.0)
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.lists(st.integers(0, 2 ** 64 - 1), min_size=1, max_size=40))
+def test_trace_csv_round_trips_float_bits(tmp_path_factory, patterns):
+    # repr writes the shortest string that reads back to the same double;
+    # a NaN's sign and payload are not written, so NaN only stays NaN
+    values = np.array(patterns, dtype=np.uint64).view(np.float64)
+    path = tmp_path_factory.mktemp("bits") / "trace.csv"
+    _float_trace(values).to_csv(path)
+    data = load_trace_csv(path)
+    nan = np.isnan(values)
+    for name in TRACE_COLUMNS:
+        assert np.array_equal(np.isnan(data[name]), nan)
+        assert data[name][~nan].tobytes() == values[~nan].tobytes()
+
+
+def test_load_trace_csv_header_only_gives_empty_columns(tmp_path):
+    path = tmp_path / "trace.csv"
+    _float_trace(np.empty(0)).to_csv(path)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        data = load_trace_csv(path)
+    assert list(data) == list(TRACE_COLUMNS)
+    for column in data.values():
+        assert column.shape == (0,)
+        assert column.dtype == np.float64
+
+
+def test_load_trace_csv_one_row_crlf_and_special_values(tmp_path):
+    path = tmp_path / "trace.csv"
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(TRACE_COLUMNS) + "\r\n")
+        fh.write("-0.0,inf,nan,-inf,1e-320,0.1,1.7976931348623157e+308,2\r\n")
+    data = load_trace_csv(path)
+    assert list(data) == list(TRACE_COLUMNS)
+    row = [data[name] for name in TRACE_COLUMNS]
+    assert all(column.shape == (1,) for column in row)
+    expected = [-0.0, math.inf, math.nan, -math.inf, 1e-320, 0.1,
+                1.7976931348623157e+308, 2.0]
+    for got, want in zip(row, expected):
+        if math.isnan(want):
+            assert math.isnan(got[0])
+        else:
+            assert got.tobytes() == np.float64(want).tobytes()
+
+
+def test_load_trace_csv_rejects_a_ragged_row(tmp_path):
+    path = tmp_path / "trace.csv"
+    with open(path, "w", newline="\n") as fh:
+        fh.write(",".join(TRACE_COLUMNS) + "\n")
+        fh.write(",".join(["1.0"] * 8) + "\n")
+        fh.write(",".join(["1.0"] * 7) + "\n")
+    with pytest.raises(ValueError):
+        load_trace_csv(path)
+
+
 # ---------------------------------------------------------------------------
 # Metrics
 
@@ -364,6 +428,22 @@ def test_metrics_tail_window():
 def test_metrics_empty_trace():
     with pytest.raises(EmptyTrace):
         compute_metrics(_error_trace(np.zeros(0), np.zeros(0)))
+
+
+def test_metrics_finite_when_squares_or_sums_overflow():
+    # every e*e overflows, and so does the trapezoid sum of |e|, yet the
+    # rms and the integral of these errors are finite
+    e = np.array([3e200, -4e200, 3e200, -4e200])
+    big = np.array([1e308, 1e308, 1e308])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        m = compute_metrics(_error_trace(np.arange(4.0), e))
+        m_big = compute_metrics(_error_trace(np.array([0.0, 0.5, 1.0]), big))
+        m_inf = compute_metrics(_error_trace(np.arange(2.0), np.array([1.0, math.inf])))
+    assert math.isclose(m.rmse, math.sqrt(12.5) * 1e200, rel_tol=1e-14)
+    assert math.isclose(m.iae, 10.5e200, rel_tol=1e-14)
+    assert (m_big.rmse, m_big.iae) == (1e308, 1e308)
+    assert (m_inf.rmse, m_inf.iae) == (math.inf, math.inf)
 
 
 def test_metrics_single_sample():
