@@ -208,7 +208,8 @@ def load_trace_csv(path) -> dict[str, np.ndarray]:
 
     numpy's C reader parses the rows with the same correctly rounded
     string-to-double as float(), so repr-written floats load bit for bit.
-    A header-only file gives empty columns; a ragged row raises ValueError.
+    A header-only file gives empty columns; a ragged row, or rows whose
+    width differs from the header's, raises ValueError.
     """
     with open(path, "r", newline="") as fh:
         header = fh.readline().strip().split(",")
@@ -218,6 +219,9 @@ def load_trace_csv(path) -> dict[str, np.ndarray]:
             data = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2)
     if data.size == 0:
         data = data.reshape(0, len(header))
+    elif data.shape[1] != len(header):
+        raise ValueError("%s: the header names %d columns but the rows have %d fields"
+                         % (path, len(header), data.shape[1]))
     return {name: data[:, i] for i, name in enumerate(header)}
 
 

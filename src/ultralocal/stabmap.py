@@ -4,7 +4,8 @@ Sweeps a (kp, alpha) grid, classifying each cell through the Routh table
 of the loop's quartic characteristic polynomial, either at one filter
 time constant or aggregated over a whole axis of them. A cross-validation
 routine replays sampled cells as actual time-domain simulations so the
-algebraic verdicts and the loop behavior can be compared on equal terms.
+algebraic verdicts and the loop behavior can be compared on equal terms;
+it runs those simulations on every core the process may use.
 
 The sweep computes the quartic's Routh first column as numpy arrays over
 blocks of whole kp rows, with the float operations of ip_charpoly and
@@ -18,6 +19,8 @@ which stays the reference the vector path is tested against.
 from __future__ import annotations
 
 import math
+import operator
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -347,6 +350,51 @@ class AgreementReport:
         return "\n".join(lines)
 
 
+def _cell_diverged(cell: tuple) -> bool:
+    """Whether the loop of map cell (kp, alpha, t) diverges in a noise-free
+    20 s regulation to zero from y0 = -0.05."""
+    kp, alpha, t = cell
+    controller, estimator = ip_loop_for_cell(kp, alpha, t)
+    return run_closed_loop(example_plant(delta=1.0), controller, estimator,
+                           ReferenceTrajectory.constant(0.0), NoiseModel(0.0, 0),
+                           h=1e-3, duration=20.0, y0=-0.05).diverged
+
+
+def _usable_cores() -> int:
+    """CPUs this process may run on: its affinity set where the platform
+    has one, the machine's count otherwise."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _diverged_flags(cells: list) -> list:
+    """_cell_diverged of each cell, in the cells' order.
+
+    The cells are independent, so they run on min(usable cores, cells)
+    forked workers, each taking the next cell when it is free. Forked
+    workers inherit the package, so only (kp, alpha, t) goes out and one
+    bool comes back. Every worker is joined before this returns, also
+    when one raises. With one worker, no fork on the platform, or other
+    threads running (a fork copies their locks in whatever state they
+    are), the cells run here instead; the runs are deterministic, so
+    the flags are the same either way.
+    """
+    workers = min(_usable_cores(), len(cells))
+    if workers > 1:
+        # imported here, so that importing the package (cli never gets here)
+        # does not load multiprocessing
+        import multiprocessing
+        import threading
+        from concurrent.futures import ProcessPoolExecutor
+        if ("fork" in multiprocessing.get_all_start_methods()
+                and threading.active_count() == 1):
+            with ProcessPoolExecutor(workers,
+                                     mp_context=multiprocessing.get_context("fork")) as pool:
+                return list(pool.map(_cell_diverged, cells))
+    return [_cell_diverged(cell) for cell in cells]
+
+
 def cross_validate(grid: StabilityGrid, samples: int = 50, seed: int = 0,
                    boundary_band: float = 0.05) -> AgreementReport:
     """Compare grid verdicts against noise-free time-domain simulations.
@@ -358,13 +406,21 @@ def cross_validate(grid: StabilityGrid, samples: int = 50, seed: int = 0,
     cell is simulated as the matching intelligent-proportional loop
     (ip_loop_for_cell, regulation to zero from y0 = -0.05,
     no noise); a stable verdict should mean a bounded run and an unstable
-    verdict a diverged one.
+    verdict a diverged one. The cells are picked here and simulated on
+    every usable core (_diverged_flags); the report does not depend on
+    the core count.
     """
     spec = grid.spec
     if spec.aggregation != FIXED_T:
         raise InvalidGrid("cross_validate needs a fixed-t grid")
+    try:
+        samples = operator.index(samples)
+    except TypeError:
+        raise InvalidGrid("samples must be an integer, got %r" % (samples,)) from None
     if samples < 1:
         raise InvalidGrid("samples must be >= 1")
+    if not (boundary_band >= 0.0 and math.isfinite(boundary_band)):
+        raise InvalidGrid("boundary_band must be finite and >= 0, got %r" % (boundary_band,))
     (t,) = spec.t_values()
     kps = spec.kp_values().tolist()
     alphas = spec.alpha_values().tolist()
@@ -392,16 +448,10 @@ def cross_validate(grid: StabilityGrid, samples: int = 50, seed: int = 0,
             picked.append(cell)
             pools.append(pool)
 
-    checks = []
-    plant = example_plant(delta=1.0)
-    ref = ReferenceTrajectory.constant(0.0)
-    quiet = NoiseModel(0.0, 0)
-    for kp, alpha, verdict, max_re in picked:
-        controller, estimator = ip_loop_for_cell(kp, alpha, t)
-        trace = run_closed_loop(plant, controller, estimator, ref, quiet,
-                                h=1e-3, duration=20.0, y0=-0.05)
-        checks.append(SampleCheck(kp, alpha, t, verdict, max_re, trace.diverged,
-                                  trace.diverged == (verdict == VERDICT_UNSTABLE)))
+    flags = _diverged_flags([(kp, alpha, t) for kp, alpha, _, _ in picked])
+    checks = [SampleCheck(kp, alpha, t, verdict, max_re, diverged,
+                          diverged == (verdict == VERDICT_UNSTABLE))
+              for (kp, alpha, verdict, max_re), diverged in zip(picked, flags)]
 
     rate = sum(c.agrees for c in checks) / len(checks) if checks else 0.0
     return AgreementReport(checks, rate, boundary_band)

@@ -375,6 +375,19 @@ def test_load_trace_csv_rejects_a_ragged_row(tmp_path):
         load_trace_csv(path)
 
 
+@pytest.mark.parametrize("names,fields", [(2, 3), (4, 3)],
+                         ids=["header-narrower", "header-wider"])
+def test_load_trace_csv_rejects_header_and_row_widths_that_differ(tmp_path, names, fields):
+    path = tmp_path / "trace.csv"
+    with open(path, "w", newline="\n") as fh:
+        fh.write(",".join(TRACE_COLUMNS[:names]) + "\n")
+        for _ in range(2):
+            fh.write(",".join(["1.0"] * fields) + "\n")
+    with pytest.raises(ValueError, match="%d columns but the rows have %d fields"
+                       % (names, fields)):
+        load_trace_csv(path)
+
+
 # ---------------------------------------------------------------------------
 # Metrics
 

@@ -1,6 +1,11 @@
 """Tests for the stability-map sweep and its simulation cross-check."""
 
 import math
+import multiprocessing
+import os
+import subprocess
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -370,6 +375,13 @@ def test_cross_validate_rejects_bad_inputs():
     fixed = sweep(GridSpec((0.5, 1.0, 2), (0.5, 1.0, 2), (0.1,)))
     with pytest.raises(InvalidGrid):
         cross_validate(fixed, samples=0)
+    for samples in (2.5, 2.0, "2", None):
+        with pytest.raises(InvalidGrid, match="samples"):
+            cross_validate(fixed, samples=samples)
+    for band in (math.nan, math.inf, -math.inf, -0.01):
+        with pytest.raises(InvalidGrid, match="boundary_band"):
+            cross_validate(fixed, samples=2, boundary_band=band)
+    assert len(cross_validate(fixed, samples=np.int64(1), boundary_band=0.0).checks) == 1
 
 
 def test_cross_validate_small_grid():
@@ -428,3 +440,113 @@ def test_cross_validate_deterministic():
 def test_cross_validate_sample_order_is_pinned(grid, samples, seed, expected):
     report = cross_validate(sweep(grid), samples, seed)
     assert [(c.kp, c.alpha, c.verdict) for c in report.checks] == expected
+
+
+# ---------------------------------------------------------------------------
+# Cross-validation across cores
+
+
+needs_fork = pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                                reason="no fork on this platform")
+
+
+class WorkerFailure(RuntimeError):
+    pass
+
+
+def _count_forks(monkeypatch):
+    forks = []
+    real_fork = os.fork
+
+    def counting_fork():
+        forks.append(None)
+        return real_fork()
+    monkeypatch.setattr(os, "fork", counting_fork)
+    return forks
+
+
+def _forbid_processes(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a process was started")
+    monkeypatch.setattr(os, "fork", refuse)
+    monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", refuse)
+
+
+def test_usable_cores_counts_the_affinity_set():
+    expected = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                else os.cpu_count())
+    assert stabmap._usable_cores() == expected >= 1
+
+
+@needs_fork
+@pytest.mark.parametrize("grid,samples,seed", [
+    # the calls of test_cross_validate_sample_order_is_pinned, and the
+    # default grid at another seed
+    (GridSpec((-1, 1, 5), (-1, 1, 5), (0.1,)), 50, 2),
+    (GridSpec((-1.0, 1.0, 5), (0.1, 1.0, 4), (0.1,)), 50, 3),
+    (default_grid_spec(), 10, 1),
+    (default_grid_spec(), 10, 0),
+], ids=["both-pools-run-out", "stable-pool-runs-out", "default-grid", "default-grid-seed0"])
+def test_cross_validate_reports_do_not_depend_on_the_core_count(monkeypatch, grid,
+                                                                samples, seed):
+    grid = sweep(grid)
+    monkeypatch.setattr(stabmap, "_usable_cores", lambda: 1)
+    one_core = cross_validate(grid, samples, seed)
+    monkeypatch.setattr(stabmap, "_usable_cores", lambda: 2)
+    forks = _count_forks(monkeypatch)
+    two_cores = cross_validate(grid, samples, seed)
+    assert len(forks) == 2
+    assert multiprocessing.active_children() == []
+    assert two_cores.checks == one_core.checks
+    assert two_cores.agreement_rate == one_core.agreement_rate
+    assert two_cores.boundary_band == one_core.boundary_band
+    assert two_cores.summary() == one_core.summary()
+
+
+@needs_fork
+def test_cross_validate_worker_exception_reaches_the_caller(monkeypatch):
+    def fail(*args, **kwargs):
+        raise WorkerFailure("run failed")
+    # the forked workers inherit the patched module
+    monkeypatch.setattr(stabmap, "run_closed_loop", fail)
+    monkeypatch.setattr(stabmap, "_usable_cores", lambda: 2)
+    forks = _count_forks(monkeypatch)
+    with pytest.raises(WorkerFailure, match="run failed"):
+        cross_validate(_small_grid(), samples=6, seed=2)
+    assert len(forks) == 2
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("cores,samples", [(1, 6), (2, 1)],
+                         ids=["one-core", "one-sample"])
+def test_cross_validate_with_one_worker_starts_no_process(monkeypatch, cores, samples):
+    expected = cross_validate(_small_grid(), samples=samples, seed=2)
+    monkeypatch.setattr(stabmap, "_usable_cores", lambda: cores)
+    _forbid_processes(monkeypatch)
+    assert cross_validate(_small_grid(), samples=samples, seed=2) == expected
+
+
+def test_cross_validate_with_other_threads_running_starts_no_process(monkeypatch):
+    expected = cross_validate(_small_grid(), samples=6, seed=2)
+    monkeypatch.setattr(stabmap, "_usable_cores", lambda: 2)
+    _forbid_processes(monkeypatch)
+    release = threading.Event()
+    waiter = threading.Thread(target=release.wait, args=(30.0,))
+    waiter.start()
+    try:
+        report = cross_validate(_small_grid(), samples=6, seed=2)
+    finally:
+        release.set()
+        waiter.join(30.0)
+    assert not waiter.is_alive()
+    assert report == expected
+
+
+def test_package_import_leaves_multiprocessing_unloaded():
+    code = ("import sys, ultralocal, ultralocal.cli, ultralocal.stabmap; "
+            "print(sorted(m for m in ('multiprocessing', 'concurrent.futures') "
+            "if m in sys.modules))")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=60, check=True).stdout
+    assert out.strip() == "[]"
