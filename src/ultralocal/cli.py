@@ -10,12 +10,14 @@ every run is fully determined by (scenario, config, seed).
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import sys
 from dataclasses import dataclass, field, fields
 
 from .control import ANALYSIS_FORM, ESTIMATOR_VARIANTS, ControllerSpec, EstimatorConfig
+from .pool import WorkerLost, run_jobs
 from .poly import PolynomialError, expand_pole, ipd_gains_from_target, pid_gains_from_target
 from .sim import (
     MAX_SAMPLES,
@@ -472,15 +474,19 @@ def run_scenario(cfg: ScenarioConfig) -> list:
     """Execute one scenario; returns the list of files written.
 
     The scenario runs to the end before <out>/<scenario>/ is created, so
-    a run rejected on the way leaves no directory behind.
+    a run rejected on the way leaves no directory behind. Its files are
+    independent, so they are written on every usable core (pool.run_jobs);
+    metrics.txt is written last, once every other file is complete.
     """
     files, lines = _SCENARIOS[cfg.name][0](cfg)
     out_dir = os.path.join(cfg.out, cfg.name)
     os.makedirs(out_dir, exist_ok=True)
-    paths = []
-    for name, write in files.items():
-        paths.append(os.path.join(out_dir, name))
-        write(paths[-1])
+    paths = [os.path.join(out_dir, name) for name in files]
+    try:
+        run_jobs([functools.partial(write, path) for write, path in zip(files.values(), paths)])
+    except WorkerLost as exc:
+        raise WorkerLost("a worker process died while writing the files of %s;"
+                         " they may be incomplete" % out_dir) from exc
     metrics_path = os.path.join(out_dir, "metrics.txt")
     with open(metrics_path, "w", newline="\n") as fh:
         fh.write("\n".join(["scenario = %s" % cfg.name] + lines) + "\n")
@@ -517,6 +523,10 @@ def main(argv=None) -> int:
     except (ConfigError, ValueError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
+    except WorkerLost as exc:
+        # not a fault of the configuration
+        print("error: %s" % exc, file=sys.stderr)
+        return 1
     for path in written:
         print("wrote %s" % path)
     return 0

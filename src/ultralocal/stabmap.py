@@ -18,9 +18,9 @@ which stays the reference the vector path is tested against.
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,6 +36,7 @@ from .poly import (
     max_real_part_of_roots,
     routh_hurwitz,
 )
+from .pool import run_jobs
 from .sim import NoiseModel, ReferenceTrajectory, example_plant, run_closed_loop
 
 # |alpha| below this is excluded from sweeps: the control law divides by alpha.
@@ -350,49 +351,13 @@ class AgreementReport:
         return "\n".join(lines)
 
 
-def _cell_diverged(cell: tuple) -> bool:
+def _cell_diverged(kp: float, alpha: float, t: float) -> bool:
     """Whether the loop of map cell (kp, alpha, t) diverges in a noise-free
     20 s regulation to zero from y0 = -0.05."""
-    kp, alpha, t = cell
     controller, estimator = ip_loop_for_cell(kp, alpha, t)
     return run_closed_loop(example_plant(delta=1.0), controller, estimator,
                            ReferenceTrajectory.constant(0.0), NoiseModel(0.0, 0),
                            h=1e-3, duration=20.0, y0=-0.05).diverged
-
-
-def _usable_cores() -> int:
-    """CPUs this process may run on: its affinity set where the platform
-    has one, the machine's count otherwise."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-def _diverged_flags(cells: list) -> list:
-    """_cell_diverged of each cell, in the cells' order.
-
-    The cells are independent, so they run on min(usable cores, cells)
-    forked workers, each taking the next cell when it is free. Forked
-    workers inherit the package, so only (kp, alpha, t) goes out and one
-    bool comes back. Every worker is joined before this returns, also
-    when one raises. With one worker, no fork on the platform, or other
-    threads running (a fork copies their locks in whatever state they
-    are), the cells run here instead; the runs are deterministic, so
-    the flags are the same either way.
-    """
-    workers = min(_usable_cores(), len(cells))
-    if workers > 1:
-        # imported here, so that importing the package (cli never gets here)
-        # does not load multiprocessing
-        import multiprocessing
-        import threading
-        from concurrent.futures import ProcessPoolExecutor
-        if ("fork" in multiprocessing.get_all_start_methods()
-                and threading.active_count() == 1):
-            with ProcessPoolExecutor(workers,
-                                     mp_context=multiprocessing.get_context("fork")) as pool:
-                return list(pool.map(_cell_diverged, cells))
-    return [_cell_diverged(cell) for cell in cells]
 
 
 def cross_validate(grid: StabilityGrid, samples: int = 50, seed: int = 0,
@@ -407,8 +372,8 @@ def cross_validate(grid: StabilityGrid, samples: int = 50, seed: int = 0,
     (ip_loop_for_cell, regulation to zero from y0 = -0.05,
     no noise); a stable verdict should mean a bounded run and an unstable
     verdict a diverged one. The cells are picked here and simulated on
-    every usable core (_diverged_flags); the report does not depend on
-    the core count.
+    every usable core (pool.run_jobs); the report does not depend on the
+    core count.
     """
     spec = grid.spec
     if spec.aggregation != FIXED_T:
@@ -448,7 +413,9 @@ def cross_validate(grid: StabilityGrid, samples: int = 50, seed: int = 0,
             picked.append(cell)
             pools.append(pool)
 
-    flags = _diverged_flags([(kp, alpha, t) for kp, alpha, _, _ in picked])
+    # the runs are deterministic, so the flags do not depend on the core count
+    flags = run_jobs([functools.partial(_cell_diverged, kp, alpha, t)
+                      for kp, alpha, _, _ in picked])
     checks = [SampleCheck(kp, alpha, t, verdict, max_re, diverged,
                           diverged == (verdict == VERDICT_UNSTABLE))
               for (kp, alpha, verdict, max_re), diverged in zip(picked, flags)]

@@ -4,6 +4,7 @@ import contextlib
 import hashlib
 import io
 import math
+import multiprocessing
 import os
 import re
 import tempfile
@@ -13,7 +14,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ultralocal import cli
+from forks import another_thread_running, count_forks, forbid_processes, needs_fork
+from ultralocal import cli, pool
 from ultralocal.cli import (
     DEFAULT_SEED,
     SCENARIOS,
@@ -28,7 +30,13 @@ from ultralocal.cli import (
     tuned_pid_controller,
 )
 from ultralocal.control import ANALYSIS_FORM, DELAYED_INPUT, ESTIMATOR_VARIANTS
-from ultralocal.sim import CONSTANT, SMOOTH_STEP, ReferenceTrajectory, load_trace_csv
+from ultralocal.sim import (
+    CONSTANT,
+    SMOOTH_STEP,
+    ReferenceTrajectory,
+    SimulationTrace,
+    load_trace_csv,
+)
 from ultralocal.stabmap import default_grid_spec
 
 README = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "README.md")
@@ -555,6 +563,110 @@ def test_main_rejects_deltas_whose_output_tags_collide(tmp_path, capsys, scenari
     assert rc == 2
     assert "config key 'delta': values %s and %s" % (first, second) in err
     assert not os.path.exists(os.path.join(str(tmp_path), scenario))
+
+
+# ---------------------------------------------------------------------------
+# Writing a scenario's files across cores
+
+# short runs: the writers are the same at any length, and 5,001 rows still
+# span two of to_csv's row blocks
+_SHORT = ["--set", "duration=5"]
+
+
+def _run_and_hash(capsys, out, argv):
+    """main's exit code, its wrote lines (out replaced by <out>) and the
+    sha256 of every file under out."""
+    rc = main(argv + ["--out", str(out)])
+    wrote = capsys.readouterr().out.replace(str(out), "<out>").splitlines()
+    digests = {p.relative_to(out).as_posix(): hashlib.sha256(p.read_bytes()).hexdigest()
+               for p in out.rglob("*") if p.is_file()}
+    return rc, wrote, digests
+
+
+@needs_fork
+@pytest.mark.parametrize("seed", ["0", "41"])
+@pytest.mark.parametrize("scenario", ["ipd-delta", "pid-delta", "compare", "ip-attempt"])
+def test_scenario_files_do_not_depend_on_the_core_count(tmp_path, capsys, monkeypatch,
+                                                        scenario, seed):
+    argv = ["--scenario", scenario, "--seed", seed] + _SHORT
+    monkeypatch.setattr(pool, "usable_cores", lambda: 1)
+    one_core = _run_and_hash(capsys, tmp_path / "one", argv)
+    monkeypatch.setattr(pool, "usable_cores", lambda: 2)
+    forks = count_forks(monkeypatch)
+    two_cores = _run_and_hash(capsys, tmp_path / "two", argv)
+    assert len(forks) == 2
+    assert multiprocessing.active_children() == []
+    assert two_cores == one_core
+    assert one_core[0] == 0 and len(one_core[2]) == len(one_core[1]) >= 3
+
+
+@pytest.mark.parametrize("argv", [
+    ["--scenario", "ipd-nominal"] + _SHORT,
+    ["--scenario", "stabmap-fixed-t", "--set", "kp_axis=-1,1,5"],
+], ids=["ipd-nominal", "stabmap-fixed-t"])
+def test_one_file_scenario_starts_no_process(tmp_path, capsys, monkeypatch, argv):
+    monkeypatch.setattr(pool, "usable_cores", lambda: 2)
+    forbid_processes(monkeypatch)
+    rc, wrote, digests = _run_and_hash(capsys, tmp_path, argv)
+    assert rc == 0
+    assert len(wrote) == len(digests) == 2
+
+
+def test_scenario_files_are_written_here_while_other_threads_run(tmp_path, capsys,
+                                                                 monkeypatch):
+    argv = ["--scenario", "compare"] + _SHORT
+    expected = _run_and_hash(capsys, tmp_path / "expected", argv)
+    monkeypatch.setattr(pool, "usable_cores", lambda: 2)
+    forbid_processes(monkeypatch)
+    with another_thread_running():
+        written = _run_and_hash(capsys, tmp_path / "threads", argv)
+    assert written == expected
+
+
+@needs_fork
+def test_write_error_in_a_worker_is_reported_as_with_one_core(tmp_path, capsys,
+                                                              monkeypatch):
+    blocked = tmp_path / "compare" / "trace_pid_0.8.csv"
+    blocked.mkdir(parents=True)
+    argv = ["--scenario", "compare", "--out", str(tmp_path)] + _SHORT
+    monkeypatch.setattr(pool, "usable_cores", lambda: 1)
+    assert main(argv) == 2
+    one_core = capsys.readouterr()
+    monkeypatch.setattr(pool, "usable_cores", lambda: 2)
+    forks = count_forks(monkeypatch)
+    assert main(argv) == 2
+    two_cores = capsys.readouterr()
+    assert len(forks) == 2
+    assert multiprocessing.active_children() == []
+    assert two_cores.err == one_core.err
+    assert two_cores.err.startswith("error: ") and str(blocked) in two_cores.err
+    assert two_cores.out == ""
+    assert not (tmp_path / "compare" / "metrics.txt").exists()
+
+
+@needs_fork
+def test_worker_that_dies_mid_write_exits_1_naming_the_directory(tmp_path, capsys,
+                                                                 monkeypatch):
+    test_pid = os.getpid()
+    real_to_csv = SimulationTrace.to_csv
+
+    def dying_to_csv(trace, path):
+        # dies only in a forked worker, so an in-process write cannot end pytest
+        if os.getpid() != test_pid:
+            os._exit(3)
+        real_to_csv(trace, path)
+    monkeypatch.setattr(SimulationTrace, "to_csv", dying_to_csv)
+    monkeypatch.setattr(pool, "usable_cores", lambda: 2)
+    forks = count_forks(monkeypatch)
+    rc = main(["--scenario", "ipd-delta", "--out", str(tmp_path)] + _SHORT)
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert len(forks) == 2
+    assert multiprocessing.active_children() == []
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    assert line.startswith("error: ") and os.path.join(str(tmp_path), "ipd-delta") in line
+    assert not (tmp_path / "ipd-delta" / "metrics.txt").exists()
 
 
 # ---------------------------------------------------------------------------

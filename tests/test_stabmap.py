@@ -5,13 +5,13 @@ import multiprocessing
 import os
 import subprocess
 import sys
-import threading
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from ultralocal import stabmap
+from forks import another_thread_running, count_forks, forbid_processes, needs_fork
+from ultralocal import pool, stabmap
 from ultralocal.control import ANALYSIS_FORM
 from ultralocal.poly import PolynomialError
 from ultralocal.stabmap import (
@@ -446,36 +446,14 @@ def test_cross_validate_sample_order_is_pinned(grid, samples, seed, expected):
 # Cross-validation across cores
 
 
-needs_fork = pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
-                                reason="no fork on this platform")
-
-
 class WorkerFailure(RuntimeError):
     pass
-
-
-def _count_forks(monkeypatch):
-    forks = []
-    real_fork = os.fork
-
-    def counting_fork():
-        forks.append(None)
-        return real_fork()
-    monkeypatch.setattr(os, "fork", counting_fork)
-    return forks
-
-
-def _forbid_processes(monkeypatch):
-    def refuse(*args, **kwargs):
-        raise AssertionError("a process was started")
-    monkeypatch.setattr(os, "fork", refuse)
-    monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", refuse)
 
 
 def test_usable_cores_counts_the_affinity_set():
     expected = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
                 else os.cpu_count())
-    assert stabmap._usable_cores() == expected >= 1
+    assert pool.usable_cores() == expected >= 1
 
 
 @needs_fork
@@ -490,10 +468,10 @@ def test_usable_cores_counts_the_affinity_set():
 def test_cross_validate_reports_do_not_depend_on_the_core_count(monkeypatch, grid,
                                                                 samples, seed):
     grid = sweep(grid)
-    monkeypatch.setattr(stabmap, "_usable_cores", lambda: 1)
+    monkeypatch.setattr(pool, "usable_cores", lambda: 1)
     one_core = cross_validate(grid, samples, seed)
-    monkeypatch.setattr(stabmap, "_usable_cores", lambda: 2)
-    forks = _count_forks(monkeypatch)
+    monkeypatch.setattr(pool, "usable_cores", lambda: 2)
+    forks = count_forks(monkeypatch)
     two_cores = cross_validate(grid, samples, seed)
     assert len(forks) == 2
     assert multiprocessing.active_children() == []
@@ -509,8 +487,8 @@ def test_cross_validate_worker_exception_reaches_the_caller(monkeypatch):
         raise WorkerFailure("run failed")
     # the forked workers inherit the patched module
     monkeypatch.setattr(stabmap, "run_closed_loop", fail)
-    monkeypatch.setattr(stabmap, "_usable_cores", lambda: 2)
-    forks = _count_forks(monkeypatch)
+    monkeypatch.setattr(pool, "usable_cores", lambda: 2)
+    forks = count_forks(monkeypatch)
     with pytest.raises(WorkerFailure, match="run failed"):
         cross_validate(_small_grid(), samples=6, seed=2)
     assert len(forks) == 2
@@ -521,29 +499,22 @@ def test_cross_validate_worker_exception_reaches_the_caller(monkeypatch):
                          ids=["one-core", "one-sample"])
 def test_cross_validate_with_one_worker_starts_no_process(monkeypatch, cores, samples):
     expected = cross_validate(_small_grid(), samples=samples, seed=2)
-    monkeypatch.setattr(stabmap, "_usable_cores", lambda: cores)
-    _forbid_processes(monkeypatch)
+    monkeypatch.setattr(pool, "usable_cores", lambda: cores)
+    forbid_processes(monkeypatch)
     assert cross_validate(_small_grid(), samples=samples, seed=2) == expected
 
 
 def test_cross_validate_with_other_threads_running_starts_no_process(monkeypatch):
     expected = cross_validate(_small_grid(), samples=6, seed=2)
-    monkeypatch.setattr(stabmap, "_usable_cores", lambda: 2)
-    _forbid_processes(monkeypatch)
-    release = threading.Event()
-    waiter = threading.Thread(target=release.wait, args=(30.0,))
-    waiter.start()
-    try:
+    monkeypatch.setattr(pool, "usable_cores", lambda: 2)
+    forbid_processes(monkeypatch)
+    with another_thread_running():
         report = cross_validate(_small_grid(), samples=6, seed=2)
-    finally:
-        release.set()
-        waiter.join(30.0)
-    assert not waiter.is_alive()
     assert report == expected
 
 
 def test_package_import_leaves_multiprocessing_unloaded():
-    code = ("import sys, ultralocal, ultralocal.cli, ultralocal.stabmap; "
+    code = ("import sys, ultralocal, ultralocal.cli, ultralocal.pool, ultralocal.stabmap; "
             "print(sorted(m for m in ('multiprocessing', 'concurrent.futures') "
             "if m in sys.modules))")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
