@@ -37,6 +37,7 @@ from .sim import (
     ReferenceTrajectory,
     SimulationTrace,
     TRACE_COLUMNS,
+    closed_loop_diverges,
     compute_metrics,
     example_plant,
     load_trace_csv,

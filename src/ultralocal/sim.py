@@ -31,9 +31,11 @@ from .control import (
 # at the first crossing sample and flagged.
 BLOWUP_THRESHOLD = 1e3
 
-# Largest sample count duration / h a run may ask for. A run peaks at about
-# 370 bytes per sample, mostly the Python float lists of the four columns
-# it reads and the four it logs while it steps: about 370 MB at this cap.
+# Largest sample count duration / h a run may ask for. A logged run
+# (run_closed_loop) peaks at about 370 bytes per sample, mostly the Python
+# float lists of the four columns it reads and the four it logs while it
+# steps: about 370 MB at this cap. A flag-only run (closed_loop_diverges)
+# logs nothing and peaks at about 170 bytes per sample.
 MAX_SAMPLES = 1_000_000
 
 # Rows per write of SimulationTrace.to_csv.
@@ -304,7 +306,35 @@ def run_closed_loop(plant: LtiPlant, controller: ControllerSpec,
     the columns derived from u, y and ydot after it. The tests hold every
     column bit-identical to the frozen per-sample loop in
     tests/loop_oracle.py, and f_hat to replay_estimator.
+    closed_loop_diverges runs the same loop and logs nothing.
     """
+    return _simulate(True, plant, controller, estimator, reference, noise, h, duration,
+                     y0, ydot0, use_oracle_estimator, blowup_threshold, pid_filter_time,
+                     meta)
+
+
+def closed_loop_diverges(plant: LtiPlant, controller: ControllerSpec,
+                         estimator: EstimatorConfig | None,
+                         reference: ReferenceTrajectory, noise: NoiseModel,
+                         h: float = 1e-3, duration: float = 20.0,
+                         y0: float = 0.0, ydot0: float = 0.0,
+                         use_oracle_estimator: bool = False,
+                         blowup_threshold: float = BLOWUP_THRESHOLD,
+                         pid_filter_time: float = 0.1) -> bool:
+    """run_closed_loop(...).diverged, from the same loop with nothing logged.
+
+    For callers that need only the flag: no sample is appended to a log,
+    and no column or meta dict is built after the loop.
+    """
+    return _simulate(False, plant, controller, estimator, reference, noise, h, duration,
+                     y0, ydot0, use_oracle_estimator, blowup_threshold, pid_filter_time,
+                     None)
+
+
+def _simulate(log, plant, controller, estimator, reference, noise, h, duration, y0, ydot0,
+              use_oracle_estimator, blowup_threshold, pid_filter_time, meta):
+    # the loop of run_closed_loop (log true: returns the trace) and of
+    # closed_loop_diverges (log false: returns the diverged flag)
     if not (h > 0.0 and math.isfinite(h)):
         raise ValueError("h must be positive, got %r" % (h,))
     if duration < 10.0 * h:
@@ -384,6 +414,7 @@ def run_closed_loop(plant: LtiPlant, controller: ControllerSpec,
     d1 = 0.0
     d2 = 0.0
     u_prev = 0.0
+    f_hat = 0.0  # stays 0.0, and its log unused, where nothing is estimated
     diverged = False
     last = n - 1
     # ydn_r is the reference derivative of the law's order: yd_ref for
@@ -405,7 +436,6 @@ def run_closed_loop(plant: LtiPlant, controller: ControllerSpec,
             ym_prev = ym
             f_hat = ((d1 if nu == 1 else d2)
                      - alpha * ((d2 + ea1 * d1 + ea0 * ym) / eb if analysis else u_prev))
-            log_fh(f_hat)
             u = -(f_hat - ydn_r - kp * e - ki * (e_int if integral else 0.0)
                   - kd * (yd_r - d1 if derivative else 0.0)) / alpha
         elif intelligent:
@@ -423,9 +453,11 @@ def run_closed_loop(plant: LtiPlant, controller: ControllerSpec,
             e_prev = e
             u = kp * e + ki * e_int + kd * d1
 
-        log_u(u)
-        log_y(y)
-        log_v(v)
+        if log:
+            log_u(u)
+            log_y(y)
+            log_v(v)
+            log_fh(f_hat)
 
         if abs(y) > blowup_threshold:
             diverged = True
@@ -451,6 +483,8 @@ def run_closed_loop(plant: LtiPlant, controller: ControllerSpec,
             break
         u_prev = u
 
+    if not log:
+        return diverged
     m = len(u_log)
     u = np.array(u_log)
     y_true = np.array(y_log)

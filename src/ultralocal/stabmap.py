@@ -37,7 +37,7 @@ from .poly import (
     routh_hurwitz,
 )
 from .pool import run_jobs
-from .sim import NoiseModel, ReferenceTrajectory, example_plant, run_closed_loop
+from .sim import NoiseModel, ReferenceTrajectory, closed_loop_diverges, example_plant
 
 # |alpha| below this is excluded from sweeps: the control law divides by alpha.
 ALPHA_EXCLUSION = 1e-9
@@ -355,9 +355,9 @@ def _cell_diverged(kp: float, alpha: float, t: float) -> bool:
     """Whether the loop of map cell (kp, alpha, t) diverges in a noise-free
     20 s regulation to zero from y0 = -0.05."""
     controller, estimator = ip_loop_for_cell(kp, alpha, t)
-    return run_closed_loop(example_plant(delta=1.0), controller, estimator,
-                           ReferenceTrajectory.constant(0.0), NoiseModel(0.0, 0),
-                           h=1e-3, duration=20.0, y0=-0.05).diverged
+    return closed_loop_diverges(example_plant(delta=1.0), controller, estimator,
+                                ReferenceTrajectory.constant(0.0), NoiseModel(0.0, 0),
+                                h=1e-3, duration=20.0, y0=-0.05)
 
 
 def cross_validate(grid: StabilityGrid, samples: int = 50, seed: int = 0,
@@ -389,20 +389,23 @@ def cross_validate(grid: StabilityGrid, samples: int = 50, seed: int = 0,
     (t,) = spec.t_values()
     kps = spec.kp_values().tolist()
     alphas = spec.alpha_values().tolist()
+    n_alpha = len(alphas)
+    # one scan of the grid; each pool reads its kp-major flat indices
+    verdicts = np.array(grid.verdicts, dtype=object)
 
-    def off_band(cells):
-        # the cells in the given order, skipping those within the band
-        for i, j in cells:
+    def off_band(verdict, flat):
+        # the cells at the flat indices in turn, skipping those within the band
+        for ix in flat:
+            i, j = divmod(int(ix), n_alpha)
             max_re = quartic_max_real_root(kps[i], alphas[j], t)
             if abs(max_re) > boundary_band:
-                yield kps[i], alphas[j], grid.verdicts[i][j], max_re
+                yield kps[i], alphas[j], verdict, max_re
 
     rng = np.random.default_rng(seed)
     pools = []
     for verdict in (VERDICT_STABLE, VERDICT_UNSTABLE):
-        cells = [(i, j) for i, row in enumerate(grid.verdicts)
-                 for j, v in enumerate(row) if v == verdict]
-        pools.append(off_band([cells[ix] for ix in rng.permutation(len(cells))]))
+        flat = np.flatnonzero(verdicts == verdict)
+        pools.append(off_band(verdict, flat[rng.permutation(len(flat))]))
 
     # round robin: one cell from each pool in turn, dropping a pool once empty
     picked = []

@@ -1,14 +1,14 @@
 """Checks that apply to every test."""
 
-import multiprocessing
-
 import pytest
+
+from forks import no_child_left
 
 
 @pytest.fixture(autouse=True)
 def no_process_left_running():
-    """Fail a test after which a child process it started still runs."""
+    """Fail a test after which a child process it started is left, running
+    or unreaped."""
     yield
-    children = multiprocessing.active_children()
-    if children:
-        pytest.fail("processes left running: %r" % (children,))
+    if not no_child_left():
+        pytest.fail("a child process was left behind")

@@ -23,6 +23,18 @@ def count_forks(monkeypatch) -> list:
     return forks
 
 
+def no_child_left() -> bool:
+    """Whether this process has no child process, running or unreaped.
+
+    Unlike multiprocessing.active_children, this also sees children made
+    with a plain os.fork."""
+    try:
+        os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return True
+    return False
+
+
 def forbid_processes(monkeypatch) -> None:
     """Make starting a process from now on fail the test."""
     def refuse(*args, **kwargs):

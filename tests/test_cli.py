@@ -4,7 +4,6 @@ import contextlib
 import hashlib
 import io
 import math
-import multiprocessing
 import os
 import re
 import tempfile
@@ -14,7 +13,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from forks import another_thread_running, count_forks, forbid_processes, needs_fork
+from forks import (another_thread_running, count_forks, forbid_processes, needs_fork,
+                   no_child_left)
 from ultralocal import cli, pool
 from ultralocal.cli import (
     DEFAULT_SEED,
@@ -594,8 +594,8 @@ def test_scenario_files_do_not_depend_on_the_core_count(tmp_path, capsys, monkey
     monkeypatch.setattr(pool, "usable_cores", lambda: 2)
     forks = count_forks(monkeypatch)
     two_cores = _run_and_hash(capsys, tmp_path / "two", argv)
-    assert len(forks) == 2
-    assert multiprocessing.active_children() == []
+    assert len(forks) == 1
+    assert no_child_left()
     assert two_cores == one_core
     assert one_core[0] == 0 and len(one_core[2]) == len(one_core[1]) >= 3
 
@@ -626,7 +626,9 @@ def test_scenario_files_are_written_here_while_other_threads_run(tmp_path, capsy
 @needs_fork
 def test_write_error_in_a_worker_is_reported_as_with_one_core(tmp_path, capsys,
                                                               monkeypatch):
-    blocked = tmp_path / "compare" / "trace_pid_0.8.csv"
+    # the third of compare's six files: at two cores, the forked child
+    # writes the first three and this process the last three
+    blocked = tmp_path / "compare" / "trace_ipd_0.8.csv"
     blocked.mkdir(parents=True)
     argv = ["--scenario", "compare", "--out", str(tmp_path)] + _SHORT
     monkeypatch.setattr(pool, "usable_cores", lambda: 1)
@@ -636,8 +638,8 @@ def test_write_error_in_a_worker_is_reported_as_with_one_core(tmp_path, capsys,
     forks = count_forks(monkeypatch)
     assert main(argv) == 2
     two_cores = capsys.readouterr()
-    assert len(forks) == 2
-    assert multiprocessing.active_children() == []
+    assert len(forks) == 1
+    assert no_child_left()
     assert two_cores.err == one_core.err
     assert two_cores.err.startswith("error: ") and str(blocked) in two_cores.err
     assert two_cores.out == ""
@@ -649,11 +651,13 @@ def test_worker_that_dies_mid_write_exits_1_naming_the_directory(tmp_path, capsy
                                                                  monkeypatch):
     test_pid = os.getpid()
     real_to_csv = SimulationTrace.to_csv
+    written_here = []
 
     def dying_to_csv(trace, path):
-        # dies only in a forked worker, so an in-process write cannot end pytest
+        # dies only in the forked child, so an in-process write cannot end pytest
         if os.getpid() != test_pid:
             os._exit(3)
+        written_here.append(os.path.basename(path))
         real_to_csv(trace, path)
     monkeypatch.setattr(SimulationTrace, "to_csv", dying_to_csv)
     monkeypatch.setattr(pool, "usable_cores", lambda: 2)
@@ -661,8 +665,11 @@ def test_worker_that_dies_mid_write_exits_1_naming_the_directory(tmp_path, capsy
     rc = main(["--scenario", "ipd-delta", "--out", str(tmp_path)] + _SHORT)
     captured = capsys.readouterr()
     assert rc == 1
-    assert len(forks) == 2
-    assert multiprocessing.active_children() == []
+    assert len(forks) == 1
+    # of ipd-delta's two trace files, the child dies writing the first and
+    # this process writes the second
+    assert written_here == ["trace_ipd_0.5.csv"]
+    assert no_child_left()
     assert captured.out == ""
     (line,) = captured.err.splitlines()
     assert line.startswith("error: ") and os.path.join(str(tmp_path), "ipd-delta") in line

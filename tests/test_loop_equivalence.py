@@ -8,6 +8,8 @@ bytes and dtype, the length, the diverged flag and the meta dict. Wherever
 the loop estimates the lumped term, replay_estimator run over the logged
 y_measured and u columns must reproduce its f_hat column byte for byte,
 since the loop and the replay write the same estimator recursion.
+closed_loop_diverges, the same loop with nothing logged, must return
+run_closed_loop's diverged flag.
 """
 
 import itertools
@@ -40,9 +42,11 @@ from ultralocal.sim import (
     LtiPlant,
     NoiseModel,
     ReferenceTrajectory,
+    closed_loop_diverges,
     example_plant,
     run_closed_loop,
 )
+from ultralocal.stabmap import ip_loop_for_cell
 
 ALL_COLUMNS = TRACE_COLUMNS + ("ydot_true", "yddot_true")
 EXAMPLE_COEFFS = (-1.0, 0.0, 1.0)
@@ -214,3 +218,88 @@ def test_to_csv_equals_row_writer(tmp_path, duration):
     trace.to_csv(tmp_path / "new.csv")
     to_csv_reference(trace, tmp_path / "old.csv")
     assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+
+# ---------------------------------------------------------------------------
+# The flag run against the logged run
+
+
+def _flags(*args, **kwargs):
+    """run_closed_loop's diverged flag, checked equal to closed_loop_diverges'."""
+    diverged = run_closed_loop(*args, **kwargs).diverged
+    kwargs.pop("meta", None)
+    assert closed_loop_diverges(*args, **kwargs) is diverged
+    return diverged
+
+
+def test_flag_run_equals_trace_flag_across_the_matrix():
+    # the laws x deltas x references x noise of test_loop_equals_oracle,
+    # run long enough (5 s at h = 1e-2) that some of them diverge
+    flags = [_flags(example_plant(delta), _controller(kind), _estimator(kind, variant),
+                    ref, NoiseModel(sigma, 5), h=1e-2, duration=5.0,
+                    y0=-0.05, ydot0=0.1, meta={"case": "flag"})
+             for (kind, variant), delta, ref, sigma
+             in itertools.product(_LAWS, (1.0, 0.8, 0.5, 0.0), REFERENCES.values(),
+                                  (0.0, 0.01))]
+    assert 0 < sum(flags) < len(flags)
+
+
+def test_flag_run_equals_trace_flag_with_exact_lumped_term():
+    plant = LtiPlant(a1=-1.0, a0=0.3, b=1.2, delta=0.5)
+    for kind, ref, sigma in itertools.product((IPI, IPD, IPID), REFERENCES.values(),
+                                              (0.0, 0.01)):
+        assert not _flags(plant, _controller(kind), None, ref, NoiseModel(sigma, 3),
+                          h=2e-3, duration=1.0, y0=0.02, ydot0=-0.1,
+                          use_oracle_estimator=True)
+
+
+@pytest.mark.parametrize("kp,y0,threshold", [
+    (-1e150, 1e200, math.inf),
+    (1e308, -1.0, 1e3),
+], ids=["state", "velocity-only"])
+def test_flag_run_equals_trace_flag_on_non_finite_truncation(kp, y0, threshold):
+    assert _flags(example_plant(1.0), ControllerSpec.classic_pid(kp, 0.0, 0.0), None,
+                  ReferenceTrajectory.constant(0.0), NoiseModel(0.0), h=1e-3,
+                  duration=0.1, y0=y0, blowup_threshold=threshold)
+
+
+@pytest.mark.parametrize("kp,alpha,diverges", [
+    # cells cross_validate samples on the default map at T = 0.1; the
+    # second is unstable but grows too slowly to pass the threshold in 20 s
+    (-3.95, 0.05000000000000071, False), (-0.5, 0.8500000000000005, False),
+    (-1.0999999999999996, 0.10000000000000053, False), (1.2000000000000002, -3.15, True),
+    (-1.4, -0.34999999999999964, True),
+])
+def test_flag_run_equals_trace_flag_on_map_cells(kp, alpha, diverges):
+    controller, estimator = ip_loop_for_cell(kp, alpha, 0.1)
+    assert _flags(example_plant(1.0), controller, estimator,
+                  ReferenceTrajectory.constant(0.0), NoiseModel(0.0, 0),
+                  h=1e-3, duration=20.0, y0=-0.05) is diverges
+
+
+@settings(max_examples=100, deadline=None)
+@given(kind=st.sampled_from((IP, IPI, IPD, IPID, CLASSIC_PID)),
+       variant=st.sampled_from((ANALYSIS_FORM, DELAYED_INPUT)),
+       gains=st.tuples(*[st.floats(-20.0, 20.0)] * 3),
+       alpha=st.floats(0.05, 5.0) | st.floats(-5.0, -0.05),
+       t_filter=st.floats(1e-3, 2.0),
+       h=st.floats(1e-4, 5e-2),
+       steps=st.integers(10, 400),
+       sigma=st.sampled_from((0.0, 0.02)),
+       oracle=st.booleans(),
+       threshold=st.sampled_from((1e3, 1.0)),
+       plant=st.builds(LtiPlant, a1=st.floats(-2.0, 2.0), a0=st.floats(-2.0, 2.0),
+                       b=st.floats(0.2, 2.0), delta=st.floats(0.1, 1.0)))
+def test_flag_run_equals_trace_flag_on_drawn_configurations(kind, variant, gains, alpha,
+                                                            t_filter, h, steps, sigma,
+                                                            oracle, threshold, plant):
+    kp, ki, kd = gains
+    controller = ControllerSpec(kind, kp=kp, ki=ki, kd=kd,
+                                alpha=None if kind == CLASSIC_PID else alpha)
+    oracle = oracle and controller.nu == 2
+    _flags(plant, controller,
+           None if oracle else _estimator(kind, variant, alpha, t_filter,
+                                          (plant.a1, plant.a0, plant.b)),
+           REFERENCES["smooth-step"], NoiseModel(sigma, 9), h=h,
+           duration=steps * h, y0=-0.05, ydot0=0.2, use_oracle_estimator=oracle,
+           pid_filter_time=t_filter, blowup_threshold=threshold)

@@ -1,7 +1,6 @@
 """Tests for the stability-map sweep and its simulation cross-check."""
 
 import math
-import multiprocessing
 import os
 import subprocess
 import sys
@@ -10,7 +9,8 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from forks import another_thread_running, count_forks, forbid_processes, needs_fork
+from forks import (another_thread_running, count_forks, forbid_processes, needs_fork,
+                   no_child_left)
 from ultralocal import pool, stabmap
 from ultralocal.control import ANALYSIS_FORM
 from ultralocal.poly import PolynomialError
@@ -473,8 +473,8 @@ def test_cross_validate_reports_do_not_depend_on_the_core_count(monkeypatch, gri
     monkeypatch.setattr(pool, "usable_cores", lambda: 2)
     forks = count_forks(monkeypatch)
     two_cores = cross_validate(grid, samples, seed)
-    assert len(forks) == 2
-    assert multiprocessing.active_children() == []
+    assert len(forks) == 1
+    assert no_child_left()
     assert two_cores.checks == one_core.checks
     assert two_cores.agreement_rate == one_core.agreement_rate
     assert two_cores.boundary_band == one_core.boundary_band
@@ -483,16 +483,23 @@ def test_cross_validate_reports_do_not_depend_on_the_core_count(monkeypatch, gri
 
 @needs_fork
 def test_cross_validate_worker_exception_reaches_the_caller(monkeypatch):
-    def fail(*args, **kwargs):
-        raise WorkerFailure("run failed")
-    # the forked workers inherit the patched module
-    monkeypatch.setattr(stabmap, "run_closed_loop", fail)
+    test_pid = os.getpid()
+    real_run = stabmap.closed_loop_diverges
+
+    def fail_in_the_child(*args, **kwargs):
+        # the forked child runs the first share of the runs, this process
+        # the last; only the child's runs fail
+        if os.getpid() != test_pid:
+            raise WorkerFailure("run failed")
+        return real_run(*args, **kwargs)
+    # the forked child inherits the patched module
+    monkeypatch.setattr(stabmap, "closed_loop_diverges", fail_in_the_child)
     monkeypatch.setattr(pool, "usable_cores", lambda: 2)
     forks = count_forks(monkeypatch)
     with pytest.raises(WorkerFailure, match="run failed"):
         cross_validate(_small_grid(), samples=6, seed=2)
-    assert len(forks) == 2
-    assert multiprocessing.active_children() == []
+    assert len(forks) == 1
+    assert no_child_left()
 
 
 @pytest.mark.parametrize("cores,samples", [(1, 6), (2, 1)],
