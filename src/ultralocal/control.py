@@ -10,6 +10,7 @@ sim.run_closed_loop; replay_estimator reruns the estimate offline.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -84,8 +85,9 @@ def filter_constants(t_lag: float, h: float,
 def _lag(keep: float, drive: np.ndarray) -> np.ndarray:
     """One backward-Euler lag stage: s[0] = 0.0, s[k] = keep*s[k-1] + drive[k-1].
 
-    The recursion is the only per-sample Python of a replay; an empty
-    drive gives the one primed sample.
+    The recursion is the only per-sample Python of a replay, which
+    _lag_stages runs once per (output column, T, h); an empty drive gives
+    the one primed sample.
     """
     out = [0.0]
     log = out.append
@@ -94,6 +96,28 @@ def _lag(keep: float, drive: np.ndarray) -> np.ndarray:
         s = keep * s + g
         log(s)
     return np.array(out)
+
+
+@functools.lru_cache(maxsize=1)
+def _lag_stages(y_bytes: bytes, t_filter: float, h: float) -> tuple:
+    """The filtered derivatives (d1, d2) of a float64 output column given
+    as its bytes, read-only.
+
+    They depend on nothing else, so the replays of one column through
+    several estimators share them: the last column's are kept. The key is
+    the column's bytes, not its values, so 0.0 and -0.0 (or two NaN
+    payloads) never share an entry, and a column changed in place is
+    recomputed.
+    """
+    y = np.frombuffer(y_bytes)
+    keep, gain = filter_constants(t_filter, h)[:2]
+    # sim.run_closed_loop's filter statements: change both
+    with np.errstate(all="ignore"):
+        d1 = _lag(keep, gain * (np.diff(y) / h))
+        d2 = _lag(keep, gain * (np.diff(d1) / h))
+    d1.flags.writeable = False
+    d2.flags.writeable = False
+    return d1, d2
 
 
 def replay_estimator(cfg: EstimatorConfig, y_measured, u, h: float) -> np.ndarray:
@@ -107,9 +131,11 @@ def replay_estimator(cfg: EstimatorConfig, y_measured, u, h: float) -> np.ndarra
     Each stage's drive gain*(backward difference / h) and the estimate are
     numpy elementwise operations, which round as the loop's float
     statements do, so replaying a logged trace reproduces its f_hat column
-    bit for bit. The input column is shifted by one sample (u_prev[0] = 0),
-    matching the in-loop convention that the estimate at sample k may only
-    use inputs up to k-1.
+    bit for bit. The stages depend only on the output column, T and h, so
+    replays of one column at one T and h (other alphas or variants) run
+    them once (_lag_stages). The input column is shifted by one sample
+    (u_prev[0] = 0), matching the in-loop convention that the estimate at
+    sample k may only use inputs up to k-1.
     """
     y = np.asarray(y_measured, dtype=float)
     uu = np.asarray(u, dtype=float)
@@ -119,11 +145,10 @@ def replay_estimator(cfg: EstimatorConfig, y_measured, u, h: float) -> np.ndarra
         raise ValueError("h must be positive, got %r" % (h,))
     if y.shape[0] == 0:
         return np.empty(0)
-    keep, gain, ea1, ea0, eb = filter_constants(cfg.t_filter, h, cfg)
-    # sim.run_closed_loop's filter and f_hat statements: change both
+    _, _, ea1, ea0, eb = filter_constants(cfg.t_filter, h, cfg)
+    d1, d2 = _lag_stages(y.tobytes(), float(cfg.t_filter), float(h))
+    # sim.run_closed_loop's f_hat statement: change both
     with np.errstate(all="ignore"):
-        d1 = _lag(keep, gain * (np.diff(y) / h))
-        d2 = _lag(keep, gain * (np.diff(d1) / h))
         if cfg.variant == ANALYSIS_FORM:
             u_sub = (d2 + ea1 * d1 + ea0 * y) / eb
         else:

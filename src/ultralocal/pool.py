@@ -1,16 +1,19 @@
 """Independent jobs across the usable cores: forked children and the caller.
 
 The sampled closed loops of stabmap.cross_validate and the output files
-of a CLI scenario are each a list of jobs that share nothing. run_jobs
-splits such a list into min(usable cores, jobs) contiguous shares. Each
-share but the last runs in a child made with os.fork; the last runs in
-the calling process, which would otherwise sit idle while it waits.
+of a CLI scenario are each a list of jobs that share nothing, and their
+costs differ: a stable closed loop runs every step, a diverging one
+stops early. run_jobs therefore hands the jobs out on demand. Before it
+forks min(usable cores, jobs) - 1 children, it writes one token per job
+(per contiguous chunk of jobs, for long lists) into a pipe; each child
+and the calling process then take one token at a time until the pipe is
+empty, so no process waits while another still has jobs queued.
 
 A job is a callable taking no argument, often a closure (a bound
 SimulationTrace.to_csv, a lambda over a stability grid), which pickle
 cannot send. The children inherit the job list through the fork instead,
-so nothing goes out to a child, and only its share's return values (or
-the exception that stopped it) come back, pickled over a pipe.
+so nothing goes out to a child, and only the return values of the jobs
+it ran (or the exception that stopped it) come back, pickled over a pipe.
 """
 
 from __future__ import annotations
@@ -19,6 +22,13 @@ import os
 import pickle
 import signal
 import threading
+
+# A token is a chunk number of _TOKEN_BYTES bytes. All tokens go into
+# the pipe in one write before the first fork, so that write must fit a
+# pipe's buffer: 2,048 tokens are 4,096 bytes, Linux's PIPE_BUF and the
+# smallest capacity a Linux pipe is given.
+_TOKEN_BYTES = 2
+_MAX_TOKENS = 2048
 
 
 class WorkerLost(RuntimeError):
@@ -34,38 +44,42 @@ def usable_cores() -> int:
     return os.cpu_count() or 1
 
 
-def _run_share(jobs, start: int, stop: int) -> tuple:
-    """(return values, exception) of jobs[start:stop] run in order, up to
-    and including the first that raises; the exception is None if none
-    did."""
-    results = []
-    try:
-        for job in jobs[start:stop]:
-            results.append(job())
-    except Exception as exc:  # handed to run_jobs' caller, in job order
-        return results, exc
+def _run_claimed(jobs, bounds: list, tokens: int) -> tuple:
+    """({index: return value}, (index, exception) or None) of the jobs
+    this process claims from the token pipe: it takes one token at a time
+    and runs that chunk, jobs[bounds[k]:bounds[k + 1]], in order, until
+    the pipe is empty or a job raises."""
+    results = {}
+    while token := os.read(tokens, _TOKEN_BYTES):
+        k = int.from_bytes(token, "little")
+        for index in range(bounds[k], bounds[k + 1]):
+            try:
+                results[index] = jobs[index]()
+            except Exception as exc:  # handed to run_jobs' caller, in job order
+                return results, (index, exc)
     return results, None
 
 
-def _sendable(outcome: tuple, start: int) -> bytes:
-    """The pickled outcome of the share starting at job start. A value
-    that does not survive a pickle round trip is replaced, with the values
-    after it, by a RuntimeError naming its job and type."""
+def _sendable(outcome: tuple) -> tuple:
+    """The outcome with its first value that does not survive a pickle
+    round trip, and every value after it, replaced by a RuntimeError
+    naming that job and the value's type."""
     results, error = outcome
-    for offset, value in enumerate(results + [error]):
+    entries = list(results.items()) + ([error] if error is not None else [])
+    for n, (index, value) in enumerate(entries):
         try:
             pickle.loads(pickle.dumps(value))
         except Exception as exc:
-            how = "raised" if offset == len(results) else "returned"
-            return pickle.dumps((results[:offset], RuntimeError(
+            how = "raised" if n == len(results) else "returned"
+            return dict(entries[:n]), (index, RuntimeError(
                 "job %d %s a %s, which a worker process cannot send back: %s"
-                % (start + offset, how, type(value).__name__, exc))))
-    return pickle.dumps(outcome)
+                % (index, how, type(value).__name__, exc)))
+    return outcome
 
 
-def _fork_share(jobs, start: int, stop: int) -> tuple:
-    """Run jobs[start:stop] in a forked child; returns (pid, read end of
-    the pipe that carries its pickled outcome)."""
+def _fork_worker(jobs, bounds: list, tokens: int) -> tuple:
+    """Fork a child that runs _run_claimed; returns (pid, read end of the
+    pipe that carries its pickled outcome)."""
     read_end, write_end = os.pipe()
     try:
         pid = os.fork()
@@ -79,7 +93,9 @@ def _fork_share(jobs, start: int, stop: int) -> tuple:
         code = 1
         try:
             os.close(read_end)
-            payload = _sendable(_run_share(jobs, start, stop), start)
+            outcome = _run_claimed(jobs, bounds, tokens)
+            os.close(tokens)
+            payload = pickle.dumps(_sendable(outcome))
             with open(write_end, "wb") as out:
                 out.write(payload)
             code = 0
@@ -96,58 +112,77 @@ def _read_to_end(fd: int) -> bytes:
     return b"".join(chunks)
 
 
-def _received(payload: bytes, status: int, start: int, stop: int) -> tuple:
-    """The outcome a child sent, or a WorkerLost if it ended without one."""
+def _received(payload: bytes, status: int) -> tuple:
+    """The outcome a child sent, or None and how it ended if it ended
+    without sending one."""
     try:
-        return pickle.loads(payload)
+        return pickle.loads(payload), None
     except (EOFError, pickle.UnpicklingError):  # it ended before sending all of it
         pass
     code = os.waitstatus_to_exitcode(status)
-    how = "by signal %d" % -code if code < 0 else "with status %d" % code
-    return [], WorkerLost("the worker process running jobs %d-%d ended %s before "
-                          "sending their results" % (start, stop - 1, how))
+    return ({}, None), "by signal %d" % -code if code < 0 else "with status %d" % code
 
 
 def run_jobs(jobs: list) -> list:
     """Each job's return value, in the jobs' order.
 
-    The jobs are split into min(usable cores, jobs) contiguous shares.
-    Each share but the last runs in a forked child, the last one here; a
-    share stops at its first job that raises. Every child is reaped before
-    this returns or raises, also when a job raises, here or in a child.
-    The first exception in job order reaches the caller, a child that
-    dies counting as a WorkerLost at its share's first job, and a return
-    value or exception that pickle cannot send back as a RuntimeError
-    naming its job. With one share, no fork on the platform, or other
-    threads running (a fork copies their locks in whatever state they
-    are), the jobs run here instead, one after another.
+    min(usable cores, jobs) processes run the jobs: forked children and
+    this one. Each takes the next unclaimed job (up to 2,048 tokens, each
+    a contiguous chunk of a longer list) when it is free, and stops at its
+    first job that raises. Every child is reaped before this returns or
+    raises, also when a job raises, here or in a child. The first
+    exception in job order reaches the caller; a job whose result never
+    came back, because the child that claimed it died, raises a
+    WorkerLost naming that job; and a return value or exception that
+    pickle cannot send back, whichever process ran its job, raises a
+    RuntimeError naming its job. With one worker, no fork on the platform,
+    or other threads running (a fork copies their locks in whatever state
+    they are), the jobs run here instead, one after another.
     """
-    shares = min(usable_cores(), len(jobs))
-    if shares < 2 or not hasattr(os, "fork") or threading.active_count() > 1:
+    workers = min(usable_cores(), len(jobs))
+    if workers < 2 or not hasattr(os, "fork") or threading.active_count() > 1:
         return [job() for job in jobs]
-    bounds = [len(jobs) * k // shares for k in range(shares + 1)]
-    spans = list(zip(bounds, bounds[1:]))   # (start, stop) of each share
-    children = []   # (pid, read end) of each forked share, in job order
+    n_tokens = min(len(jobs), _MAX_TOKENS)
+    bounds = [len(jobs) * k // n_tokens for k in range(n_tokens + 1)]
+    tokens, token_writer = os.pipe()
+    children = []   # (pid, read end) of each forked worker
     statuses = []
     failed = True
     try:
-        for start, stop in spans[:-1]:
-            children.append(_fork_share(jobs, start, stop))
-        own = _run_share(jobs, *spans[-1])
+        try:
+            os.write(token_writer, b"".join(k.to_bytes(_TOKEN_BYTES, "little")
+                                            for k in range(n_tokens)))
+        finally:
+            os.close(token_writer)
+        for _ in range(workers - 1):
+            children.append(_fork_worker(jobs, bounds, tokens))
+        outcomes = [_sendable(_run_claimed(jobs, bounds, tokens))]
         payloads = [_read_to_end(read_end) for _, read_end in children]
         failed = False
     finally:
+        os.close(tokens)
         for pid, read_end in children:
             os.close(read_end)
             if failed:
                 # this call is being interrupted: its children's work is lost
                 os.kill(pid, signal.SIGKILL)
             statuses.append(os.waitpid(pid, 0)[1])
-    outcomes = [_received(payload, status, *span)
-                for payload, status, span in zip(payloads, statuses, spans)] + [own]
-    results = []
-    for values, error in outcomes:
-        results += values
+    lost = []   # how each child that sent nothing ended
+    for payload, status in zip(payloads, statuses):
+        outcome, how = _received(payload, status)
+        outcomes.append(outcome)
+        if how is not None:
+            lost.append(how)
+    values = {}
+    errors = {}
+    for results, error in outcomes:
+        values.update(results)
         if error is not None:
-            raise error
-    return results
+            errors[error[0]] = error[1]
+    for index in range(len(jobs)):
+        if index in errors:
+            raise errors[index]
+        if index not in values:
+            raise WorkerLost("job %d: the worker process that claimed it ended %s before "
+                             "sending its results" % (index, " or ".join(lost)))
+    return [values[index] for index in range(len(jobs))]

@@ -210,11 +210,19 @@ def load_trace_csv(path) -> dict[str, np.ndarray]:
 
     numpy's C reader parses the rows with the same correctly rounded
     string-to-double as float(), so repr-written floats load bit for bit.
-    A header-only file gives empty columns; a ragged row, or rows whose
-    width differs from the header's, raises ValueError.
+    A header-only file gives empty columns; an empty file or header line,
+    a name the header repeats, a ragged row, or rows whose width differs
+    from the header's, raises ValueError.
     """
     with open(path, "r", newline="") as fh:
-        header = fh.readline().strip().split(",")
+        line = fh.readline().strip()
+        if not line:
+            raise ValueError("%s: no header line" % (path,))
+        header = line.split(",")
+        if len(set(header)) != len(header):
+            repeated = sorted(name for name in set(header) if header.count(name) > 1)
+            raise ValueError("%s: the header repeats column %s"
+                             % (path, ", ".join(map(repr, repeated))))
         with warnings.catch_warnings():
             # a header-only file is an empty trace, not a fault
             warnings.filterwarnings("ignore", "loadtxt: input contained no data")
@@ -424,8 +432,9 @@ def _simulate(log, plant, controller, estimator, reference, noise, h, duration, 
     for k, nz, ys, yd_r, ydn_r in columns:
         ym = y + nz
         if estimating:
-            # the filter and f_hat statements are replay_estimator's, so
-            # that a replay reproduces f_hat bit for bit: change both
+            # the filter statements are control._lag_stages' and the f_hat
+            # statement replay_estimator's, so that a replay reproduces
+            # f_hat bit for bit: change both
             e = ys - ym
             if k:
                 e_int += hh * (e_prev + e)

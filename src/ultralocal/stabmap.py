@@ -27,6 +27,7 @@ import numpy as np
 
 from .control import ControllerSpec, EstimatorConfig, ANALYSIS_FORM
 from .poly import (
+    ROUTH_EPS_REL,
     ROUTH_ZERO_REL_TOL,
     TRIM_REL_TOL,
     IpLoopParams,
@@ -200,15 +201,16 @@ def cell_verdict(kp: float, alpha: float, spec: GridSpec) -> str:
 # verdict string is one of the shared constants. Code _FALLBACK marks a
 # flagged cell; its entry is replaced by the scalar verdict.
 _VERDICTS = np.array([VERDICT_STABLE, VERDICT_UNSTABLE, VERDICT_MARGINAL,
-                      VERDICT_EXCLUDED], dtype=object)
-_STABLE, _UNSTABLE, _FALLBACK, _EXCLUDED = range(4)
+                      VERDICT_EXCLUDED, VERDICT_MARGINAL], dtype=object)
+_STABLE, _UNSTABLE, _MARGINAL, _EXCLUDED, _FALLBACK = range(5)
 
 
 def _routh_block(kp, alpha, t):
     """Routh test of the quartic at one T over a block of cells.
 
     kp is a column and alpha a row; returns boolean arrays (unstable,
-    flagged). The first column [c4, c3, b1, d1, e1] is computed with
+    flagged) and the marginal cells, a boolean array or None when there
+    are none. The first column [c4, c3, b1, d1, e1] is computed with
     routh_hurwitz's operations in its order. The table's last column is
     all zeros, so its second-column entries b2, d2, e2 are c0, 0 and 0,
     and e1 is c0, up to the sign of a zero, which is flagged.
@@ -218,19 +220,38 @@ def _routh_block(kp, alpha, t):
     scale. The last covers the scalar's zero-row and zero-pivot branches:
     every second-column entry is at most the scale. An unflagged cell is
     unstable exactly when the scalar table has a sign change.
+
+    One degenerate case is decided here, as the scalar decides it: c3 a
+    lone zero of the s^3 row [c3, c1] (c3 = 2T - T^2 is one float per T,
+    exactly 0 at T = 2). The scalar then pivots on ROUTH_EPS_REL * scale
+    instead of c3, which gives other b1 and d1; the cell is unstable on a
+    sign change and marginal otherwise, unless a later entry is flagged.
+    A block without a small c3 in a finite cell pays for this one any().
     """
     c0, c1, c2, c3, c4 = _ip_coeffs(alpha, kp, t)
-    b1 = c2 - c4 * c1 / c3
-    d1 = c1 - c3 * c0 / b1
     scale = np.maximum(np.maximum(np.abs(c0), np.abs(c1)),
                        np.maximum(np.abs(c2), max(abs(c3), c4)))
     zero_tol = ROUTH_ZERO_REL_TOL * scale
-    flagged = ~(np.isfinite(scale) & np.isfinite(b1) & np.isfinite(d1))
+    finite = np.isfinite(scale)
+    zero_pivot = abs(c3) <= zero_tol
+    lone = None
+    pivot = c3
+    # an excluded alpha = 0 column has infinite coefficients: not a lone zero
+    if (zero_pivot & finite).any():
+        lone = (zero_pivot & finite & (np.abs(c1) > zero_tol)
+                & (abs(c3) <= ROUTH_ZERO_REL_TOL * np.maximum(abs(c3), np.abs(c1))))
+        pivot = np.where(lone, ROUTH_EPS_REL * scale, c3)
+        zero_pivot &= ~lone
+    b1 = c2 - c4 * c1 / pivot
+    d1 = c1 - pivot * c0 / b1
+    flagged = ~(finite & np.isfinite(b1) & np.isfinite(d1))
+    flagged |= zero_pivot
     flagged |= c4 <= TRIM_REL_TOL * scale
-    for entry in (c3, b1, d1, c0):
+    for entry in (b1, d1, c0):
         flagged |= np.abs(entry) <= zero_tol
-    unstable = (c3 < 0.0) | (b1 < 0.0) | (d1 < 0.0) | (c0 < 0.0)
-    return unstable, flagged
+    unstable = (pivot < 0.0) | (b1 < 0.0) | (d1 < 0.0) | (c0 < 0.0)
+    marginal = None if lone is None else lone & ~flagged & ~unstable
+    return unstable, marginal, flagged
 
 
 def sweep(spec: GridSpec) -> StabilityGrid:
@@ -238,9 +259,9 @@ def sweep(spec: GridSpec) -> StabilityGrid:
 
     Works in blocks of whole kp rows and, within a block, T by T in axis
     order, as cell_verdict does. The vector test (_routh_block) follows a
-    cell until it is unstable or flagged; a cell flagged first is
-    classified by the scalar cell_verdict, so the verdicts equal
-    cell_verdict's on every cell.
+    cell until it is unstable or flagged, a marginal cell included; a cell
+    flagged first is classified by the scalar cell_verdict, so the
+    verdicts equal cell_verdict's on every cell.
     """
     kps = spec.kp_values()
     alphas = spec.alpha_values()
@@ -256,11 +277,14 @@ def sweep(spec: GridSpec) -> StabilityGrid:
         undecided = codes == _STABLE
         for t in ts:
             with np.errstate(all="ignore"):
-                unstable, flagged = _routh_block(kp, alphas, t)
+                unstable, marginal, flagged = _routh_block(kp, alphas, t)
             codes[undecided & flagged] = _FALLBACK
             undecided &= ~flagged
             codes[undecided & unstable] = _UNSTABLE
             undecided &= ~unstable
+            if marginal is not None:
+                # still followed: a later T may make it unstable or flagged
+                codes[undecided & marginal] = _MARGINAL
             if not undecided.any():
                 break
         rows = _VERDICTS[codes].tolist()

@@ -626,8 +626,7 @@ def test_scenario_files_are_written_here_while_other_threads_run(tmp_path, capsy
 @needs_fork
 def test_write_error_in_a_worker_is_reported_as_with_one_core(tmp_path, capsys,
                                                               monkeypatch):
-    # the third of compare's six files: at two cores, the forked child
-    # writes the first three and this process the last three
+    # the third of compare's six files, whichever process claims it
     blocked = tmp_path / "compare" / "trace_ipd_0.8.csv"
     blocked.mkdir(parents=True)
     argv = ["--scenario", "compare", "--out", str(tmp_path)] + _SHORT
@@ -648,15 +647,21 @@ def test_write_error_in_a_worker_is_reported_as_with_one_core(tmp_path, capsys,
 
 @needs_fork
 def test_worker_that_dies_mid_write_exits_1_naming_the_directory(tmp_path, capsys,
-                                                                 monkeypatch):
+                                                                 monkeypatch, handoff):
     test_pid = os.getpid()
     real_to_csv = SimulationTrace.to_csv
     written_here = []
+    wait, post = handoff
 
     def dying_to_csv(trace, path):
-        # dies only in the forked child, so an in-process write cannot end pytest
+        # dies only in the forked child, so an in-process write cannot end
+        # pytest. Of ipd-delta's two trace files, this process claims one
+        # and waits until the child has claimed the other, so the child
+        # cannot find both taken.
         if os.getpid() != test_pid:
+            post()
             os._exit(3)
+        wait()
         written_here.append(os.path.basename(path))
         real_to_csv(trace, path)
     monkeypatch.setattr(SimulationTrace, "to_csv", dying_to_csv)
@@ -666,9 +671,7 @@ def test_worker_that_dies_mid_write_exits_1_naming_the_directory(tmp_path, capsy
     captured = capsys.readouterr()
     assert rc == 1
     assert len(forks) == 1
-    # of ipd-delta's two trace files, the child dies writing the first and
-    # this process writes the second
-    assert written_here == ["trace_ipd_0.5.csv"]
+    assert len(written_here) == 1
     assert no_child_left()
     assert captured.out == ""
     (line,) = captured.err.splitlines()

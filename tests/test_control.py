@@ -17,6 +17,7 @@ from ultralocal.control import (
     ConfigMismatch,
     ControllerSpec,
     EstimatorConfig,
+    _lag_stages,
     replay_estimator,
 )
 from ultralocal.sim import (
@@ -259,6 +260,84 @@ def test_replay_analysis_form_close_to_delayed_input():
     fa = replay_estimator(analysis, trace.y_measured, trace.u, H)
     settled = trace.t >= 10.0 * T_FILTER
     assert np.max(np.abs(fd - fa)[settled]) <= 0.05
+
+
+# ---------------------------------------------------------------------------
+# The lag-stage memo: replays of one output column at one T and h run the
+# two lag stages once
+
+
+def _uncached_replay(cfg, y, u, h):
+    _lag_stages.cache_clear()
+    try:
+        return replay_estimator(cfg, y, u, h)
+    finally:
+        _lag_stages.cache_clear()
+
+
+def test_six_replays_of_one_trace_equal_uncached_replays_bit_for_bit():
+    # the replays of a benchmark replay unit: both variants at three alphas
+    trace = _nominal_tracking_trace(sigma=0.01)
+    estimators = [EstimatorConfig(nu=nu, alpha=alpha, t_filter=T_FILTER, variant=variant,
+                                  plant_coeffs=EXAMPLE_COEFFS)
+                  for nu, variant in ((2, ANALYSIS_FORM), (1, DELAYED_INPUT))
+                  for alpha in (0.5, 1.0, 2.0)]
+    expected = [_uncached_replay(cfg, trace.y_measured, trace.u, H).tobytes()
+                for cfg in estimators]
+    got = [replay_estimator(cfg, trace.y_measured, trace.u, H).tobytes()
+           for cfg in estimators]
+    assert got == expected
+    info = _lag_stages.cache_info()
+    assert (info.misses, info.hits) == (1, 5)
+
+
+def test_a_column_changed_in_place_is_replayed_afresh():
+    y, u, h = _oracle_signals()
+    cfg = _oracle_estimator(2, ANALYSIS_FORM)
+    _lag_stages.cache_clear()
+    before = replay_estimator(cfg, y, u, h)
+    y[200] += 1.0
+    after = replay_estimator(cfg, y, u, h)
+    assert after.tobytes() == _uncached_replay(cfg, y, u, h).tobytes()
+    assert after.tobytes() != before.tobytes()
+
+
+def test_columns_that_differ_in_the_sign_of_a_zero_do_not_share_stages():
+    # keep = 1/3 rounds keep * -5e-324 to -0.0, so the last sample's d1
+    # takes the sign of the last y; 0.0 == -0.0, so a cache keyed on
+    # values would replay the second column with the first one's stages
+    cfg = EstimatorConfig(nu=1, alpha=1.0, t_filter=0.5)
+    columns = [np.array([0.0, 5e-324, 0.0, last]) for last in (0.0, -0.0)]
+    expected = [_uncached_replay(cfg, y, np.zeros(4), 1.0).tobytes() for y in columns]
+    assert expected[0] != expected[1]
+    _lag_stages.cache_clear()
+    assert [replay_estimator(cfg, y, np.zeros(4), 1.0).tobytes() for y in columns] == expected
+
+
+@pytest.mark.parametrize("t_filter,h", [(0.07, 3e-3), (0.05, 2e-3)], ids=["other-t", "other-h"])
+def test_another_t_or_h_misses_the_cache(t_filter, h):
+    y, u, _ = _oracle_signals()
+    first = _oracle_estimator(2, DELAYED_INPUT)
+    other = EstimatorConfig(nu=2, alpha=first.alpha, t_filter=t_filter)
+    _lag_stages.cache_clear()
+    replay_estimator(first, y, u, 3e-3)
+    got = replay_estimator(other, y, u, h)
+    assert _lag_stages.cache_info().misses == 2
+    assert got.tobytes() == _oracle_replay(other, y, u, h).tobytes()
+
+
+def test_the_cached_stages_are_read_only():
+    y, u, h = _oracle_signals()
+    cfg = _oracle_estimator(1, DELAYED_INPUT)
+    f = replay_estimator(cfg, y, u, h)
+    stages = _lag_stages(y.tobytes(), cfg.t_filter, h)
+    for stage in stages:
+        assert not stage.flags.writeable
+        with pytest.raises(ValueError):
+            stage[1] = 1.0
+    # the estimate is the caller's own array
+    assert f.flags.writeable
+    assert not any(np.shares_memory(f, stage) for stage in stages)
 
 
 # ---------------------------------------------------------------------------

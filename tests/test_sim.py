@@ -1,6 +1,7 @@
 """Tests for the plant model, references, noise, closed loop, and metrics."""
 
 import math
+import re
 import warnings
 
 import numpy as np
@@ -385,6 +386,27 @@ def test_load_trace_csv_rejects_header_and_row_widths_that_differ(tmp_path, name
             fh.write(",".join(["1.0"] * fields) + "\n")
     with pytest.raises(ValueError, match="%d columns but the rows have %d fields"
                        % (names, fields)):
+        load_trace_csv(path)
+
+
+@pytest.mark.parametrize("content", ["", "\n", "\r\n"], ids=["empty", "lf", "crlf"])
+def test_load_trace_csv_rejects_a_file_without_a_header(tmp_path, content):
+    path = tmp_path / "trace.csv"
+    path.write_bytes(content.encode())
+    with pytest.raises(ValueError, match=re.escape("%s: no header line" % path)):
+        load_trace_csv(path)
+
+
+@pytest.mark.parametrize("header,repeated", [
+    ("t,t", "'t'"),
+    ("t,u,y,u,t,e", "'t', 'u'"),
+], ids=["t-t", "two-repeated"])
+def test_load_trace_csv_rejects_a_repeated_column_name(tmp_path, header, repeated):
+    path = tmp_path / "trace.csv"
+    width = header.count(",") + 1
+    path.write_text(header + "\n" + ",".join(["1.0"] * width) + "\n")
+    with pytest.raises(ValueError, match=re.escape("%s: the header repeats column %s"
+                                                   % (path, repeated))):
         load_trace_csv(path)
 
 

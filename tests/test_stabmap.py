@@ -13,7 +13,7 @@ from forks import (another_thread_running, count_forks, forbid_processes, needs_
                    no_child_left)
 from ultralocal import pool, stabmap
 from ultralocal.control import ANALYSIS_FORM
-from ultralocal.poly import PolynomialError
+from ultralocal.poly import Polynomial, PolynomialError, StabilityKind, routh_hurwitz
 from ultralocal.stabmap import (
     ALPHA_EXCLUSION,
     FIXED_T,
@@ -178,9 +178,47 @@ def _assert_sweep_equals_cell_verdict(spec):
     default_grid_spec(),
     default_all_t_grid_spec(),
     GridSpec((-5.0, 5.0, 301), (-5.0, 5.0, 101), (0.37,)),
-], ids=["default-fixed-t", "default-all-t", "301x101"])
+    default_grid_spec(2.0),
+], ids=["default-fixed-t", "default-all-t", "301x101", "default-t2"])
 def test_sweep_equals_cell_verdict_on_full_grids(spec):
     _assert_sweep_equals_cell_verdict(spec)
+
+
+def test_t2_map_hands_only_its_degenerate_rows_to_the_scalar_table(monkeypatch):
+    # at T = 2, c3 = 2T - T^2 is exactly 0 in every cell; the vector sweep
+    # decides that lone zero itself, so only the kp = 0 row (c0 = 0) and
+    # the kp = 0.25 row (c1 = 0, a zero s^3 row) reach cell_verdict
+    calls = []
+    real = stabmap.cell_verdict
+    monkeypatch.setattr(stabmap, "cell_verdict",
+                        lambda kp, alpha, spec: calls.append(kp) or real(kp, alpha, spec))
+    spec = default_grid_spec(2.0)
+    sweep(spec)
+    included = int(np.count_nonzero(np.abs(spec.alpha_values()) >= ALPHA_EXCLUSION))
+    assert sorted(set(calls)) == [0.0, 0.25]
+    assert len(calls) == 2 * included
+
+
+def test_lone_zero_c3_closed_form_equals_the_scalar_table(monkeypatch):
+    # quartics 4s^4 + 0s^3 + c2 s^2 + c1 s + c0 fed to _routh_block through
+    # its coefficient function: every cell it decides gets the scalar
+    # table's verdict, and both of its verdicts occur
+    rng = np.random.default_rng(7)
+    shape = (60, 50)
+    sign = lambda: rng.choice([-1.0, 1.0], shape)
+    c0 = sign() * 10.0 ** rng.uniform(-6.0, 0.0, shape)
+    c1 = sign() * 10.0 ** rng.uniform(-13.0, -6.0, shape)
+    c2 = sign() * 10.0 ** rng.uniform(-1.0, 2.0, shape)
+    monkeypatch.setattr(stabmap, "_ip_coeffs", lambda a, kp, t: (c0, c1, c2, 0.0, 4.0))
+    with np.errstate(all="ignore"):
+        unstable, marginal, flagged = stabmap._routh_block(np.zeros((60, 1)), np.zeros(50), 2.0)
+    kinds = {StabilityKind.UNSTABLE: 0, StabilityKind.MARGINAL: 0}
+    for i, j in zip(*np.nonzero(~flagged)):
+        kind = routh_hurwitz(Polynomial([c0[i, j], c1[i, j], c2[i, j], 0.0, 4.0])).kind
+        assert (bool(unstable[i, j]), bool(marginal[i, j])) == (
+            kind == StabilityKind.UNSTABLE, kind == StabilityKind.MARGINAL)
+        kinds[kind] += 1
+    assert min(kinds.values()) > 100
 
 
 @st.composite
@@ -225,7 +263,7 @@ def test_sweep_equals_cell_verdict_on_drawn_grids(spec):
 
 @settings(max_examples=100, deadline=None)
 @given(_axes(), _axes(), _t_axes, st.integers(0, 3))
-@example((-1.0, 1.0, 5), (-1.0, 1.0, 5), (0.1, 2.0), 1)  # 2T - T^2 = 0: every cell flagged
+@example((-1.0, 1.0, 5), (-1.0, 1.0, 5), (0.1, 2.0), 1)  # 2T - T^2 = 0: a lone zero pivot
 @example((-1.0, 1.0, 5), (-2e-9, 2e-9, 5), (2.0, 0.1), 0)  # kp = 0 row, |alpha| ~ exclusion
 def test_fixed_t_grid_equals_all_t_grid_over_its_one_t(kp_axis, alpha_axis, t_axis, k):
     # a fixed-t grid is the all-t grid over the one T it selects
@@ -482,15 +520,21 @@ def test_cross_validate_reports_do_not_depend_on_the_core_count(monkeypatch, gri
 
 
 @needs_fork
-def test_cross_validate_worker_exception_reaches_the_caller(monkeypatch):
+def test_cross_validate_worker_exception_reaches_the_caller(monkeypatch, handoff):
     test_pid = os.getpid()
     real_run = stabmap.closed_loop_diverges
+    wait, post = handoff
+    waited = []
 
     def fail_in_the_child(*args, **kwargs):
-        # the forked child runs the first share of the runs, this process
-        # the last; only the child's runs fail
+        # only the child's runs fail; this process holds its first run
+        # until the child has claimed one, so the child cannot find every
+        # run taken
         if os.getpid() != test_pid:
+            post()
             raise WorkerFailure("run failed")
+        if not waited:
+            waited.append(wait())
         return real_run(*args, **kwargs)
     # the forked child inherits the patched module
     monkeypatch.setattr(stabmap, "closed_loop_diverges", fail_in_the_child)
