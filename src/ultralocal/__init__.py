@@ -1,6 +1,6 @@
 """Model-free control toolkit built around ultra-local models.
 
-Intelligent P/PI/PD/PID controllers with online lumped-term estimation,
+Intelligent P and PD controllers with online lumped-term estimation,
 a classic PID baseline, a fixed-step closed-loop simulator for a second
 order test plant with actuator degradation, Routh-Hurwitz machinery for
 the filtered proportional loop's quartic, and stability-map sweeps with

@@ -58,28 +58,19 @@ class EstimatorConfig:
         if self.variant == ANALYSIS_FORM:
             if self.plant_coeffs is None or len(self.plant_coeffs) != 3:
                 raise ConfigMismatch("analysis-form estimator needs plant_coeffs=(a1, a0, b)")
+            for name, value in zip(("a1", "a0", "b"), self.plant_coeffs):
+                if not math.isfinite(value):
+                    raise ConfigMismatch("plant_coeffs %s must be finite, got %r" % (name, value))
             if self.plant_coeffs[2] == 0.0:
                 raise ConfigMismatch("analysis-form estimator needs nonzero input gain b")
 
 
-def filter_constants(t_lag: float, h: float,
-                     estimator: EstimatorConfig | None = None) -> tuple:
-    """Per-run constants of the derivative filter and the lumped-term estimate.
-
-    Returns (keep, gain, ea1, ea0, eb). keep and gain define one
-    backward-Euler lag stage with time constant t_lag at step h: each
-    sample, state <- keep*state + gain*d, where d is the backward
-    difference of the stage's input over h. (ea1, ea0, eb) are the plant
-    coefficients an analysis-form estimator substitutes the input with,
-    and (0.0, 0.0, 1.0), which the delayed-input estimate never reads,
-    for any other estimator.
+def filter_constants(t_lag: float, h: float) -> tuple:
+    """(keep, gain) of one backward-Euler lag stage with time constant t_lag
+    at step h: each sample, state <- keep*state + gain*d, where d is the
+    backward difference of the stage's input over h.
     """
-    keep = t_lag / (t_lag + h)
-    gain = h / (t_lag + h)
-    if estimator is not None and estimator.variant == ANALYSIS_FORM:
-        ea1, ea0, eb = estimator.plant_coeffs
-        return keep, gain, ea1, ea0, eb
-    return keep, gain, 0.0, 0.0, 1.0
+    return t_lag / (t_lag + h), h / (t_lag + h)
 
 
 def _lag(keep: float, drive: np.ndarray) -> np.ndarray:
@@ -110,7 +101,7 @@ def _lag_stages(y_bytes: bytes, t_filter: float, h: float) -> tuple:
     recomputed.
     """
     y = np.frombuffer(y_bytes)
-    keep, gain = filter_constants(t_filter, h)[:2]
+    keep, gain = filter_constants(t_filter, h)
     # sim.run_closed_loop's filter statements: change both
     with np.errstate(all="ignore"):
         d1 = _lag(keep, gain * (np.diff(y) / h))
@@ -145,11 +136,11 @@ def replay_estimator(cfg: EstimatorConfig, y_measured, u, h: float) -> np.ndarra
         raise ValueError("h must be positive, got %r" % (h,))
     if y.shape[0] == 0:
         return np.empty(0)
-    _, _, ea1, ea0, eb = filter_constants(cfg.t_filter, h, cfg)
     d1, d2 = _lag_stages(y.tobytes(), float(cfg.t_filter), float(h))
     # sim.run_closed_loop's f_hat statement: change both
     with np.errstate(all="ignore"):
         if cfg.variant == ANALYSIS_FORM:
+            ea1, ea0, eb = cfg.plant_coeffs
             u_sub = (d2 + ea1 * d1 + ea0 * y) / eb
         else:
             u_sub = np.concatenate(([0.0], uu[:-1]))
@@ -157,12 +148,10 @@ def replay_estimator(cfg: EstimatorConfig, y_measured, u, h: float) -> np.ndarra
 
 
 IP = "ip"
-IPI = "ipi"
 IPD = "ipd"
-IPID = "ipid"
 CLASSIC_PID = "pid"
 
-_INTELLIGENT_KINDS = (IP, IPI, IPD, IPID)
+_INTELLIGENT_KINDS = (IP, IPD)
 _ALL_KINDS = _INTELLIGENT_KINDS + (CLASSIC_PID,)
 
 
@@ -170,9 +159,10 @@ _ALL_KINDS = _INTELLIGENT_KINDS + (CLASSIC_PID,)
 class ControllerSpec:
     """Gains and kind of a controller; immutable value object.
 
-    Intelligent kinds (ip, ipi, ipd, ipid) require a nonzero alpha and act
+    The intelligent kinds, ip and ipd, require a nonzero alpha and act
     through the ultra-local model; kind "pid" is the classic output-feedback
-    PID and ignores alpha.
+    PID and ignores alpha. A gain the kind has no term for (ki on ip and
+    ipd, kd on ip) must be left at +0.0.
     """
 
     kind: str
@@ -191,6 +181,11 @@ class ControllerSpec:
         if self.kind in _INTELLIGENT_KINDS:
             if self.alpha is None or not math.isfinite(self.alpha) or self.alpha == 0.0:
                 raise ConfigMismatch("intelligent controllers need nonzero alpha")
+            for name in ("ki",) if self.kind == IPD else ("ki", "kd"):
+                v = getattr(self, name)
+                if v != 0.0 or math.copysign(1.0, v) < 0.0:
+                    raise ConfigMismatch("%s controllers ignore %s, which must be +0.0, got %r"
+                                         % (self.kind, name, v))
 
     @property
     def nu(self):
@@ -204,16 +199,8 @@ class ControllerSpec:
         return cls(IP, kp=kp, alpha=alpha)
 
     @classmethod
-    def ipi(cls, kp: float, ki: float, alpha: float) -> "ControllerSpec":
-        return cls(IPI, kp=kp, ki=ki, alpha=alpha)
-
-    @classmethod
     def ipd(cls, kp: float, kd: float, alpha: float) -> "ControllerSpec":
         return cls(IPD, kp=kp, kd=kd, alpha=alpha)
-
-    @classmethod
-    def ipid(cls, kp: float, ki: float, kd: float, alpha: float) -> "ControllerSpec":
-        return cls(IPID, kp=kp, ki=ki, kd=kd, alpha=alpha)
 
     @classmethod
     def classic_pid(cls, kp: float, ki: float, kd: float) -> "ControllerSpec":

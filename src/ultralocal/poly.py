@@ -110,39 +110,6 @@ class Polynomial:
     def leading(self) -> float:
         return self.coeffs[-1]
 
-    def __call__(self, s):
-        # Horner, works for real and complex arguments
-        acc = 0.0 * s + 0.0
-        for c in reversed(self.coeffs):
-            acc = acc * s + c
-        return acc
-
-    def derivative(self) -> "Polynomial":
-        if self.degree == 0:
-            return Polynomial([0.0])
-        return Polynomial([k * c for k, c in enumerate(self.coeffs)][1:])
-
-    def __mul__(self, other):
-        if isinstance(other, Polynomial):
-            out = [0.0] * (len(self.coeffs) + len(other.coeffs) - 1)
-            for i, a in enumerate(self.coeffs):
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] += a * b
-            return Polynomial(out)
-        if isinstance(other, (int, float)):
-            return Polynomial([other * c for c in self.coeffs])
-        return NotImplemented
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other):
-        if not isinstance(other, Polynomial):
-            return NotImplemented
-        return self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(self.coeffs)
-
     def __repr__(self):
         return "Polynomial(%s)" % (list(self.coeffs),)
 

@@ -19,8 +19,6 @@ from .control import (
     ANALYSIS_FORM,
     CLASSIC_PID,
     IPD,
-    IPI,
-    IPID,
     ConfigMismatch,
     ControllerSpec,
     EstimatorConfig,
@@ -306,9 +304,9 @@ def run_closed_loop(plant: LtiPlant, controller: ControllerSpec,
     The step is straight-line code on local floats. The estimate is
     control.replay_estimator's arithmetic: two backward-Euler lag stages
     on the measured output (constants from control.filter_constants) and
-    the delayed-input or analysis-form estimate. One expression serves iP,
-    iPI, iPD and iPID, a kind's unused terms multiplying a literal 0.0;
-    the classic PID lags its error with one such stage; an inline RK4
+    the delayed-input or analysis-form estimate. One expression serves iP
+    and iPD, the iP's absent derivative term a kd of +0.0 times a literal
+    0.0; the classic PID lags its error with one such stage; an inline RK4
     step integrates the plant.
     Time, noise and reference columns are computed before the loop and
     the columns derived from u, y and ydot after it. The tests hold every
@@ -389,17 +387,17 @@ def _simulate(log, plant, controller, estimator, reference, noise, h, duration, 
     nu = controller.nu
     hh = 0.5 * h
     estimating = intelligent and not use_oracle_estimator
-    integral = kind in (IPI, IPID)
-    derivative = kind in (IPD, IPID)
+    derivative = kind == IPD
     # backward-Euler lag stages: on the measured output for the estimate
     # (two stages), on the error for the classic PID (one)
-    keep = gain = ea1 = ea0 = 0.0
-    eb = 1.0
+    keep = gain = 0.0
     if estimating:
-        keep, gain, ea1, ea0, eb = filter_constants(estimator.t_filter, h, estimator)
+        keep, gain = filter_constants(estimator.t_filter, h)
     elif not intelligent:
-        keep, gain, ea1, ea0, eb = filter_constants(pid_filter_time, h)
+        keep, gain = filter_constants(pid_filter_time, h)
     analysis = estimating and estimator.variant == ANALYSIS_FORM
+    if analysis:
+        ea1, ea0, eb = estimator.plant_coeffs
 
     u_log = []
     y_log = []
@@ -437,16 +435,13 @@ def _simulate(log, plant, controller, estimator, reference, noise, h, duration, 
             # f_hat bit for bit: change both
             e = ys - ym
             if k:
-                e_int += hh * (e_prev + e)
                 s1 = keep * d1 + gain * ((ym - ym_prev) / h)
                 d2 = keep * d2 + gain * ((s1 - d1) / h)
                 d1 = s1
-            e_prev = e
             ym_prev = ym
             f_hat = ((d1 if nu == 1 else d2)
                      - alpha * ((d2 + ea1 * d1 + ea0 * ym) / eb if analysis else u_prev))
-            u = -(f_hat - ydn_r - kp * e - ki * (e_int if integral else 0.0)
-                  - kd * (yd_r - d1 if derivative else 0.0)) / alpha
+            u = -(f_hat - ydn_r - kp * e - kd * (yd_r - d1 if derivative else 0.0)) / alpha
         elif intelligent:
             # oracle mode: exact lumped term, on the true error
             e = ys - y

@@ -22,8 +22,6 @@ from ultralocal.control import (
     CLASSIC_PID,
     DELAYED_INPUT,
     IP,
-    IPD,
-    IPI,
     ConfigMismatch,
     ControllerSpec,
     EstimatorConfig,
@@ -133,10 +131,11 @@ def control_intelligent(f_hat: float, ref_deriv: float, e: float, e_int: float,
                         e_dot: float, spec: ControllerSpec) -> float:
     """The intelligent law u = -(F - y*^(nu) - kp*e - ki*int(e) - kd*e_dot) / alpha.
 
-    iP, iPI, iPD and iPID differ only in nu and in which gains are zero:
-    ref_deriv is the reference derivative of order spec.nu, and a kind
-    without an integral or derivative term passes 0.0 for it. With exact
-    F the iPD error obeys edd + kd*ed + kp*e = 0.
+    iP and iPD differ only in nu and in which gains are zero: ref_deriv is
+    the reference derivative of order spec.nu, and a term the kind does not
+    have (the integral of both, the derivative of the iP) is passed as 0.0,
+    its gain being +0.0. With exact F the iPD error obeys
+    edd + kd*ed + kp*e = 0.
     """
     if spec.kind not in _INTELLIGENT_KINDS:
         raise ConfigMismatch("expected an intelligent controller, got %r" % (spec.kind,))
@@ -272,12 +271,8 @@ def run_closed_loop_reference(plant, controller, estimator, reference, noise,
             f_hat = estimate_f(estimator, d1, d2, ym, u_prev)
             if kind == IP:
                 u = control_intelligent(f_hat, ysd, e, 0.0, 0.0, controller)
-            elif kind == IPD:
-                u = control_intelligent(f_hat, ysdd, e, 0.0, ysd - d1, controller)
-            elif kind == IPI:
-                u = control_intelligent(f_hat, ysdd, e, e_int, 0.0, controller)
             else:
-                u = control_intelligent(f_hat, ysdd, e, e_int, ysd - d1, controller)
+                u = control_intelligent(f_hat, ysdd, e, 0.0, ysd - d1, controller)
             ydd = bd * u - a1 * v - a0 * y
             f_true = (v if nu == 1 else ydd) - alpha * u
         else:

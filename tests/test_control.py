@@ -105,6 +105,16 @@ def test_estimator_config_validation():
                         variant=ANALYSIS_FORM, plant_coeffs=(1.0, 1.0, 0.0))
 
 
+@pytest.mark.parametrize("index,name,value", [(0, "a1", math.nan), (1, "a0", math.inf),
+                                              (2, "b", -math.inf)])
+def test_estimator_config_rejects_non_finite_plant_coeffs(index, name, value):
+    coeffs = list(EXAMPLE_COEFFS)
+    coeffs[index] = value
+    with pytest.raises(ConfigMismatch, match="plant_coeffs %s must be finite" % name):
+        EstimatorConfig(nu=2, alpha=0.5, t_filter=T_FILTER, variant=ANALYSIS_FORM,
+                        plant_coeffs=tuple(coeffs))
+
+
 def test_estimate_f_zero_signals():
     delayed = EstimatorConfig(nu=2, alpha=0.5, t_filter=T_FILTER)
     analysis = EstimatorConfig(nu=2, alpha=0.5, t_filter=T_FILTER,
@@ -346,9 +356,7 @@ def test_the_cached_stages_are_read_only():
 
 def test_controller_spec_constructors_and_nu():
     assert ControllerSpec.ip(1.0, alpha=0.5).nu == 1
-    assert ControllerSpec.ipi(1.0, 0.5, alpha=0.5).nu == 2
     assert ControllerSpec.ipd(0.25, 1.0, alpha=0.5).nu == 2
-    assert ControllerSpec.ipid(1.0, 0.5, 0.2, alpha=0.5).nu == 2
     assert ControllerSpec.classic_pid(1.0, 0.5, 0.2).nu is None
 
 
@@ -361,6 +369,23 @@ def test_controller_spec_validation():
         ControllerSpec("ipd", kp=1.0, kd=1.0)  # alpha missing
     with pytest.raises(ConfigMismatch):
         ControllerSpec.classic_pid(float("nan"), 0.0, 0.0)
+
+
+@pytest.mark.parametrize("kind,gain,value", [
+    ("ip", "ki", 3.0), ("ip", "kd", 2.0), ("ipd", "ki", 0.5),
+    ("ip", "ki", -0.0), ("ip", "kd", -0.0), ("ipd", "ki", -0.0),
+])
+def test_controller_spec_rejects_a_gain_its_kind_ignores(kind, gain, value):
+    # -0.0 too: the loop drops the ignored terms, which is exact only for +0.0
+    with pytest.raises(ConfigMismatch, match="%s controllers ignore %s" % (kind, gain)):
+        ControllerSpec(kind, kp=1.0, alpha=0.5, **{gain: value})
+
+
+def test_controller_spec_accepts_every_gain_its_kind_uses():
+    assert ControllerSpec("ipd", kp=-0.0, kd=-0.0, alpha=0.5).kd == 0.0
+    assert ControllerSpec("ip", kp=1.0, ki=0, kd=0.0, alpha=0.5).nu == 1
+    pid = ControllerSpec.classic_pid(-0.0, -0.0, -0.0)
+    assert math.copysign(1.0, pid.ki) == math.copysign(1.0, pid.kd) == -1.0
 
 
 def test_controller_spec_describe():
@@ -384,18 +409,6 @@ def test_control_ipd_substitution():
     assert math.isclose(u, -(1.0 - 0.5 - 0.05 + 0.1) / 0.5)
 
 
-def test_control_ipi_substitution():
-    spec = ControllerSpec.ipi(kp=1.0, ki=0.5, alpha=1.0)
-    u = control_intelligent(0.0, 0.0, 1.0, 2.0, 0.0, spec)
-    assert math.isclose(u, 2.0)
-
-
-def test_control_ipid_substitution():
-    spec = ControllerSpec.ipid(kp=1.0, ki=2.0, kd=3.0, alpha=0.5)
-    u = control_intelligent(1.0, 2.0, 0.3, 0.4, 0.5, spec)
-    assert math.isclose(u, -(1.0 - 2.0 - 0.3 - 0.8 - 1.5) / 0.5)
-
-
 def test_control_classic_pid_substitution():
     spec = ControllerSpec.classic_pid(kp=1.5, ki=0.2, kd=2.0)
     u = control_classic_pid(2.0, 1.0, -0.5, spec)
@@ -403,21 +416,20 @@ def test_control_classic_pid_substitution():
 
 
 def test_zero_gain_masking_identities():
-    # an ipid with ki=0 must agree with an ipd, and with kd=0 with an ipi,
-    # on any input: a zero gain masks its term exactly
+    # a gain the kind ignores is +0.0, so its term, that gain times the 0.0
+    # the oracle passes, leaves every partial sum's bits, a -0.0 included:
+    # the package loop writes the laws without those terms
     rng = np.random.default_rng(37)
-    for _ in range(50):
-        kp, ki, kd, alpha = rng.uniform(0.1, 2.0, size=4)
-        f, r, e, ei, ed = rng.uniform(-2.0, 2.0, size=5)
-        alpha = float(alpha)
-        no_i = ControllerSpec.ipid(kp, 0.0, kd, alpha=alpha)
-        as_ipd = ControllerSpec.ipd(kp, kd, alpha=alpha)
-        assert (control_intelligent(f, r, e, ei, ed, no_i)
-                == control_intelligent(f, r, e, 0.0, ed, as_ipd))
-        no_d = ControllerSpec.ipid(kp, ki, 0.0, alpha=alpha)
-        as_ipi = ControllerSpec.ipi(kp, ki, alpha=alpha)
-        assert (control_intelligent(f, r, e, ei, ed, no_d)
-                == control_intelligent(f, r, e, ei, 0.0, as_ipi))
+    draws = [tuple(rng.uniform(-2.0, 2.0, size=4).tolist()) for _ in range(50)]
+    draws += [(-0.0, 0.0, 0.0, 0.0), (-0.0, 0.0, -0.0, 0.0), (0.0, 0.0, 0.0, -0.0)]
+    kp, kd, alpha = 0.25, 1.0, 0.5
+    ip = ControllerSpec.ip(kp, alpha=alpha)
+    ipd = ControllerSpec.ipd(kp, kd, alpha=alpha)
+    for f, r, e, ed in draws:
+        assert (control_intelligent(f, r, e, 0.0, 0.0, ip).hex()
+                == (-(f - r - kp * e) / alpha).hex())
+        assert (control_intelligent(f, r, e, 0.0, ed, ipd).hex()
+                == (-(f - r - kp * e - kd * ed) / alpha).hex())
 
 
 def test_control_laws_reject_wrong_kind():

@@ -26,13 +26,13 @@ from loop_oracle import (
     to_csv_reference,
 )
 from ultralocal.control import (
+    _ALL_KINDS,
+    _INTELLIGENT_KINDS,
     ANALYSIS_FORM,
     CLASSIC_PID,
     DELAYED_INPUT,
     IP,
     IPD,
-    IPI,
-    IPID,
     ControllerSpec,
     EstimatorConfig,
     replay_estimator,
@@ -51,13 +51,10 @@ from ultralocal.stabmap import ip_loop_for_cell
 ALL_COLUMNS = TRACE_COLUMNS + ("ydot_true", "yddot_true")
 EXAMPLE_COEFFS = (-1.0, 0.0, 1.0)
 
-# kp, ki, kd per kind; iP and iPD carry an unused negative ki (and iP an
-# unused kd) so that the laws' ki*0.0 and kd*0.0 terms keep their sign
+# kp, ki, kd per kind; a gain the kind has no term for is 0.0
 GAINS = {
-    IP: (-0.5, -0.3, 0.2),
-    IPI: (0.25, 0.05, 0.0),
-    IPD: (0.25, -0.3, 1.0),
-    IPID: (0.25, 0.05, 1.0),
+    IP: (-0.5, 0.0, 0.0),
+    IPD: (0.25, 0.0, 1.0),
     CLASSIC_PID: (1.3068, 0.287496, 2.98),
 }
 REFERENCES = {
@@ -103,8 +100,23 @@ def _estimator(kind, variant, alpha=0.5, t_filter=0.1, plant_coeffs=EXAMPLE_COEF
                            variant=variant, plant_coeffs=coeffs)
 
 
-_LAWS = [(kind, variant) for kind in (IP, IPI, IPD, IPID)
+_LAWS = [(kind, variant) for kind in _INTELLIGENT_KINDS
          for variant in (ANALYSIS_FORM, DELAYED_INPUT)] + [(CLASSIC_PID, None)]
+# the kinds the oracle-estimator mode accepts
+_SECOND_ORDER = [kind for kind in _INTELLIGENT_KINDS if _controller(kind).nu == 2]
+
+
+def _drawn_gains(kind):
+    """(kind, (kp, ki, kd)) with ki drawn only for the PID and kd only for
+    the PID and iPD; the others are the 0.0 their kind requires."""
+    gain = st.floats(-20.0, 20.0)
+    zero = st.just(0.0)
+    return st.tuples(st.just(kind), st.tuples(
+        gain, gain if kind == CLASSIC_PID else zero,
+        gain if kind in (CLASSIC_PID, IPD) else zero))
+
+
+_DRAWN_LAWS = st.sampled_from(_ALL_KINDS).flatmap(_drawn_gains)
 
 
 @pytest.mark.parametrize("kind,variant", _LAWS)
@@ -116,7 +128,7 @@ def test_loop_equals_oracle(kind, variant, delta):
                   y0=-0.05, ydot0=0.1, meta={"case": ref_name})
 
 
-@pytest.mark.parametrize("kind", [IPI, IPD, IPID])
+@pytest.mark.parametrize("kind", _SECOND_ORDER)
 @pytest.mark.parametrize("delta", [1.0, 0.5])
 def test_loop_equals_oracle_with_exact_lumped_term(kind, delta):
     # a0 != 0, so every term of the closed-form law is nonzero
@@ -168,9 +180,8 @@ def test_loop_rejects_bad_pid_filter_time_like_oracle():
 
 
 @settings(max_examples=200, deadline=None)
-@given(kind=st.sampled_from((IP, IPI, IPD, IPID, CLASSIC_PID)),
+@given(law=_DRAWN_LAWS,
        variant=st.sampled_from((ANALYSIS_FORM, DELAYED_INPUT)),
-       gains=st.tuples(*[st.floats(-20.0, 20.0)] * 3),
        alpha=st.floats(0.05, 5.0) | st.floats(-5.0, -0.05),
        t_filter=st.floats(1e-3, 2.0),
        h=st.floats(1e-4, 5e-2),
@@ -179,9 +190,9 @@ def test_loop_rejects_bad_pid_filter_time_like_oracle():
        oracle=st.booleans(),
        plant=st.builds(LtiPlant, a1=st.floats(-2.0, 2.0), a0=st.floats(-2.0, 2.0),
                        b=st.floats(0.2, 2.0), delta=st.floats(0.1, 1.0)))
-def test_loop_equals_oracle_on_drawn_configurations(kind, variant, gains, alpha, t_filter,
+def test_loop_equals_oracle_on_drawn_configurations(law, variant, alpha, t_filter,
                                                     h, steps, sigma, oracle, plant):
-    kp, ki, kd = gains
+    kind, (kp, ki, kd) = law
     controller = ControllerSpec(kind, kp=kp, ki=ki, kd=kd,
                                 alpha=None if kind == CLASSIC_PID else alpha)
     oracle = oracle and controller.nu == 2
@@ -246,7 +257,7 @@ def test_flag_run_equals_trace_flag_across_the_matrix():
 
 def test_flag_run_equals_trace_flag_with_exact_lumped_term():
     plant = LtiPlant(a1=-1.0, a0=0.3, b=1.2, delta=0.5)
-    for kind, ref, sigma in itertools.product((IPI, IPD, IPID), REFERENCES.values(),
+    for kind, ref, sigma in itertools.product(_SECOND_ORDER, REFERENCES.values(),
                                               (0.0, 0.01)):
         assert not _flags(plant, _controller(kind), None, ref, NoiseModel(sigma, 3),
                           h=2e-3, duration=1.0, y0=0.02, ydot0=-0.1,
@@ -278,9 +289,8 @@ def test_flag_run_equals_trace_flag_on_map_cells(kp, alpha, diverges):
 
 
 @settings(max_examples=100, deadline=None)
-@given(kind=st.sampled_from((IP, IPI, IPD, IPID, CLASSIC_PID)),
+@given(law=_DRAWN_LAWS,
        variant=st.sampled_from((ANALYSIS_FORM, DELAYED_INPUT)),
-       gains=st.tuples(*[st.floats(-20.0, 20.0)] * 3),
        alpha=st.floats(0.05, 5.0) | st.floats(-5.0, -0.05),
        t_filter=st.floats(1e-3, 2.0),
        h=st.floats(1e-4, 5e-2),
@@ -290,10 +300,10 @@ def test_flag_run_equals_trace_flag_on_map_cells(kp, alpha, diverges):
        threshold=st.sampled_from((1e3, 1.0)),
        plant=st.builds(LtiPlant, a1=st.floats(-2.0, 2.0), a0=st.floats(-2.0, 2.0),
                        b=st.floats(0.2, 2.0), delta=st.floats(0.1, 1.0)))
-def test_flag_run_equals_trace_flag_on_drawn_configurations(kind, variant, gains, alpha,
+def test_flag_run_equals_trace_flag_on_drawn_configurations(law, variant, alpha,
                                                             t_filter, h, steps, sigma,
                                                             oracle, threshold, plant):
-    kp, ki, kd = gains
+    kind, (kp, ki, kd) = law
     controller = ControllerSpec(kind, kp=kp, ki=ki, kd=kd,
                                 alpha=None if kind == CLASSIC_PID else alpha)
     oracle = oracle and controller.nu == 2

@@ -49,31 +49,6 @@ def test_polynomial_zero():
     assert p.coeffs == (0.0,)
 
 
-def test_polynomial_eval_matches_numpy():
-    rng = np.random.default_rng(7)
-    for _ in range(50):
-        coeffs = rng.uniform(-5.0, 5.0, size=rng.integers(1, 8))
-        p = Polynomial(tuple(coeffs))
-        x = float(rng.uniform(-3.0, 3.0))
-        expected = float(np.polyval(coeffs[::-1], x))
-        assert math.isclose(p(x), expected, rel_tol=1e-12, abs_tol=1e-12)
-
-
-def test_polynomial_derivative():
-    # d/ds (1 + 2s + 3s^2) = 2 + 6s
-    p = Polynomial((1.0, 2.0, 3.0))
-    assert p.derivative().coeffs == (2.0, 6.0)
-    assert Polynomial((5.0,)).derivative().is_zero
-
-
-def test_polynomial_mul():
-    # (s + 1)(s + 2) = s^2 + 3s + 2
-    p = Polynomial((1.0, 1.0)) * Polynomial((2.0, 1.0))
-    assert p.coeffs == (2.0, 3.0, 1.0)
-    q = Polynomial((1.0, 1.0)) * 3.0
-    assert q.coeffs == (3.0, 3.0)
-
-
 def test_polynomial_immutable():
     p = Polynomial((1.0, 1.0))
     with pytest.raises(AttributeError):
@@ -85,11 +60,6 @@ def test_polynomial_rejects_non_finite():
         Polynomial((1.0, float("nan")))
     with pytest.raises(PolynomialError):
         Polynomial((float("inf"), 1.0))
-
-
-def test_polynomial_eq_hash():
-    assert Polynomial((1.0, 2.0)) == Polynomial((1.0, 2.0, 0.0))
-    assert hash(Polynomial((1.0, 2.0))) == hash(Polynomial((1.0, 2.0)))
 
 
 # ---------------------------------------------------------------------------
@@ -270,15 +240,13 @@ def test_expand_pole_double():
 
 
 def test_expand_pole_matches_repeated_multiplication():
+    # numpy multiplies out the m factors (s + r) one at a time
     rng = np.random.default_rng(17)
     for _ in range(25):
         r = float(rng.uniform(0.05, 3.0))
         m = int(rng.integers(1, 6))
-        direct = expand_pole(r, m)
-        prod = Polynomial((1.0,))
-        for _ in range(m):
-            prod = prod * Polynomial((r, 1.0))
-        assert np.allclose(direct.coeffs, prod.coeffs, rtol=1e-12, atol=1e-12)
+        prod = np.polynomial.polynomial.polyfromroots([-r] * m)
+        assert np.allclose(expand_pole(r, m).coeffs, prod, rtol=1e-12, atol=1e-12)
 
 
 def test_expand_pole_rejects_bad_multiplicity():
