@@ -2,9 +2,9 @@
 
 Intelligent P and PD controllers with online lumped-term estimation,
 a classic PID baseline, a fixed-step closed-loop simulator for a second
-order test plant with actuator degradation, Routh-Hurwitz machinery for
-the filtered proportional loop's quartic, and stability-map sweeps with
-time-domain cross-validation.
+order test plant with actuator degradation, Routh-Hurwitz machinery and
+pole placement, and stability maps of the filtered proportional loop's
+quartic with time-domain cross-validation.
 """
 
 from .control import (
@@ -17,13 +17,11 @@ from .control import (
 )
 from .poly import (
     ConvergenceFailure,
-    IpLoopParams,
     Polynomial,
     PolynomialError,
     StabilityKind,
     StabilityVerdict,
     expand_pole,
-    ip_charpoly,
     ipd_gains_from_target,
     max_real_part_of_roots,
     pid_gains_from_target,

@@ -34,10 +34,10 @@ class EstimatorConfig:
     nu: order of the ultra-local model (1 or 2).
     alpha: input scaling (nonzero).
     t_filter: derivator filter time constant.
-    variant: DELAYED_INPUT uses the previous input sample directly;
-        ANALYSIS_FORM substitutes the input from the plant equation using
-        plant_coeffs = (a1, a0, b), which removes the input delay at the
-        price of needing those three coefficients.
+    variant: DELAYED_INPUT uses the previous input sample directly and
+        takes no plant_coeffs; ANALYSIS_FORM substitutes the input from the
+        plant equation using plant_coeffs = (a1, a0, b), which removes the
+        input delay at the price of needing those three coefficients.
     """
 
     nu: int
@@ -55,6 +55,9 @@ class EstimatorConfig:
             raise ConfigMismatch("t_filter must be positive, got %r" % (self.t_filter,))
         if self.variant not in ESTIMATOR_VARIANTS:
             raise ConfigMismatch("unknown estimator variant %r" % (self.variant,))
+        if self.variant == DELAYED_INPUT and self.plant_coeffs is not None:
+            raise ConfigMismatch("delayed-input estimator takes no plant_coeffs, got %r"
+                                 % (self.plant_coeffs,))
         if self.variant == ANALYSIS_FORM:
             if self.plant_coeffs is None or len(self.plant_coeffs) != 3:
                 raise ConfigMismatch("analysis-form estimator needs plant_coeffs=(a1, a0, b)")

@@ -55,7 +55,7 @@ class ZeroInputGain(PolynomialError):
 
 
 class InvalidParams(PolynomialError):
-    """Loop parameters outside their admissible range."""
+    """Pole-placement parameters outside their admissible range."""
 
 
 class ConvergenceFailure(RuntimeError):
@@ -217,64 +217,6 @@ def routh_hurwitz(p: Polynomial) -> StabilityVerdict:
     if degenerate:
         return StabilityVerdict(StabilityKind.MARGINAL, 0, True)
     return StabilityVerdict(StabilityKind.HURWITZ, 0, False)
-
-
-@dataclass(frozen=True)
-class IpLoopParams:
-    """Parameters of the filtered proportional intelligent loop.
-
-    alpha: input scaling of the ultra-local model (nonzero),
-    kp: proportional gain of the tabulated loop,
-    t_filter: time constant of the first-order derivator filters (> 0).
-    """
-
-    alpha: float
-    kp: float
-    t_filter: float
-
-    def __post_init__(self):
-        if not (math.isfinite(self.alpha) and self.alpha != 0.0):
-            raise InvalidParams("alpha must be finite and nonzero, got %r" % (self.alpha,))
-        if not math.isfinite(self.kp):
-            raise InvalidParams("kp must be finite, got %r" % (self.kp,))
-        if not (math.isfinite(self.t_filter) and self.t_filter > 0.0):
-            raise InvalidParams("t_filter must be positive, got %r" % (self.t_filter,))
-
-
-def ip_charpoly(params: IpLoopParams) -> Polynomial:
-    """Quartic characteristic polynomial of the filtered iP loop.
-
-    The loop closes a proportional intelligent controller (ultra-local
-    model of order 1, input gain alpha) on the unstable double-integrator
-    style test plant whose second derivative equals its first derivative
-    plus the input, with first-order derivator filters of time constant T
-    on the measured output.
-
-    The polynomial is tabulated with the proportional correction acting
-    directly on the measured output; under the error convention
-    e = y_ref - y used by the control laws in this package, the simulated
-    loop matching a tabulated cell (kp, alpha) uses proportional gain
-    -kp (see stabmap.ip_loop_for_cell).
-
-    Ascending coefficients, degree 4 with leading coefficient T**2.
-    """
-    return Polynomial(_ip_coeffs(params.alpha, params.kp, params.t_filter))
-
-
-def _ip_coeffs(a, kp, t):
-    """Ascending coefficients of the filtered iP quartic.
-
-    Takes floats or broadcastable numpy arrays; stabmap's vector sweep
-    relies on both paths performing the same float operations in the
-    same order.
-    """
-    return (
-        -kp / a,
-        1.0 / a - 2.0 * t * kp / a,
-        -2.0 * t + t * (1.0 + 1.0 / a) - t * t * kp / a,
-        2.0 * t - t * t,
-        t * t,
-    )
 
 
 def expand_pole(r: float, multiplicity: int) -> Polynomial:

@@ -183,11 +183,6 @@ class SimulationTrace:
     def __len__(self) -> int:
         return self.t.shape[0]
 
-    def column(self, name: str) -> np.ndarray:
-        if name not in TRACE_COLUMNS:
-            raise KeyError(name)
-        return getattr(self, name)
-
     def to_csv(self, path) -> None:
         """Write the pinned columns with repr floats (round-trip exact), LF endings.
 

@@ -7,13 +7,16 @@ routine replays sampled cells as actual time-domain simulations so the
 algebraic verdicts and the loop behavior can be compared on equal terms;
 it runs those simulations on every core the process may use.
 
-The sweep computes the quartic's Routh first column as numpy arrays over
-blocks of whole kp rows, with the float operations of ip_charpoly and
-routh_hurwitz in their order, so every cell it decides gets the verdict
-the scalar table gives. Wherever a branch of the scalar table could fire
-(a trimmed leading coefficient, a zero row or pivot, a non-finite entry)
-the cell is flagged and classified by the scalar cell_verdict instead,
-which stays the reference the vector path is tested against.
+The quartic's coefficients are built here (_ip_coeffs), for the vector
+sweep, the scalar cell_verdict, the root oracle quartic_max_real_root and
+GridSpec's overflow check alike. The sweep computes the quartic's Routh
+first column as numpy arrays over blocks of whole kp rows, with
+routh_hurwitz's float operations in their order, so every cell it
+decides gets the verdict the scalar table gives. Wherever a branch of
+the scalar table could fire (a trimmed leading coefficient, a zero row
+or pivot, a non-finite entry) the cell is flagged and classified by the
+scalar cell_verdict instead, which stays the reference the vector path
+is tested against.
 """
 
 from __future__ import annotations
@@ -30,10 +33,8 @@ from .poly import (
     ROUTH_EPS_REL,
     ROUTH_ZERO_REL_TOL,
     TRIM_REL_TOL,
-    IpLoopParams,
+    Polynomial,
     StabilityKind,
-    _ip_coeffs,
-    ip_charpoly,
     max_real_part_of_roots,
     routh_hurwitz,
 )
@@ -69,6 +70,25 @@ class InvalidGrid(ValueError):
 
 class IoFailure(OSError):
     """Grid export could not be written."""
+
+
+def _ip_coeffs(a, kp, t):
+    """Ascending coefficients of the filtered iP quartic of map cell
+    (kp, alpha = a) at filter constant t; degree 4, leading t**2.
+
+    The iP loop (order 1, analysis form) runs on the plant ydd = yd + u
+    with derivator filters of time constant t; ip_loop_for_cell gives
+    the gain convention. Takes floats or broadcastable numpy arrays; the
+    vector sweep relies on both paths performing the same float
+    operations in the same order.
+    """
+    return (
+        -kp / a,
+        1.0 / a - 2.0 * t * kp / a,
+        -2.0 * t + t * (1.0 + 1.0 / a) - t * t * kp / a,
+        2.0 * t - t * t,
+        t * t,
+    )
 
 
 @dataclass(frozen=True)
@@ -189,7 +209,7 @@ def cell_verdict(kp: float, alpha: float, spec: GridSpec) -> str:
         return VERDICT_EXCLUDED
     verdict = VERDICT_STABLE
     for t in spec.t_values():
-        kind = routh_hurwitz(ip_charpoly(IpLoopParams(alpha=alpha, kp=kp, t_filter=t))).kind
+        kind = routh_hurwitz(Polynomial(_ip_coeffs(alpha, kp, t))).kind
         if kind == StabilityKind.UNSTABLE:
             return VERDICT_UNSTABLE
         if kind == StabilityKind.MARGINAL:
@@ -341,8 +361,20 @@ def ip_loop_for_cell(kp: float, alpha: float, t: float) -> tuple:
 
 
 def quartic_max_real_root(kp: float, alpha: float, t: float) -> float:
-    """Largest real part among the tabulated quartic's roots (root oracle)."""
-    return max_real_part_of_roots(ip_charpoly(IpLoopParams(alpha=alpha, kp=kp, t_filter=t)))
+    """Largest real part among the tabulated quartic's roots (root oracle).
+
+    Raises InvalidGrid, naming the argument, for a non-finite argument,
+    alpha = 0 (the quartic divides by it) or t <= 0 (t = 0 would leave a
+    quadratic).
+    """
+    for name, value in (("kp", kp), ("alpha", alpha), ("t", t)):
+        if not math.isfinite(value):
+            raise InvalidGrid("%s must be finite, got %r" % (name, value))
+    if alpha == 0.0:
+        raise InvalidGrid("alpha must be nonzero")
+    if t <= 0.0:
+        raise InvalidGrid("t must be positive, got %r" % (t,))
+    return max_real_part_of_roots(Polynomial(_ip_coeffs(alpha, kp, t)))
 
 
 @dataclass(frozen=True)

@@ -115,6 +115,13 @@ def test_estimator_config_rejects_non_finite_plant_coeffs(index, name, value):
                         plant_coeffs=tuple(coeffs))
 
 
+@pytest.mark.parametrize("coeffs", [EXAMPLE_COEFFS, (math.nan,), ()])
+def test_estimator_config_rejects_plant_coeffs_on_delayed_input(coeffs):
+    # the delayed-input estimate never reads them, so they would be dropped
+    with pytest.raises(ConfigMismatch, match="plant_coeffs"):
+        EstimatorConfig(nu=2, alpha=0.5, t_filter=T_FILTER, plant_coeffs=coeffs)
+
+
 def test_estimate_f_zero_signals():
     delayed = EstimatorConfig(nu=2, alpha=0.5, t_filter=T_FILTER)
     analysis = EstimatorConfig(nu=2, alpha=0.5, t_filter=T_FILTER,
@@ -152,10 +159,10 @@ def test_estimate_f_analysis_form_general_plant():
 # replay_estimator
 
 
-def _nominal_tracking_trace(sigma=0.0, seed=1, estimator_variant=ANALYSIS_FORM):
+def _nominal_tracking_trace(sigma=0.0, seed=1):
     controller = ControllerSpec.ipd(kp=0.25, kd=1.0, alpha=0.5)
     estimator = EstimatorConfig(nu=2, alpha=0.5, t_filter=T_FILTER,
-                                variant=estimator_variant,
+                                variant=ANALYSIS_FORM,
                                 plant_coeffs=EXAMPLE_COEFFS)
     return run_closed_loop(
         example_plant(1.0), controller, estimator,
@@ -199,8 +206,9 @@ def _oracle_signals():
 
 
 def _oracle_estimator(nu, variant):
+    coeffs = (0.3, -1.7, 1.3) if variant == ANALYSIS_FORM else None
     return EstimatorConfig(nu=nu, alpha=-0.7, t_filter=0.05, variant=variant,
-                           plant_coeffs=(0.3, -1.7, 1.3))
+                           plant_coeffs=coeffs)
 
 
 @pytest.mark.parametrize("variant", [DELAYED_INPUT, ANALYSIS_FORM])
@@ -239,8 +247,9 @@ def test_replay_of_non_finite_inputs_equals_per_sample_oracle(nu, variant, kind)
 @pytest.mark.parametrize("variant", [DELAYED_INPUT, ANALYSIS_FORM])
 @pytest.mark.parametrize("nu", [1, 2])
 def test_replay_keeps_the_length_of_short_inputs(nu, variant):
+    coeffs = EXAMPLE_COEFFS if variant == ANALYSIS_FORM else None
     cfg = EstimatorConfig(nu=nu, alpha=0.5, t_filter=T_FILTER, variant=variant,
-                          plant_coeffs=EXAMPLE_COEFFS)
+                          plant_coeffs=coeffs)
     for n in (0, 1):
         f = replay_estimator(cfg, np.full(n, 2.0), np.full(n, 3.0), H)
         assert f.shape == (n,)
@@ -289,8 +298,9 @@ def test_six_replays_of_one_trace_equal_uncached_replays_bit_for_bit():
     # the replays of a benchmark replay unit: both variants at three alphas
     trace = _nominal_tracking_trace(sigma=0.01)
     estimators = [EstimatorConfig(nu=nu, alpha=alpha, t_filter=T_FILTER, variant=variant,
-                                  plant_coeffs=EXAMPLE_COEFFS)
-                  for nu, variant in ((2, ANALYSIS_FORM), (1, DELAYED_INPUT))
+                                  plant_coeffs=coeffs)
+                  for nu, variant, coeffs in ((2, ANALYSIS_FORM, EXAMPLE_COEFFS),
+                                              (1, DELAYED_INPUT, None))
                   for alpha in (0.5, 1.0, 2.0)]
     expected = [_uncached_replay(cfg, trace.y_measured, trace.u, H).tobytes()
                 for cfg in estimators]

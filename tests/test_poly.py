@@ -10,7 +10,6 @@ from ultralocal.poly import (
     ConvergenceFailure,
     DegreeZero,
     InvalidParams,
-    IpLoopParams,
     NotMonic,
     Polynomial,
     PolynomialError,
@@ -19,7 +18,6 @@ from ultralocal.poly import (
     ZeroInputGain,
     ZeroPolynomial,
     expand_pole,
-    ip_charpoly,
     ipd_gains_from_target,
     max_real_part_of_roots,
     pid_gains_from_target,
@@ -180,55 +178,6 @@ def test_routh_counts_match_root_oracle():
             continue
         assert v.right_half_plane_count == int(np.sum(roots.real > 0))
         checked += 1
-
-
-# ---------------------------------------------------------------------------
-# Control-loop characteristic polynomial
-
-
-def test_ip_charpoly_reference_point():
-    # frozen oracle: unit gain, unit proportional gain, unit filter time
-    p = ip_charpoly(IpLoopParams(alpha=1.0, kp=1.0, t_filter=1.0))
-    assert p.coeffs == (-1.0, -1.0, -1.0, 1.0, 1.0)
-
-
-def test_ip_charpoly_second_point():
-    # hand-expanded at alpha=0.5, kp=-1, T=0.1
-    p = ip_charpoly(IpLoopParams(alpha=0.5, kp=-1.0, t_filter=0.1))
-    expected = (2.0, 2.4, 0.12, 0.19, 0.01)
-    assert np.allclose(p.coeffs, expected, rtol=0.0, atol=1e-15)
-
-
-def test_ip_charpoly_always_quartic():
-    rng = np.random.default_rng(3)
-    for _ in range(100):
-        params = IpLoopParams(
-            alpha=float(rng.uniform(0.1, 4.0) * rng.choice((-1.0, 1.0))),
-            kp=float(rng.uniform(-5.0, 5.0)),
-            t_filter=float(rng.uniform(0.01, 1.9)),
-        )
-        assert ip_charpoly(params).degree == 4
-
-
-def test_ip_charpoly_same_sign_gains_never_hurwitz():
-    # constant coefficient is -kp/alpha < 0 whenever kp*alpha > 0
-    rng = np.random.default_rng(5)
-    for _ in range(200):
-        s = float(rng.choice((-1.0, 1.0)))
-        kp = s * float(rng.uniform(1e-3, 5.0))
-        alpha = s * float(rng.uniform(1e-3, 4.0))
-        t = float(rng.uniform(1e-3, 1.9))
-        v = routh_hurwitz(ip_charpoly(IpLoopParams(alpha=alpha, kp=kp, t_filter=t)))
-        assert not v.is_hurwitz
-
-
-def test_ip_loop_params_validation():
-    with pytest.raises(InvalidParams):
-        IpLoopParams(alpha=0.0, kp=1.0, t_filter=0.1)
-    with pytest.raises(InvalidParams):
-        IpLoopParams(alpha=1.0, kp=1.0, t_filter=0.0)
-    with pytest.raises(InvalidParams):
-        IpLoopParams(alpha=1.0, kp=float("nan"), t_filter=0.1)
 
 
 # ---------------------------------------------------------------------------

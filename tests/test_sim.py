@@ -293,14 +293,7 @@ def test_loop_deterministic():
     a = _nominal_run(sigma=0.01, seed=11, duration=5.0)
     b = _nominal_run(sigma=0.01, seed=11, duration=5.0)
     for name in TRACE_COLUMNS:
-        assert np.array_equal(a.column(name), b.column(name))
-
-
-def test_trace_column_accessor():
-    trace = _nominal_run(duration=1.0)
-    assert trace.column("y_true") is trace.y_true
-    with pytest.raises(KeyError):
-        trace.column("ydot_true")
+        assert np.array_equal(getattr(a, name), getattr(b, name))
 
 
 def test_trace_csv_round_trip(tmp_path):
@@ -312,7 +305,7 @@ def test_trace_csv_round_trip(tmp_path):
     data = load_trace_csv(path)
     assert set(data) == set(TRACE_COLUMNS)
     for name in TRACE_COLUMNS:
-        assert np.array_equal(data[name], trace.column(name))
+        assert np.array_equal(data[name], getattr(trace, name))
 
 
 def _float_trace(values):

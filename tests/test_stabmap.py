@@ -99,6 +99,58 @@ def test_default_t_axis_contents():
 
 
 # ---------------------------------------------------------------------------
+# The iP quartic
+
+
+def test_ip_quartic_reference_point():
+    # frozen oracle: unit gain, unit proportional gain, unit filter time
+    p = Polynomial(stabmap._ip_coeffs(1.0, 1.0, 1.0))
+    assert p.coeffs == (-1.0, -1.0, -1.0, 1.0, 1.0)
+
+
+def test_ip_quartic_second_point():
+    # hand-expanded at alpha=0.5, kp=-1, T=0.1
+    p = Polynomial(stabmap._ip_coeffs(0.5, -1.0, 0.1))
+    expected = (2.0, 2.4, 0.12, 0.19, 0.01)
+    assert np.allclose(p.coeffs, expected, rtol=0.0, atol=1e-15)
+
+
+def test_ip_quartic_always_degree_4():
+    rng = np.random.default_rng(3)
+    for _ in range(100):
+        alpha = float(rng.uniform(0.1, 4.0) * rng.choice((-1.0, 1.0)))
+        kp = float(rng.uniform(-5.0, 5.0))
+        t = float(rng.uniform(0.01, 1.9))
+        assert Polynomial(stabmap._ip_coeffs(alpha, kp, t)).degree == 4
+
+
+def test_ip_quartic_same_sign_gains_never_hurwitz():
+    # constant coefficient is -kp/alpha < 0 whenever kp*alpha > 0
+    rng = np.random.default_rng(5)
+    for _ in range(200):
+        s = float(rng.choice((-1.0, 1.0)))
+        kp = s * float(rng.uniform(1e-3, 5.0))
+        alpha = s * float(rng.uniform(1e-3, 4.0))
+        t = float(rng.uniform(1e-3, 1.9))
+        v = routh_hurwitz(Polynomial(stabmap._ip_coeffs(alpha, kp, t)))
+        assert not v.is_hurwitz
+
+
+def test_quartic_max_real_root_rejects_unusable_arguments():
+    # t = 0 would trim the quartic to a quadratic, alpha = 0 divide by zero
+    for kp, alpha, t, match in [
+        (1.0, 0.0, 0.1, "alpha must be nonzero"),
+        (1.0, 1.0, 0.0, "t must be positive"),
+        (1.0, 1.0, -0.1, "t must be positive"),
+        (math.nan, 1.0, 0.1, "kp must be finite"),
+        (1.0, math.inf, 0.1, "alpha must be finite"),
+        (1.0, 1.0, math.inf, "t must be finite"),
+    ]:
+        with pytest.raises(InvalidGrid, match=match):
+            quartic_max_real_root(kp, alpha, t)
+
+
+# ---------------------------------------------------------------------------
 # Cell verdicts
 
 
@@ -172,16 +224,32 @@ def _assert_sweep_equals_cell_verdict(spec):
     assert grid.stable_fraction == sum(row.count(VERDICT_STABLE) for row in expected) / cells
     # verdicts share the four string constants instead of holding copies
     assert all(any(v is c for c in _VERDICT_CONSTANTS) for row in grid.verdicts for v in row)
+    return grid
 
 
-@pytest.mark.parametrize("spec", [
-    default_grid_spec(),
-    default_all_t_grid_spec(),
-    GridSpec((-5.0, 5.0, 301), (-5.0, 5.0, 101), (0.37,)),
-    default_grid_spec(2.0),
-], ids=["default-fixed-t", "default-all-t", "301x101", "default-t2"])
-def test_sweep_equals_cell_verdict_on_full_grids(spec):
-    _assert_sweep_equals_cell_verdict(spec)
+@pytest.mark.parametrize("spec,vector_marginals", [
+    (default_grid_spec(), 0),
+    (default_all_t_grid_spec(), 0),
+    (GridSpec((-5.0, 5.0, 301), (-5.0, 5.0, 101), (0.37,)), 0),
+    (default_grid_spec(2.0), 0),
+    # T = 2 makes c3 = 0 a lone zero; where kp / alpha <= -1e9 the other
+    # coefficients dwarf c4 = 4, so b1 = c2 - c4*c1/eps stays positive and
+    # the table has no sign change: 6 of the 9 cells are marginal
+    (GridSpec((-1e6, -1e5, 3), (1e-4, 1e-3, 3), (2.0,)), 6),
+], ids=["default-fixed-t", "default-all-t", "301x101", "default-t2", "t2-marginal"])
+def test_sweep_equals_cell_verdict_on_full_grids(monkeypatch, spec, vector_marginals):
+    # vector_marginals counts the marginal cells the vector path decides
+    # itself, never handing them to cell_verdict
+    sent = set()
+    real = stabmap.cell_verdict
+    monkeypatch.setattr(stabmap, "cell_verdict",
+                        lambda kp, alpha, spec: sent.add((kp, alpha)) or real(kp, alpha, spec))
+    grid = _assert_sweep_equals_cell_verdict(spec)
+    cells = [(kp, alpha) for kp in spec.kp_values().tolist()
+             for alpha in spec.alpha_values().tolist()]
+    verdicts = [v for row in grid.verdicts for v in row]
+    assert sum(v == VERDICT_MARGINAL and cell not in sent
+               for cell, v in zip(cells, verdicts)) == vector_marginals
 
 
 def test_t2_map_hands_only_its_degenerate_rows_to_the_scalar_table(monkeypatch):
