@@ -20,13 +20,13 @@ from .control import ANALYSIS_FORM, ESTIMATOR_VARIANTS, ControllerSpec, Estimato
 from .pool import WorkerLost, run_jobs
 from .poly import PolynomialError, expand_pole, ipd_gains_from_target, pid_gains_from_target
 from .sim import (
-    MAX_SAMPLES,
     Metrics,
     NoiseModel,
     ReferenceTrajectory,
     compute_metrics,
     example_plant,
     run_closed_loop,
+    sample_count,
 )
 from .stabmap import (
     DEFAULT_AXIS,
@@ -329,16 +329,12 @@ def _run_and_measure(cfg: ScenarioConfig, laws: dict):
     Returns (traces, metrics), both keyed by (tag, delta tag), deltas
     outer and laws inner.
     """
-    # run_closed_loop's own limits, checked first so that the message
-    # names the key
-    if cfg.duration < 10.0 * cfg.h:
-        raise ConfigError("config key 'duration' = %s must cover at least ten steps of h = %s"
-                          % (_fmt(cfg.duration), _fmt(cfg.h)))
-    if not cfg.duration / cfg.h <= MAX_SAMPLES:
-        raise ConfigError("config key 'duration' = %s and config key 'h' = %s give"
-                          " duration / h = %r samples, above the cap of %d"
-                          % (_fmt(cfg.duration), _fmt(cfg.h), cfg.duration / cfg.h,
-                             MAX_SAMPLES))
+    # sim's run-length limits, checked first so that the message names the keys
+    try:
+        sample_count(cfg.h, cfg.duration)
+    except ValueError as exc:
+        raise ConfigError("config key 'duration' = %s and config key 'h' = %s: %s"
+                          % (_fmt(cfg.duration), _fmt(cfg.h), exc)) from None
     noise = NoiseModel(cfg.sigma, cfg.seed)
     traces = {}
     entries = {}
@@ -417,20 +413,28 @@ def _scenario_ip_attempt(cfg: ScenarioConfig):
     if len(cfg.deltas) > 1:
         raise ConfigError("config key 'delta': scenario %s takes one value, got %d"
                           % (cfg.name, len(cfg.deltas)))
-    cells = {"ip": (cfg.ip_kp, cfg.ip_alpha),
-             "ip-stable": (cfg.ip_stable_kp, cfg.ip_stable_alpha)}
-    traces, entries = _run_and_measure(
-        cfg, {tag: ip_loop_for_cell(kp, alpha, cfg.t_filter)
-              for tag, (kp, alpha) in cells.items()})
+    laws = {}
+    cell_lines = {}
+    for tag, kp_key, alpha_key in (("ip", "ip_kp", "ip_alpha"),
+                                   ("ip-stable", "ip_stable_kp", "ip_stable_alpha")):
+        kp, alpha = getattr(cfg, kp_key), getattr(cfg, alpha_key)
+        # each cell's quartic before any run, so that a cell without one fails fast
+        try:
+            max_re = quartic_max_real_root(kp, alpha, cfg.t_filter)
+        except ValueError as exc:
+            raise ConfigError("config keys '%s' = %s, '%s' = %s and 't_filter' = %s"
+                              " give no usable quartic: %s"
+                              % (kp_key, _fmt(kp), alpha_key, _fmt(alpha),
+                                 _fmt(cfg.t_filter), exc)) from None
+        laws[tag] = ip_loop_for_cell(kp, alpha, cfg.t_filter)
+        tag_us = tag.replace("-", "_")
+        cell_lines[tag] = ["%s_cell_kp = %r" % (tag_us, float(kp)),
+                           "%s_cell_alpha = %r" % (tag_us, float(alpha)),
+                           "%s_cell_max_root_real = %r" % (tag_us, max_re)]
+    traces, entries = _run_and_measure(cfg, laws)
     lines = ["seed = %d" % cfg.seed]
     for (tag, _), m in entries.items():
-        kp, alpha = cells[tag]
-        tag_us = tag.replace("-", "_")
-        lines.append("%s_cell_kp = %r" % (tag_us, float(kp)))
-        lines.append("%s_cell_alpha = %r" % (tag_us, float(alpha)))
-        lines.append("%s_cell_max_root_real = %r"
-                     % (tag_us, quartic_max_real_root(kp, alpha, cfg.t_filter)))
-        lines.extend(_metrics_lines(tag_us, m))
+        lines += cell_lines[tag] + _metrics_lines(tag.replace("-", "_"), m)
     return _trace_files(traces), lines
 
 

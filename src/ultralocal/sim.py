@@ -277,7 +277,6 @@ def run_closed_loop(plant: LtiPlant, controller: ControllerSpec,
                     h: float = 1e-3, duration: float = 20.0,
                     y0: float = 0.0, ydot0: float = 0.0,
                     use_oracle_estimator: bool = False,
-                    blowup_threshold: float = BLOWUP_THRESHOLD,
                     pid_filter_time: float = 0.1,
                     meta: dict | None = None) -> SimulationTrace:
     """Simulate the sampled closed loop and log every sample.
@@ -289,10 +288,10 @@ def run_closed_loop(plant: LtiPlant, controller: ControllerSpec,
 
     use_oracle_estimator replaces the filtered estimate with the exact
     lumped term, resolving the resulting algebraic loop in closed form;
-    this is only well defined for second-order intelligent laws on a
-    plant with actuator authority (delta > 0).
+    this is only well defined for the iPD on a plant with actuator
+    authority (delta > 0).
 
-    A |y_true| > blowup_threshold crossing or a non-finite integration
+    A |y_true| > BLOWUP_THRESHOLD crossing or a non-finite integration
     state truncates the trace at that sample and sets the diverged flag
     instead of raising, so sweeps can treat divergence as data.
 
@@ -310,8 +309,7 @@ def run_closed_loop(plant: LtiPlant, controller: ControllerSpec,
     closed_loop_diverges runs the same loop and logs nothing.
     """
     return _simulate(True, plant, controller, estimator, reference, noise, h, duration,
-                     y0, ydot0, use_oracle_estimator, blowup_threshold, pid_filter_time,
-                     meta)
+                     y0, ydot0, use_oracle_estimator, pid_filter_time, meta)
 
 
 def closed_loop_diverges(plant: LtiPlant, controller: ControllerSpec,
@@ -319,8 +317,6 @@ def closed_loop_diverges(plant: LtiPlant, controller: ControllerSpec,
                          reference: ReferenceTrajectory, noise: NoiseModel,
                          h: float = 1e-3, duration: float = 20.0,
                          y0: float = 0.0, ydot0: float = 0.0,
-                         use_oracle_estimator: bool = False,
-                         blowup_threshold: float = BLOWUP_THRESHOLD,
                          pid_filter_time: float = 0.1) -> bool:
     """run_closed_loop(...).diverged, from the same loop with nothing logged.
 
@@ -328,14 +324,12 @@ def closed_loop_diverges(plant: LtiPlant, controller: ControllerSpec,
     and no column or meta dict is built after the loop.
     """
     return _simulate(False, plant, controller, estimator, reference, noise, h, duration,
-                     y0, ydot0, use_oracle_estimator, blowup_threshold, pid_filter_time,
-                     None)
+                     y0, ydot0, False, pid_filter_time, None)
 
 
-def _simulate(log, plant, controller, estimator, reference, noise, h, duration, y0, ydot0,
-              use_oracle_estimator, blowup_threshold, pid_filter_time, meta):
-    # the loop of run_closed_loop (log true: returns the trace) and of
-    # closed_loop_diverges (log false: returns the diverged flag)
+def sample_count(h: float, duration: float) -> int:
+    """Samples of a closed-loop run; ValueError unless h is positive and
+    finite and duration / h is at least ten and at most MAX_SAMPLES."""
     if not (h > 0.0 and math.isfinite(h)):
         raise ValueError("h must be positive, got %r" % (h,))
     if duration < 10.0 * h:
@@ -343,6 +337,14 @@ def _simulate(log, plant, controller, estimator, reference, noise, h, duration, 
     if not duration / h <= MAX_SAMPLES:
         raise ValueError("duration / h = %r samples, above the cap of %d"
                          % (duration / h, MAX_SAMPLES))
+    return int(round(duration / h)) + 1
+
+
+def _simulate(log, plant, controller, estimator, reference, noise, h, duration, y0, ydot0,
+              use_oracle_estimator, pid_filter_time, meta):
+    # the loop of run_closed_loop (log true: returns the trace) and of
+    # closed_loop_diverges (log false: returns the diverged flag)
+    n = sample_count(h, duration)
     for name, value in (("y0", y0), ("ydot0", ydot0)):
         if not math.isfinite(value):
             raise ValueError("%s must be finite, got %r" % (name, value))
@@ -350,9 +352,8 @@ def _simulate(log, plant, controller, estimator, reference, noise, h, duration, 
     intelligent = kind != CLASSIC_PID
 
     if use_oracle_estimator:
-        if not intelligent or controller.nu != 2:
-            raise ConfigMismatch(
-                "oracle estimator mode requires a second-order intelligent law")
+        if kind != IPD:
+            raise ConfigMismatch("oracle estimator mode requires the iPD law")
         if plant.b * plant.delta == 0.0:
             raise ConfigMismatch("oracle estimator mode needs b*delta != 0")
     elif intelligent:
@@ -367,7 +368,6 @@ def _simulate(log, plant, controller, estimator, reference, noise, h, duration, 
     elif not (pid_filter_time > 0.0 and math.isfinite(pid_filter_time)):
         raise ValueError("pid_filter_time must be positive, got %r" % (pid_filter_time,))
 
-    n = int(round(duration / h)) + 1
     t = np.arange(n) * h
     noise_col = noise.sequence(n)
     y_ref, yd_ref, ydd_ref = reference.eval_array(t)
@@ -403,6 +403,7 @@ def _simulate(log, plant, controller, estimator, reference, noise, h, duration, 
     log_v = v_log.append
     log_fh = fh_log.append
     isfinite = math.isfinite
+    blowup = BLOWUP_THRESHOLD
 
     y = float(y0)
     v = float(ydot0)
@@ -438,12 +439,9 @@ def _simulate(log, plant, controller, estimator, reference, noise, h, duration, 
                      - alpha * ((d2 + ea1 * d1 + ea0 * ym) / eb if analysis else u_prev))
             u = -(f_hat - ydn_r - kp * e - kd * (yd_r - d1 if derivative else 0.0)) / alpha
         elif intelligent:
-            # oracle mode: exact lumped term, on the true error
+            # oracle mode (the iPD): exact lumped term, on the true error
             e = ys - y
-            if k:
-                e_int += hh * (e_prev + e)
-            e_prev = e
-            u = (ydn_r + kp * e + ki * e_int + kd * (yd_r - v) + a1 * v + a0 * y) / bd
+            u = (ydn_r + kp * e + kd * (yd_r - v) + a1 * v + a0 * y) / bd
         else:
             e = ys - ym
             if k:
@@ -458,7 +456,7 @@ def _simulate(log, plant, controller, estimator, reference, noise, h, duration, 
             log_v(v)
             log_fh(f_hat)
 
-        if abs(y) > blowup_threshold:
+        if abs(y) > blowup:
             diverged = True
             break
         if k == last:

@@ -68,10 +68,6 @@ class InvalidGrid(ValueError):
     """Grid axes or aggregation parameters are unusable."""
 
 
-class IoFailure(OSError):
-    """Grid export could not be written."""
-
-
 def _ip_coeffs(a, kp, t):
     """Ascending coefficients of the filtered iP quartic of map cell
     (kp, alpha = a) at filter constant t; degree 4, leading t**2.
@@ -331,15 +327,12 @@ def export_grid(grid: StabilityGrid, path) -> None:
     # by, and led by, the kp field
     tails = [{v: "," + repr(alpha) + mid + v + "\n" for v in _VERDICTS.tolist()}
              for alpha in spec.alpha_values().tolist()]
-    try:
-        with open(path, "w", newline="\n") as fh:
-            fh.write(header)
-            for kp, row in zip(spec.kp_values().tolist(), grid.verdicts):
-                kp_field = repr(kp)
-                fh.write(kp_field + kp_field.join([t[v] for t, v in zip(tails, row)]))
-            fh.write("# stable_fraction = %s\n" % repr(grid.stable_fraction))
-    except OSError as exc:
-        raise IoFailure("cannot write grid to %r: %s" % (path, exc)) from exc
+    with open(path, "w", newline="\n") as fh:
+        fh.write(header)
+        for kp, row in zip(spec.kp_values().tolist(), grid.verdicts):
+            kp_field = repr(kp)
+            fh.write(kp_field + kp_field.join([t[v] for t, v in zip(tails, row)]))
+        fh.write("# stable_fraction = %s\n" % repr(grid.stable_fraction))
 
 
 def ip_loop_for_cell(kp: float, alpha: float, t: float) -> tuple:
@@ -423,10 +416,10 @@ def cross_validate(grid: StabilityGrid, samples: int = 50, seed: int = 0,
     Draws a stratified sample of stable/unstable cells (round-robin across
     verdict classes, order shuffled by the seed), skipping cells whose
     quartic has a root within boundary_band of the imaginary axis, where
-    a 20 s run cannot separate slow growth from slow decay. Each sampled
-    cell is simulated as the matching intelligent-proportional loop
-    (ip_loop_for_cell, regulation to zero from y0 = -0.05,
-    no noise); a stable verdict should mean a bounded run and an unstable
+    a 20 s run cannot separate slow growth from slow decay (InvalidGrid if
+    that leaves no cell). Each sampled cell is simulated as the matching
+    intelligent-proportional loop (ip_loop_for_cell, regulation to zero
+    from y0 = -0.05, no noise); a stable verdict should mean a bounded run and an unstable
     verdict a diverged one. The cells are picked here and simulated on
     every usable core (pool.run_jobs); the report does not depend on the
     core count.
@@ -471,6 +464,9 @@ def cross_validate(grid: StabilityGrid, samples: int = 50, seed: int = 0,
         if cell is not None:
             picked.append(cell)
             pools.append(pool)
+    if not picked:
+        raise InvalidGrid("no stable or unstable cell has |largest root real part|"
+                          " > boundary_band = %r" % (boundary_band,))
 
     # the runs are deterministic, so the flags do not depend on the core count
     flags = run_jobs([functools.partial(_cell_diverged, kp, alpha, t)
@@ -479,5 +475,5 @@ def cross_validate(grid: StabilityGrid, samples: int = 50, seed: int = 0,
                           diverged == (verdict == VERDICT_UNSTABLE))
               for (kp, alpha, verdict, max_re), diverged in zip(picked, flags)]
 
-    rate = sum(c.agrees for c in checks) / len(checks) if checks else 0.0
+    rate = sum(c.agrees for c in checks) / len(checks)
     return AgreementReport(checks, rate, boundary_band)

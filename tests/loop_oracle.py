@@ -174,7 +174,6 @@ def reference_eval(reference, t):
 def run_closed_loop_reference(plant, controller, estimator, reference, noise,
                               h=1e-3, duration=20.0, y0=0.0, ydot0=0.0,
                               use_oracle_estimator=False,
-                              blowup_threshold=BLOWUP_THRESHOLD,
                               pid_filter_time=0.1, meta=None):
     """Same signature and result as ultralocal.sim.run_closed_loop."""
     if not (h > 0.0 and math.isfinite(h)):
@@ -210,7 +209,6 @@ def run_closed_loop_reference(plant, controller, estimator, reference, noise,
     a0 = plant.a0
     bd = plant.b * plant.delta
     kp = controller.kp
-    ki = controller.ki
     kd = controller.kd
     alpha = controller.alpha if intelligent else 0.0
     nu = controller.nu
@@ -240,8 +238,6 @@ def run_closed_loop_reference(plant, controller, estimator, reference, noise,
     v = float(ydot0)
     e_int = 0.0
     e_prev = 0.0
-    e_int_true = 0.0
-    e_prev_true = 0.0
     u_prev = 0.0
     diverged = False
 
@@ -255,13 +251,10 @@ def run_closed_loop_reference(plant, controller, estimator, reference, noise,
         e_prev = e
 
         if use_oracle_estimator:
+            # the iPD, whose ki is +0.0: no integral term
             e_t = ystar - y
             ed_t = ysd - v
-            if k:
-                e_int_true += 0.5 * h * (e_prev_true + e_t)
-            e_prev_true = e_t
-            u = (ysdd + kp * e_t + ki * e_int_true + kd * ed_t
-                 + a1 * v + a0 * y) / bd
+            u = (ysdd + kp * e_t + kd * ed_t + a1 * v + a0 * y) / bd
             ydd = bd * u - a1 * v - a0 * y
             f_true = ydd - alpha * u
             f_hat = f_true
@@ -293,7 +286,7 @@ def run_closed_loop_reference(plant, controller, estimator, reference, noise,
         yd_log.append(v)
         ydd_log.append(ydd)
 
-        if abs(y) > blowup_threshold:
+        if abs(y) > BLOWUP_THRESHOLD:
             diverged = True
             break
         if k == n - 1:

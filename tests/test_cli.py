@@ -485,6 +485,11 @@ _REJECTED_RUNS = {
     "overflowing-axes": ["--scenario", "stabmap-fixed-t", "--set", "kp_axis=1e300,2e300,2",
                          "--set", "alpha_axis=2e-9,1,2"],
     "pole": ["--scenario", "pid-nominal", "--set", "pid_pole=1e120"],
+    "overflowing-ip-cell": ["--scenario", "ip-attempt", "--set", "ip_kp=1e300",
+                            "--set", "ip_alpha=1e-300"],
+    "overflowing-ip-stable-cell": ["--scenario", "ip-attempt", "--set", "ip_stable_kp=1e300",
+                                   "--set", "ip_stable_alpha=1e-300"],
+    "overflowing-t-filter": ["--scenario", "ip-attempt", "--set", "t_filter=1e300"],
 }
 
 
@@ -501,6 +506,27 @@ def test_rejected_run_creates_no_directory(tmp_path, capsys, argv):
     assert main(argv + ["--out", str(out)]) == 2
     assert [p.name for p in out.iterdir()] == [argv[1]]
     assert [p.name for p in existing.iterdir()] == ["keep.txt"]
+
+
+# the _REJECTED_RUNS whose map cell has no quartic, and what the message names
+_CELL_KEYS = {
+    "overflowing-ip-cell": ("'ip_kp' = 1e+300", "'ip_alpha' = 1e-300", "'t_filter' = 0.1"),
+    "overflowing-ip-stable-cell": ("'ip_stable_kp' = 1e+300", "'ip_stable_alpha' = 1e-300",
+                                   "'t_filter' = 0.1"),
+    "overflowing-t-filter": ("'ip_kp' = 1,", "'ip_alpha' = 1 ", "'t_filter' = 1e+300"),
+}
+
+
+@pytest.mark.parametrize("run,names", _CELL_KEYS.items(), ids=_CELL_KEYS.keys())
+def test_ip_attempt_rejects_a_cell_without_a_quartic_naming_its_keys(tmp_path, capsys,
+                                                                     monkeypatch, run, names):
+    # rejected before any loop runs
+    monkeypatch.setattr(cli, "run_closed_loop", lambda *a, **k: pytest.fail("loop ran"))
+    assert main(_REJECTED_RUNS[run] + ["--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: config keys ")
+    for name in names:
+        assert name in err
 
 
 # sha256 of every file the eight scenarios write at their defaults,

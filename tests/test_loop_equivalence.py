@@ -12,6 +12,7 @@ closed_loop_diverges, the same loop with nothing logged, must return
 run_closed_loop's diverged flag.
 """
 
+import inspect
 import itertools
 import math
 
@@ -38,6 +39,7 @@ from ultralocal.control import (
     replay_estimator,
 )
 from ultralocal.sim import (
+    BLOWUP_THRESHOLD,
     TRACE_COLUMNS,
     LtiPlant,
     NoiseModel,
@@ -157,17 +159,21 @@ def test_loop_equals_oracle_on_blowup_truncation():
     assert len(trace) < 501
 
 
-@pytest.mark.parametrize("kp,y0,threshold", [
-    (-1e150, 1e200, math.inf),  # no blow-up threshold: the whole state overflows
-    (1e308, -1.0, 1e3),         # u = 1e308: ydot overflows while y stays finite
+# u overflows the integration state before |y| passes the threshold
+_NON_FINITE_CASES = pytest.mark.parametrize("kp,y0,length", [
+    (1e306, -999.0, 1),  # u = inf at sample 0: the whole state overflows
+    (1e308, -1.0, None),  # u = 1e308: ydot overflows while y stays finite
 ], ids=["state", "velocity-only"])
-def test_loop_equals_oracle_on_non_finite_truncation(kp, y0, threshold):
+
+
+@_NON_FINITE_CASES
+def test_loop_equals_oracle_on_non_finite_truncation(kp, y0, length):
     # the non-finite state is not logged
     trace = _run_both(example_plant(1.0), ControllerSpec.classic_pid(kp, 0.0, 0.0), None,
                       ReferenceTrajectory.constant(0.0), NoiseModel(0.0), h=1e-3,
-                      duration=0.1, y0=y0, blowup_threshold=threshold)
+                      duration=0.1, y0=y0)
     assert trace.diverged
-    assert len(trace) < 101
+    assert len(trace) < 101 if length is None else len(trace) == length
     assert np.all(np.isfinite(trace.y_true)) and np.all(np.isfinite(trace.ydot_true))
 
 
@@ -255,23 +261,19 @@ def test_flag_run_equals_trace_flag_across_the_matrix():
     assert 0 < sum(flags) < len(flags)
 
 
-def test_flag_run_equals_trace_flag_with_exact_lumped_term():
-    plant = LtiPlant(a1=-1.0, a0=0.3, b=1.2, delta=0.5)
-    for kind, ref, sigma in itertools.product(_SECOND_ORDER, REFERENCES.values(),
-                                              (0.0, 0.01)):
-        assert not _flags(plant, _controller(kind), None, ref, NoiseModel(sigma, 3),
-                          h=2e-3, duration=1.0, y0=0.02, ydot0=-0.1,
-                          use_oracle_estimator=True)
+def test_flag_run_takes_the_trace_run_parameters_but_oracle_and_meta():
+    # the one parameter list written twice: same names, order and defaults
+    run = inspect.signature(run_closed_loop).parameters
+    flag = inspect.signature(closed_loop_diverges).parameters
+    assert list(flag.values()) == [p for name, p in run.items()
+                                   if name not in ("use_oracle_estimator", "meta")]
 
 
-@pytest.mark.parametrize("kp,y0,threshold", [
-    (-1e150, 1e200, math.inf),
-    (1e308, -1.0, 1e3),
-], ids=["state", "velocity-only"])
-def test_flag_run_equals_trace_flag_on_non_finite_truncation(kp, y0, threshold):
+@_NON_FINITE_CASES
+def test_flag_run_equals_trace_flag_on_non_finite_truncation(kp, y0, length):
     assert _flags(example_plant(1.0), ControllerSpec.classic_pid(kp, 0.0, 0.0), None,
                   ReferenceTrajectory.constant(0.0), NoiseModel(0.0), h=1e-3,
-                  duration=0.1, y0=y0, blowup_threshold=threshold)
+                  duration=0.1, y0=y0)
 
 
 @pytest.mark.parametrize("kp,alpha,diverges", [
@@ -296,20 +298,19 @@ def test_flag_run_equals_trace_flag_on_map_cells(kp, alpha, diverges):
        h=st.floats(1e-4, 5e-2),
        steps=st.integers(10, 400),
        sigma=st.sampled_from((0.0, 0.02)),
-       oracle=st.booleans(),
-       threshold=st.sampled_from((1e3, 1.0)),
+       # starts at and near the blow-up threshold, so that some runs diverge
+       y0=st.sampled_from((-0.05, BLOWUP_THRESHOLD, -math.nextafter(BLOWUP_THRESHOLD, 2e3)))
+       | st.floats(-1.01 * BLOWUP_THRESHOLD, -0.99 * BLOWUP_THRESHOLD)
+       | st.floats(0.99 * BLOWUP_THRESHOLD, 1.01 * BLOWUP_THRESHOLD),
        plant=st.builds(LtiPlant, a1=st.floats(-2.0, 2.0), a0=st.floats(-2.0, 2.0),
                        b=st.floats(0.2, 2.0), delta=st.floats(0.1, 1.0)))
 def test_flag_run_equals_trace_flag_on_drawn_configurations(law, variant, alpha,
                                                             t_filter, h, steps, sigma,
-                                                            oracle, threshold, plant):
+                                                            y0, plant):
     kind, (kp, ki, kd) = law
     controller = ControllerSpec(kind, kp=kp, ki=ki, kd=kd,
                                 alpha=None if kind == CLASSIC_PID else alpha)
-    oracle = oracle and controller.nu == 2
     _flags(plant, controller,
-           None if oracle else _estimator(kind, variant, alpha, t_filter,
-                                          (plant.a1, plant.a0, plant.b)),
+           _estimator(kind, variant, alpha, t_filter, (plant.a1, plant.a0, plant.b)),
            REFERENCES["smooth-step"], NoiseModel(sigma, 9), h=h,
-           duration=steps * h, y0=-0.05, ydot0=0.2, use_oracle_estimator=oracle,
-           pid_filter_time=t_filter, blowup_threshold=threshold)
+           duration=steps * h, y0=y0, ydot0=0.2, pid_filter_time=t_filter)

@@ -26,7 +26,6 @@ from ultralocal.stabmap import (
     AgreementReport,
     GridSpec,
     InvalidGrid,
-    IoFailure,
     cell_verdict,
     cross_validate,
     default_all_t_grid_spec,
@@ -429,7 +428,7 @@ def test_export_deterministic_bytes(tmp_path):
 
 def test_export_io_failure(tmp_path):
     grid = sweep(GridSpec((0.5, 1.0, 2), (0.5, 1.0, 2), (0.1,)))
-    with pytest.raises(IoFailure):
+    with pytest.raises(OSError, match="grid.csv"):
         export_grid(grid, tmp_path / "missing" / "grid.csv")
 
 
@@ -487,6 +486,10 @@ def test_cross_validate_rejects_bad_inputs():
     for band in (math.nan, math.inf, -math.inf, -0.01):
         with pytest.raises(InvalidGrid, match="boundary_band"):
             cross_validate(fixed, samples=2, boundary_band=band)
+    # a band that leaves no cell to sample gives no agreement rate
+    with pytest.raises(InvalidGrid, match=r"boundary_band = 1000000000\.0"):
+        cross_validate(sweep(GridSpec((-1, 1, 5), (-1, 1, 5), (0.1,))), 5, 1,
+                       boundary_band=1e9)
     assert len(cross_validate(fixed, samples=np.int64(1), boundary_band=0.0).checks) == 1
 
 
