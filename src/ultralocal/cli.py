@@ -32,11 +32,8 @@ from .stabmap import (
     DEFAULT_AXIS,
     FIXED_T,
     FOR_ALL_T,
+    FilterConstantOverflow,
     GridSpec,
-    VERDICT_EXCLUDED,
-    VERDICT_MARGINAL,
-    VERDICT_STABLE,
-    VERDICT_UNSTABLE,
     default_t_axis,
     export_grid,
     ip_loop_for_cell,
@@ -322,13 +319,28 @@ def _tuned_laws(cfg: ScenarioConfig) -> dict:
     return {"ipd": tuned_ipd_controller(cfg), "pid": (tuned_pid_controller(cfg), None)}
 
 
-def _run_and_measure(cfg: ScenarioConfig, laws: dict):
-    """Run each law (tag -> (controller, estimator)) at each of cfg.deltas
-    with one shared seed.
+def _measured_run(cfg: ScenarioConfig, noise: NoiseModel, law: tuple, delta: float,
+                  path=None):
+    """One closed loop of law (controller, estimator) at delta.
 
-    Returns (traces, metrics), both keyed by (tag, delta tag), deltas
-    outer and laws inner.
+    With a path, writes the trace there and returns its Metrics only;
+    without one, returns (Metrics, trace).
     """
+    controller, estimator = law
+    trace = run_closed_loop(example_plant(delta), controller, estimator, cfg.ref, noise,
+                            h=cfg.h, duration=cfg.duration, y0=cfg.y0, ydot0=cfg.ydot0,
+                            pid_filter_time=cfg.t_filter, meta={"scenario": cfg.name})
+    metrics = compute_metrics(trace)
+    if path is None:
+        return metrics, trace
+    trace.to_csv(path)
+    return metrics
+
+
+def _loop_jobs(cfg: ScenarioConfig, laws: dict) -> dict:
+    """One job per law (tag -> (controller, estimator)) at each of
+    cfg.deltas, all with one shared seed, keyed by (tag, delta tag),
+    deltas outer and laws inner. Each job is _measured_run(..., path)."""
     # sim's run-length limits, checked first so that the message names the keys
     try:
         sample_count(cfg.h, cfg.duration)
@@ -336,29 +348,19 @@ def _run_and_measure(cfg: ScenarioConfig, laws: dict):
         raise ConfigError("config key 'duration' = %s and config key 'h' = %s: %s"
                           % (_fmt(cfg.duration), _fmt(cfg.h), exc)) from None
     noise = NoiseModel(cfg.sigma, cfg.seed)
-    traces = {}
-    entries = {}
-    for delta in cfg.deltas:
-        for tag, (controller, estimator) in laws.items():
-            key = (tag, _fmt(delta))
-            traces[key] = run_closed_loop(example_plant(delta), controller, estimator,
-                                          cfg.ref, noise, h=cfg.h, duration=cfg.duration,
-                                          y0=cfg.y0, ydot0=cfg.ydot0,
-                                          pid_filter_time=cfg.t_filter,
-                                          meta={"scenario": cfg.name})
-            entries[key] = compute_metrics(traces[key])
-    return traces, entries
+    return {(tag, _fmt(delta)): functools.partial(_measured_run, cfg, noise, law, delta)
+            for delta in cfg.deltas for tag, law in laws.items()}
 
 
-def _trace_files(traces: dict) -> dict:
-    """trace_<controller>_<delta tag>.csv -> the writer of its trace, in key order."""
-    return {"trace_%s_%s.csv" % key: trace.to_csv for key, trace in traces.items()}
+def _trace_files(jobs: dict) -> dict:
+    """trace_<controller>_<delta tag>.csv -> the job of its run, in key order."""
+    return {"trace_%s_%s.csv" % key: job for key, job in jobs.items()}
 
 
 def _scenario_tracking(cfg: ScenarioConfig, kind: str):
-    traces, entries = _run_and_measure(cfg, {kind: _tuned_laws(cfg)[kind]})
-    lines = ["seed = %d" % cfg.seed] + _delta_metrics_lines(entries)
-    return _trace_files(traces), lines
+    jobs = _loop_jobs(cfg, {kind: _tuned_laws(cfg)[kind]})
+    return _trace_files(jobs), lambda results: (
+        ["seed = %d" % cfg.seed] + _delta_metrics_lines(dict(zip(jobs, results))))
 
 
 @dataclass
@@ -382,14 +384,10 @@ class CompareReport:
         return lines
 
 
-def compare_controllers(cfg: ScenarioConfig):
-    """Run iPD and classic PID across cfg.deltas with one shared seed.
-
-    Returns (CompareReport, traces) where traces maps (kind, delta tag)
-    to the simulated trace. The winner per delta is the controller with
-    the smaller settled-tail error; a diverged run always loses.
-    """
-    traces, entries = _run_and_measure(cfg, _tuned_laws(cfg))
+def _compare_report(cfg: ScenarioConfig, entries: dict) -> CompareReport:
+    """The report of the (kind, delta tag) -> Metrics entries. The winner
+    per delta is the controller with the smaller settled-tail error; a
+    diverged run always loses."""
     winners = {}
     for delta in cfg.deltas:
         key = _fmt(delta)
@@ -399,12 +397,27 @@ def compare_controllers(cfg: ScenarioConfig):
             winners[key] = "pid" if mi.diverged else "ipd"
         else:
             winners[key] = "ipd" if mi.tail_max_abs_error <= mp.tail_max_abs_error else "pid"
-    return CompareReport(cfg.deltas, entries, winners), traces
+    return CompareReport(cfg.deltas, entries, winners)
+
+
+def compare_controllers(cfg: ScenarioConfig):
+    """Run iPD and classic PID across cfg.deltas with one shared seed.
+
+    Returns (CompareReport, traces) where traces maps (kind, delta tag)
+    to the simulated trace. The runs are the compare scenario's jobs,
+    without paths, on every usable core (pool.run_jobs).
+    """
+    jobs = _loop_jobs(cfg, _tuned_laws(cfg))
+    results = dict(zip(jobs, run_jobs(list(jobs.values()))))
+    report = _compare_report(cfg, {key: m for key, (m, _) in results.items()})
+    return report, {key: trace for key, (_, trace) in results.items()}
 
 
 def _scenario_compare(cfg: ScenarioConfig):
-    report, traces = compare_controllers(cfg)
-    return _trace_files(traces), ["seed = %d" % cfg.seed] + report.to_lines()
+    jobs = _loop_jobs(cfg, _tuned_laws(cfg))
+    return _trace_files(jobs), lambda results: (
+        ["seed = %d" % cfg.seed]
+        + _compare_report(cfg, dict(zip(jobs, results))).to_lines())
 
 
 def _scenario_ip_attempt(cfg: ScenarioConfig):
@@ -431,27 +444,35 @@ def _scenario_ip_attempt(cfg: ScenarioConfig):
         cell_lines[tag] = ["%s_cell_kp = %r" % (tag_us, float(kp)),
                            "%s_cell_alpha = %r" % (tag_us, float(alpha)),
                            "%s_cell_max_root_real = %r" % (tag_us, max_re)]
-    traces, entries = _run_and_measure(cfg, laws)
-    lines = ["seed = %d" % cfg.seed]
-    for (tag, _), m in entries.items():
-        lines += cell_lines[tag] + _metrics_lines(tag.replace("-", "_"), m)
-    return _trace_files(traces), lines
+    jobs = _loop_jobs(cfg, laws)
+
+    def lines(results):
+        out = ["seed = %d" % cfg.seed]
+        for (tag, _), m in zip(jobs, results):
+            out += cell_lines[tag] + _metrics_lines(tag.replace("-", "_"), m)
+        return out
+    return _trace_files(jobs), lines
 
 
 def _scenario_stabmap(cfg: ScenarioConfig, aggregation: str):
-    t_axis = (cfg.t_value,) if aggregation == FIXED_T else cfg.t_axis
-    grid = sweep(GridSpec(cfg.kp_axis, cfg.alpha_axis, t_axis, aggregation, 0))
+    t_key, t_axis = (("t_value", (cfg.t_value,)) if aggregation == FIXED_T
+                     else ("t_axis", cfg.t_axis))
+    try:
+        spec = GridSpec(cfg.kp_axis, cfg.alpha_axis, t_axis, aggregation, 0)
+    except FilterConstantOverflow as exc:
+        raise ConfigError("config key '%s': %s" % (t_key, exc.reason)) from None
+    grid = sweep(spec)
     lines = ["stable_fraction = %r" % grid.stable_fraction]
-    lines.extend("%s_cells = %d" % (k, sum(row.count(k) for row in grid.verdicts))
-                 for k in (VERDICT_STABLE, VERDICT_UNSTABLE, VERDICT_MARGINAL,
-                           VERDICT_EXCLUDED))
-    return {"grid.csv": lambda path: export_grid(grid, path)}, lines
+    lines.extend("%s_cells = %d" % item for item in grid.counts.items())
+    return {"grid.csv": lambda path: export_grid(grid, path)}, lambda results: lines
 
 
-# scenario name -> (runner, defaults). runner(cfg) computes without
-# writing and returns {file name: write(path)} and the metrics lines after
-# the scenario line; defaults holds the scenario's own values of some
-# ScenarioConfig fields.
+# scenario name -> (runner, defaults). runner(cfg) checks the
+# configuration and returns {file name: job(path)}, whose jobs write the
+# files (a trace job runs its closed loop first and returns its Metrics),
+# and lines(results), the metrics lines after the scenario line given the
+# jobs' return values in file order. defaults holds the scenario's own
+# values of some ScenarioConfig fields.
 _SCENARIOS = {
     "ipd-nominal": (lambda cfg: _scenario_tracking(cfg, "ipd"), {}),
     "pid-nominal": (lambda cfg: _scenario_tracking(cfg, "pid"), {}),
@@ -477,23 +498,27 @@ _FLAGS = {
 def run_scenario(cfg: ScenarioConfig) -> list:
     """Execute one scenario; returns the list of files written.
 
-    The scenario runs to the end before <out>/<scenario>/ is created, so
-    a run rejected on the way leaves no directory behind. Its files are
-    independent, so they are written on every usable core (pool.run_jobs);
-    metrics.txt is written last, once every other file is complete.
+    Every configuration check runs before <out>/<scenario>/ is created,
+    so a rejected run leaves no directory behind. Each file is then one
+    independent job, run on every usable core (pool.run_jobs): a trace
+    file's job runs its closed loop, writes the trace and hands back only
+    its Metrics, so this process holds at most the trace of the job it is
+    running. metrics.txt is written last, from the jobs' return values,
+    once every other file is complete.
     """
     files, lines = _SCENARIOS[cfg.name][0](cfg)
     out_dir = os.path.join(cfg.out, cfg.name)
     os.makedirs(out_dir, exist_ok=True)
     paths = [os.path.join(out_dir, name) for name in files]
     try:
-        run_jobs([functools.partial(write, path) for write, path in zip(files.values(), paths)])
+        results = run_jobs([functools.partial(job, path)
+                            for job, path in zip(files.values(), paths)])
     except WorkerLost as exc:
         raise WorkerLost("a worker process died while writing the files of %s;"
                          " they may be incomplete" % out_dir) from exc
     metrics_path = os.path.join(out_dir, "metrics.txt")
     with open(metrics_path, "w", newline="\n") as fh:
-        fh.write("\n".join(["scenario = %s" % cfg.name] + lines) + "\n")
+        fh.write("\n".join(["scenario = %s" % cfg.name] + lines(results)) + "\n")
     return paths + [metrics_path]
 
 

@@ -1,19 +1,20 @@
 """Independent jobs across the usable cores: forked children and the caller.
 
-The sampled closed loops of stabmap.cross_validate and the output files
-of a CLI scenario are each a list of jobs that share nothing, and their
-costs differ: a stable closed loop runs every step, a diverging one
-stops early. run_jobs therefore hands the jobs out on demand. Before it
+The sampled closed loops of stabmap.cross_validate and the runs of a
+CLI scenario (each simulating its closed loop and writing its trace
+file) are each a list of jobs that share nothing, and their costs
+differ: a stable closed loop runs every step, a diverging one stops
+early. run_jobs therefore hands the jobs out on demand. Before it
 forks min(usable cores, jobs) - 1 children, it writes one token per job
 (per contiguous chunk of jobs, for long lists) into a pipe; each child
 and the calling process then take one token at a time until the pipe is
 empty, so no process waits while another still has jobs queued.
 
-A job is a callable taking no argument, often a closure (a bound
-SimulationTrace.to_csv, a lambda over a stability grid), which pickle
-cannot send. The children inherit the job list through the fork instead,
-so nothing goes out to a child, and only the return values of the jobs
-it ran (or the exception that stopped it) come back, pickled over a pipe.
+A job is a callable taking no argument, at times a closure (a lambda
+over a stability grid) that pickle cannot send. The children inherit
+the job list through the fork instead, so nothing goes out to a child,
+and only the return values of the jobs it ran (or the exception that
+stopped it) come back, pickled over a pipe.
 """
 
 from __future__ import annotations

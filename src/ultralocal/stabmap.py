@@ -68,6 +68,16 @@ class InvalidGrid(ValueError):
     """Grid axes or aggregation parameters are unusable."""
 
 
+class FilterConstantOverflow(InvalidGrid):
+    """A filter constant t of the axis overflows the quartic's T-only
+    coefficients, whatever the cell."""
+
+    def __init__(self, t: float):
+        self.t = t
+        self.reason = "T = %r overflows the quartic's coefficients 2T - T^2 and T^2" % (t,)
+        super().__init__("t_axis: " + self.reason)
+
+
 def _ip_coeffs(a, kp, t):
     """Ascending coefficients of the filtered iP quartic of map cell
     (kp, alpha = a) at filter constant t; degree 4, leading t**2.
@@ -133,7 +143,8 @@ class GridSpec:
         # |kp| / |alpha| sets the coefficients' size: they peak at an end
         # of the kp axis and the non-excluded alpha nearest zero on either
         # side, so a grid whose corner cells overflow is rejected here
-        # rather than by the Routh table of one of its cells.
+        # rather than by the Routh table of one of its cells. A T whose
+        # T-only coefficients c3 and c4 overflow is named as the cause.
         kps = self.kp_values()[[0, -1], None]
         alphas = self.alpha_values()
         near_zero = np.array([side[np.argmin(np.abs(side))]
@@ -142,8 +153,12 @@ class GridSpec:
         ts = self.t_values()
         finite = np.ones((len(ts), 2, len(near_zero)), bool)
         with np.errstate(all="ignore"):
-            for c in _ip_coeffs(near_zero, kps, np.array(ts)[:, None, None]):
-                finite &= np.isfinite(c)
+            coeffs = _ip_coeffs(near_zero, kps, np.array(ts)[:, None, None])
+        for t, c3, c4 in zip(ts, coeffs[3].ravel(), coeffs[4].ravel()):
+            if not (math.isfinite(c3) and math.isfinite(c4)):
+                raise FilterConstantOverflow(t)
+        for c in coeffs:
+            finite &= np.isfinite(c)
         if not finite.all():
             k, i, j = np.argwhere(~finite)[0]
             raise InvalidGrid(
@@ -187,11 +202,19 @@ def default_all_t_grid_spec() -> GridSpec:
 
 @dataclass
 class StabilityGrid:
-    """Sweep result: verdicts[i][j] classifies (kp_values[i], alpha_values[j])."""
+    """Sweep result: verdicts[i][j] classifies (kp_values[i], alpha_values[j]),
+    and counts maps each verdict (stable, unstable, marginal, excluded, in
+    that order) to its number of cells."""
 
     spec: GridSpec
     verdicts: list
-    stable_fraction: float
+    counts: dict
+
+    @property
+    def stable_fraction(self) -> float:
+        """Stable cells over all cells."""
+        return self.counts[VERDICT_STABLE] / (int(self.spec.kp_axis[2])
+                                              * int(self.spec.alpha_axis[2]))
 
 
 def cell_verdict(kp: float, alpha: float, spec: GridSpec) -> str:
@@ -271,7 +294,7 @@ def _routh_block(kp, alpha, t):
 
 
 def sweep(spec: GridSpec) -> StabilityGrid:
-    """Classify every grid cell; stable_fraction counts stable over all cells.
+    """Classify and count every grid cell.
 
     Works in blocks of whole kp rows and, within a block, T by T in axis
     order, as cell_verdict does. The vector test (_routh_block) follows a
@@ -285,7 +308,7 @@ def sweep(spec: GridSpec) -> StabilityGrid:
     excluded = np.abs(alphas) < ALPHA_EXCLUSION
     rows_per_block = max(1, _BLOCK_CELLS // len(alphas))
     verdicts = []
-    stable = 0
+    counts = dict.fromkeys(_VERDICTS[:_FALLBACK].tolist(), 0)
     for start in range(0, len(kps), rows_per_block):
         kp = kps[start:start + rows_per_block, None]
         codes = np.zeros((len(kp), len(alphas)), np.intp)
@@ -304,11 +327,15 @@ def sweep(spec: GridSpec) -> StabilityGrid:
             if not undecided.any():
                 break
         rows = _VERDICTS[codes].tolist()
+        # the zip drops the _FALLBACK count: those cells count below, by
+        # the scalar verdict that replaces them
+        for verdict, count in zip(counts, np.bincount(codes.ravel(), minlength=_FALLBACK)):
+            counts[verdict] += int(count)
         for i, j in zip(*np.nonzero(codes == _FALLBACK)):
             rows[i][j] = cell_verdict(float(kp[i, 0]), float(alphas[j]), spec)
-        stable += sum(row.count(VERDICT_STABLE) for row in rows)
+            counts[rows[i][j]] += 1
         verdicts.extend(rows)
-    return StabilityGrid(spec, verdicts, stable / (len(kps) * len(alphas)))
+    return StabilityGrid(spec, verdicts, counts)
 
 
 def export_grid(grid: StabilityGrid, path) -> None:

@@ -1,12 +1,15 @@
 """Tests for scenario configuration, runners, and the command-line entry."""
 
 import contextlib
+import gc
 import hashlib
 import io
 import math
 import os
 import re
+import select
 import tempfile
+import weakref
 from dataclasses import fields
 
 import numpy as np
@@ -33,6 +36,7 @@ from ultralocal.control import ANALYSIS_FORM, DELAYED_INPUT, ESTIMATOR_VARIANTS
 from ultralocal.sim import (
     CONSTANT,
     SMOOTH_STEP,
+    Metrics,
     ReferenceTrajectory,
     SimulationTrace,
     load_trace_csv,
@@ -410,6 +414,10 @@ def test_main_requires_scenario(capsys):
     ("ipd-nominal", "duration=1e300", ("duration / h", "cap")),
     ("ipd-nominal", "h=1e-9", ("config key 'h' = 1e-09", "cap")),
     ("compare", "duration=1e-5", ("config key 'duration' = 1e-05", "ten steps")),
+    # T^2 overflows in every cell: the T's key is named, not the gain axes
+    ("stabmap-fixed-t", "t_value=1e300", ("config key 't_value': T = 1e+300 overflows the"
+                                          " quartic's coefficients 2T - T^2 and T^2",)),
+    ("stabmap-all-t", "t_axis=0.1,1e300", ("config key 't_axis': T = 1e+300 overflows",)),
 ])
 def test_main_rejects_unusable_values_naming_the_key(tmp_path, capsys, scenario, item, names):
     rc = main(["--scenario", scenario, "--out", str(tmp_path), "--set", item])
@@ -703,6 +711,83 @@ def test_worker_that_dies_mid_write_exits_1_naming_the_directory(tmp_path, capsy
     (line,) = captured.err.splitlines()
     assert line.startswith("error: ") and os.path.join(str(tmp_path), "ipd-delta") in line
     assert not (tmp_path / "ipd-delta" / "metrics.txt").exists()
+
+
+@needs_fork
+def test_compare_loops_run_in_both_processes(tmp_path, capsys, monkeypatch):
+    # each closed loop appends its process id to a file. This process
+    # holds its first loop until the child has started one (10 s at
+    # most), so both run loops whichever claims first.
+    test_pid = os.getpid()
+    pids = tmp_path / "pids"
+    real_run = cli.run_closed_loop
+    started, post = os.pipe()
+
+    def recording_run(*args, **kwargs):
+        with open(pids, "a") as fh:
+            fh.write("%d\n" % os.getpid())
+        if os.getpid() != test_pid:
+            os.write(post, b"x")
+        elif pids.read_text().split().count(str(test_pid)) == 1:
+            select.select([started], [], [], 10.0)
+        return real_run(*args, **kwargs)
+    monkeypatch.setattr(cli, "run_closed_loop", recording_run)
+    monkeypatch.setattr(pool, "usable_cores", lambda: 2)
+    forks = count_forks(monkeypatch)
+    try:
+        assert main(["--scenario", "compare", "--out", str(tmp_path / "out")] + _SHORT) == 0
+    finally:
+        os.close(started)
+        os.close(post)
+    assert len(forks) == 1
+    assert no_child_left()
+    ran = pids.read_text().split()
+    assert len(ran) == 6
+    assert len(set(ran)) == 2 and str(test_pid) in ran
+
+
+@pytest.mark.parametrize("cores", [1, 2])
+@pytest.mark.parametrize("scenario,runs", [("compare", 6), ("ip-attempt", 2)])
+def test_run_jobs_hands_the_caller_only_metrics(tmp_path, monkeypatch, cores, scenario,
+                                                runs):
+    # a trace file's job writes its trace and returns its Metrics alone
+    returned = []
+    real_run_jobs = cli.run_jobs
+
+    def recording_run_jobs(jobs):
+        returned.extend(real_run_jobs(jobs))
+        return returned
+    monkeypatch.setattr(cli, "run_jobs", recording_run_jobs)
+    monkeypatch.setattr(pool, "usable_cores", lambda: cores)
+    assert main(["--scenario", scenario, "--out", str(tmp_path)] + _SHORT) == 0
+    assert len(returned) == runs
+    assert all(type(r) is Metrics for r in returned)
+
+
+def test_run_scenario_holds_no_trace_once_a_job_returns(tmp_path, monkeypatch):
+    # every trace the loops make, this process running them all, is freed
+    # by the time its job has returned
+    traces = []
+    real_run = cli.run_closed_loop
+
+    def tracked_run(*args, **kwargs):
+        trace = real_run(*args, **kwargs)
+        traces.append(weakref.ref(trace))
+        return trace
+
+    def checked(job):
+        def run():
+            result = job()
+            gc.collect()
+            assert traces and all(ref() is None for ref in traces)
+            return result
+        return run
+    real_run_jobs = cli.run_jobs
+    monkeypatch.setattr(cli, "run_closed_loop", tracked_run)
+    monkeypatch.setattr(cli, "run_jobs", lambda jobs: real_run_jobs(list(map(checked, jobs))))
+    monkeypatch.setattr(pool, "usable_cores", lambda: 1)
+    run_scenario(_cfg("compare", out=tmp_path, duration=2))
+    assert len(traces) == 6
 
 
 # ---------------------------------------------------------------------------

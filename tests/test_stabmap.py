@@ -65,6 +65,9 @@ def test_grid_spec_validation():
     ((0.0, 1.0, 2), (0.0, 1.0, 2), (0.1, math.inf), "t_axis"),
     ((0.0, 1.0, 2), (0.0, 1.0, 2), (math.nan,), "t_axis"),
     ((0.0, 1.0, MAX_GRID_CELLS // 2 + 1), (0.0, 1.0, 2), (0.1,), "cap"),
+    # T^2 overflows in every cell: T is named as the cause, not the gain axes
+    ((0.0, 1.0, 2), (0.0, 1.0, 2), (1e300,),
+     r"^t_axis: T = 1e\+300 overflows the quartic's coefficients 2T - T\^2 and T\^2$"),
 ])
 def test_grid_spec_rejects_unusable_axes(kp_axis, alpha_axis, t_axis, match):
     with pytest.raises(InvalidGrid, match=match):
@@ -221,6 +224,11 @@ def _assert_sweep_equals_cell_verdict(spec):
     assert grid.verdicts == expected
     cells = len(expected) * len(expected[0])
     assert grid.stable_fraction == sum(row.count(VERDICT_STABLE) for row in expected) / cells
+    # each verdict's count, from the vector codes and the scalar verdicts
+    # of flagged cells, equals a recount
+    assert grid.counts == {v: sum(row.count(v) for row in expected)
+                           for v in _VERDICT_CONSTANTS}
+    assert list(grid.counts) == list(_VERDICT_CONSTANTS)
     # verdicts share the four string constants instead of holding copies
     assert all(any(v is c for c in _VERDICT_CONSTANTS) for row in grid.verdicts for v in row)
     return grid
