@@ -30,11 +30,17 @@ from .control import (
 BLOWUP_THRESHOLD = 1e3
 
 # Largest sample count duration / h a run may ask for. A logged run
-# (run_closed_loop) peaks at about 370 bytes per sample, mostly the Python
-# float lists of the four columns it reads and the four it logs while it
-# steps: about 370 MB at this cap. A flag-only run (closed_loop_diverges)
-# logs nothing and peaks at about 170 bytes per sample.
+# (run_closed_loop) peaks at about 140 bytes per sample, mostly the float
+# arrays of its input columns and of the trace it returns: about 140 MB
+# at this cap. A flag-only run (closed_loop_diverges) logs nothing and
+# peaks at about 50 bytes per sample. The Python float lists it steps
+# through are one block of _LOOP_BLOCK samples long.
 MAX_SAMPLES = 1_000_000
+
+# Samples per block of a closed-loop run: the input columns it reads are
+# turned into Python floats, and the columns it logs into arrays, a block
+# at a time.
+_LOOP_BLOCK = 4096
 
 # Rows per write of SimulationTrace.to_csv.
 _CSV_BLOCK_ROWS = 4096
@@ -394,14 +400,7 @@ def _simulate(log, plant, controller, estimator, reference, noise, h, duration, 
     if analysis:
         ea1, ea0, eb = estimator.plant_coeffs
 
-    u_log = []
-    y_log = []
-    v_log = []
-    fh_log = []
-    log_u = u_log.append
-    log_y = y_log.append
-    log_v = v_log.append
-    log_fh = fh_log.append
+    logged = []  # (u, y, ydot, f_hat) arrays of each block of samples
     isfinite = math.isfinite
     blowup = BLOWUP_THRESHOLD
 
@@ -421,71 +420,87 @@ def _simulate(log, plant, controller, estimator, reference, noise, h, duration, 
     last = n - 1
     # ydn_r is the reference derivative of the law's order: yd_ref for
     # nu = 1, ydd_ref otherwise (the oracle mode is second order)
-    columns = zip(range(n), noise_col.tolist(), y_ref.tolist(), yd_ref.tolist(),
-                  (yd_ref if nu == 1 else ydd_ref).tolist())
-    for k, nz, ys, yd_r, ydn_r in columns:
-        ym = y + nz
-        if estimating:
-            # the filter statements are control._lag_stages' and the f_hat
-            # statement replay_estimator's, so that a replay reproduces
-            # f_hat bit for bit: change both
-            e = ys - ym
-            if k:
-                s1 = keep * d1 + gain * ((ym - ym_prev) / h)
-                d2 = keep * d2 + gain * ((s1 - d1) / h)
-                d1 = s1
-            ym_prev = ym
-            f_hat = ((d1 if nu == 1 else d2)
-                     - alpha * ((d2 + ea1 * d1 + ea0 * ym) / eb if analysis else u_prev))
-            u = -(f_hat - ydn_r - kp * e - kd * (yd_r - d1 if derivative else 0.0)) / alpha
-        elif intelligent:
-            # oracle mode (the iPD): exact lumped term, on the true error
-            e = ys - y
-            u = (ydn_r + kp * e + kd * (yd_r - v) + a1 * v + a0 * y) / bd
-        else:
-            e = ys - ym
-            if k:
-                e_int += hh * (e_prev + e)
-                d1 = keep * d1 + gain * ((e - e_prev) / h)
-            e_prev = e
-            u = kp * e + ki * e_int + kd * d1
+    ydn_ref = yd_ref if nu == 1 else ydd_ref
+    # the input columns go to Python floats, and the logs to arrays, one
+    # block at a time, so that neither is held as lists for the whole run
+    for start in range(0, n, _LOOP_BLOCK):
+        block = slice(start, start + _LOOP_BLOCK)
+        u_log = []
+        y_log = []
+        v_log = []
+        fh_log = []
+        log_u = u_log.append
+        log_y = y_log.append
+        log_v = v_log.append
+        log_fh = fh_log.append
+        columns = zip(range(start, min(n, block.stop)), noise_col[block].tolist(),
+                      y_ref[block].tolist(), yd_ref[block].tolist(), ydn_ref[block].tolist())
+        for k, nz, ys, yd_r, ydn_r in columns:
+            ym = y + nz
+            if estimating:
+                # the filter statements are control._lag_stages' and the f_hat
+                # statement replay_estimator's, so that a replay reproduces
+                # f_hat bit for bit: change both
+                e = ys - ym
+                if k:
+                    s1 = keep * d1 + gain * ((ym - ym_prev) / h)
+                    d2 = keep * d2 + gain * ((s1 - d1) / h)
+                    d1 = s1
+                ym_prev = ym
+                f_hat = ((d1 if nu == 1 else d2)
+                         - alpha * ((d2 + ea1 * d1 + ea0 * ym) / eb if analysis else u_prev))
+                u = -(f_hat - ydn_r - kp * e - kd * (yd_r - d1 if derivative else 0.0)) / alpha
+            elif intelligent:
+                # oracle mode (the iPD): exact lumped term, on the true error
+                e = ys - y
+                u = (ydn_r + kp * e + kd * (yd_r - v) + a1 * v + a0 * y) / bd
+            else:
+                e = ys - ym
+                if k:
+                    e_int += hh * (e_prev + e)
+                    d1 = keep * d1 + gain * ((e - e_prev) / h)
+                e_prev = e
+                u = kp * e + ki * e_int + kd * d1
 
+            if log:
+                log_u(u)
+                log_y(y)
+                log_v(v)
+                log_fh(f_hat)
+
+            if abs(y) > blowup:
+                diverged = True
+                break
+            if k == last:
+                break
+            # RK4 over the step with u held: ydot = v, vdot = bd*u - a1*v - a0*y
+            fu = bd * u
+            k1v = fu - a1 * v - a0 * y
+            y2 = y + hh * v
+            v2 = v + hh * k1v
+            k2v = fu - a1 * v2 - a0 * y2
+            y3 = y + hh * v2
+            v3 = v + hh * k2v
+            k3v = fu - a1 * v3 - a0 * y3
+            y4 = y + h * v3
+            v4 = v + h * k3v
+            k4v = fu - a1 * v4 - a0 * y4
+            y, v = (y + h * (v + 2.0 * v2 + 2.0 * v3 + v4) / 6.0,
+                    v + h * (k1v + 2.0 * k2v + 2.0 * k3v + k4v) / 6.0)
+            if not (isfinite(y) and isfinite(v)):
+                diverged = True
+                break
+            u_prev = u
         if log:
-            log_u(u)
-            log_y(y)
-            log_v(v)
-            log_fh(f_hat)
-
-        if abs(y) > blowup:
-            diverged = True
+            logged.append((np.array(u_log), np.array(y_log), np.array(v_log),
+                           np.array(fh_log)))
+        if diverged or k == last:
             break
-        if k == last:
-            break
-        # RK4 over the step with u held: ydot = v, vdot = bd*u - a1*v - a0*y
-        fu = bd * u
-        k1v = fu - a1 * v - a0 * y
-        y2 = y + hh * v
-        v2 = v + hh * k1v
-        k2v = fu - a1 * v2 - a0 * y2
-        y3 = y + hh * v2
-        v3 = v + hh * k2v
-        k3v = fu - a1 * v3 - a0 * y3
-        y4 = y + h * v3
-        v4 = v + h * k3v
-        k4v = fu - a1 * v4 - a0 * y4
-        y, v = (y + h * (v + 2.0 * v2 + 2.0 * v3 + v4) / 6.0,
-                v + h * (k1v + 2.0 * k2v + 2.0 * k3v + k4v) / 6.0)
-        if not (isfinite(y) and isfinite(v)):
-            diverged = True
-            break
-        u_prev = u
 
     if not log:
         return diverged
-    m = len(u_log)
-    u = np.array(u_log)
-    y_true = np.array(y_log)
-    ydot = np.array(v_log)
+    u, y_true, ydot, fh_logged = (np.concatenate(column) for column in zip(*logged))
+    m = len(u)
     y_measured = y_true + noise_col[:m]
     with np.errstate(over="ignore", invalid="ignore"):
         yddot = bd * u - a1 * ydot - a0 * y_true
@@ -494,7 +509,7 @@ def _simulate(log, plant, controller, estimator, reference, noise, h, duration, 
         else:
             f_true = np.zeros(m)
     if estimating:
-        f_hat = np.array(fh_log)
+        f_hat = fh_logged
     else:
         f_hat = f_true.copy()
 

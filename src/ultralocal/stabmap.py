@@ -10,13 +10,14 @@ it runs those simulations on every core the process may use.
 The quartic's coefficients are built here (_ip_coeffs), for the vector
 sweep, the scalar cell_verdict, the root oracle quartic_max_real_root and
 GridSpec's overflow check alike. The sweep computes the quartic's Routh
-first column as numpy arrays over blocks of whole kp rows, with
-routh_hurwitz's float operations in their order, so every cell it
-decides gets the verdict the scalar table gives. Wherever a branch of
-the scalar table could fire (a trimmed leading coefficient, a zero row
-or pivot, a non-finite entry) the cell is flagged and classified by the
-scalar cell_verdict instead, which stays the reference the vector path
-is tested against.
+first column as numpy arrays, with routh_hurwitz's float operations in
+their order, so every cell it decides gets the verdict the scalar table
+gives. Two degenerate tables it decides in closed form, as the scalar
+does: a zero c0 (the whole kp = 0 row) and a lone zero c3 (every cell at
+T = 2). Wherever another branch of the scalar table could fire (a
+trimmed leading coefficient, a zero row or pivot, a non-finite entry)
+the cell is flagged and classified by the scalar cell_verdict instead,
+which stays the reference the vector path is tested against.
 """
 
 from __future__ import annotations
@@ -45,14 +46,16 @@ from .sim import NoiseModel, ReferenceTrajectory, closed_loop_diverges, example_
 ALPHA_EXCLUSION = 1e-9
 
 # Largest kp count x alpha count a grid may have: 100 times the default
-# 201x201 map. The verdict lists alone take about 8 bytes per cell.
+# 201x201 map. The sweep's codes take 1 byte per cell, and the verdict
+# lists, built on first use, about 8.
 MAX_GRID_CELLS = 4_000_000
 
 # The default kp and alpha axis of a map: [-5, 5] in 201 points.
 DEFAULT_AXIS = (-5.0, 5.0, 201)
 
-# Cells per block of the vector sweep, rounded down to whole kp rows (at
-# least one), so its temporaries stay small whatever the grid size.
+# Cells per block of the vector sweep (rounded down to whole kp rows, at
+# least one, at the first T), so its temporaries stay small whatever the
+# grid size.
 _BLOCK_CELLS = 4096
 
 VERDICT_STABLE = "stable"
@@ -200,21 +203,44 @@ def default_all_t_grid_spec() -> GridSpec:
     return GridSpec(DEFAULT_AXIS, DEFAULT_AXIS, default_t_axis(), FOR_ALL_T, 0)
 
 
+# A verdict's code is its index in this table: codes[i, j] of a
+# StabilityGrid classifies cell (i, j) as _VERDICTS[codes[i, j]], so
+# every verdict string is one of the shared constants.
+_VERDICTS = np.array([VERDICT_STABLE, VERDICT_UNSTABLE, VERDICT_MARGINAL,
+                      VERDICT_EXCLUDED], dtype=object)
+_STABLE, _UNSTABLE, _MARGINAL, _EXCLUDED = range(len(_VERDICTS))
+_CODES = {verdict: code for code, verdict in enumerate(_VERDICTS.tolist())}
+
+
 @dataclass
 class StabilityGrid:
-    """Sweep result: verdicts[i][j] classifies (kp_values[i], alpha_values[j]),
-    and counts maps each verdict (stable, unstable, marginal, excluded, in
-    that order) to its number of cells."""
+    """Sweep result: codes[i, j], an int8 index into the verdicts stable,
+    unstable, marginal, excluded (in that order), classifies
+    (kp_values[i], alpha_values[j]). verdicts holds the same as lists of
+    the verdict strings, and counts maps each verdict, in that order, to
+    its number of cells; both are derived from codes on first use."""
 
     spec: GridSpec
-    verdicts: list
-    counts: dict
+    codes: np.ndarray
+
+    @functools.cached_property
+    def verdicts(self) -> list:
+        return _VERDICTS[self.codes].tolist()
+
+    @functools.cached_property
+    def counts(self) -> dict:
+        return dict(zip(_VERDICTS.tolist(),
+                        np.bincount(self.codes.ravel(), minlength=len(_VERDICTS)).tolist()))
 
     @property
     def stable_fraction(self) -> float:
         """Stable cells over all cells."""
-        return self.counts[VERDICT_STABLE] / (int(self.spec.kp_axis[2])
-                                              * int(self.spec.alpha_axis[2]))
+        return self.counts[VERDICT_STABLE] / self.codes.size
+
+    def __eq__(self, other):
+        # the generated __eq__ would ask an array of cell comparisons for its truth
+        return (isinstance(other, StabilityGrid) and self.spec == other.spec
+                and np.array_equal(self.codes, other.codes))
 
 
 def cell_verdict(kp: float, alpha: float, spec: GridSpec) -> str:
@@ -236,36 +262,39 @@ def cell_verdict(kp: float, alpha: float, spec: GridSpec) -> str:
     return verdict
 
 
-# Verdict codes of the vector sweep index this table, so that every
-# verdict string is one of the shared constants. Code _FALLBACK marks a
-# flagged cell; its entry is replaced by the scalar verdict.
-_VERDICTS = np.array([VERDICT_STABLE, VERDICT_UNSTABLE, VERDICT_MARGINAL,
-                      VERDICT_EXCLUDED, VERDICT_MARGINAL], dtype=object)
-_STABLE, _UNSTABLE, _MARGINAL, _EXCLUDED, _FALLBACK = range(5)
+# The code of a cell the vector sweep flags, until the scalar
+# cell_verdict replaces it.
+_FALLBACK = len(_VERDICTS)
 
 
 def _routh_block(kp, alpha, t):
     """Routh test of the quartic at one T over a block of cells.
 
-    kp is a column and alpha a row; returns boolean arrays (unstable,
-    flagged) and the marginal cells, a boolean array or None when there
-    are none. The first column [c4, c3, b1, d1, e1] is computed with
-    routh_hurwitz's operations in its order. The table's last column is
-    all zeros, so its second-column entries b2, d2, e2 are c0, 0 and 0,
-    and e1 is c0, up to the sign of a zero, which is flagged.
+    kp and alpha broadcast against each other (a column and a row, or two
+    1-D arrays); returns boolean arrays (unstable, marginal, flagged). The
+    first column [c4, c3, b1, d1, e1] is computed with routh_hurwitz's
+    operations in its order. The table's last column is all zeros, so its
+    second-column entries b2, d2, e2 are c0, 0 and 0, and e1 is c0, up to
+    the sign of a zero.
 
     Flagged are a trimmed leading coefficient, non-finite values, and a
-    first-column entry within ROUTH_ZERO_REL_TOL of the coefficient
-    scale. The last covers the scalar's zero-row and zero-pivot branches:
-    every second-column entry is at most the scale. An unflagged cell is
-    unstable exactly when the scalar table has a sign change.
+    first-column entry b1 or d1 within ROUTH_ZERO_REL_TOL of the
+    coefficient scale. The last covers the scalar's zero-row and
+    zero-pivot branches: every second-column entry is at most the scale.
+    An unflagged cell is unstable exactly when the scalar table has a sign
+    change.
 
-    One degenerate case is decided here, as the scalar decides it: c3 a
-    lone zero of the s^3 row [c3, c1] (c3 = 2T - T^2 is one float per T,
-    exactly 0 at T = 2). The scalar then pivots on ROUTH_EPS_REL * scale
-    instead of c3, which gives other b1 and d1; the cell is unstable on a
-    sign change and marginal otherwise, unless a later entry is flagged.
-    A block without a small c3 in a finite cell pays for this one any().
+    Two degenerate cases are decided here, as the scalar decides them;
+    both may apply to one cell, and either makes the cell marginal unless
+    it is unstable or flagged:
+    - c0 within the zero tolerance (c0 = -kp/alpha, so the whole kp = 0
+      row): the s^0 row [e1, 0, 0] is a zero row, which the scalar
+      replaces by the derivative of the s^1 row [d1, 0, 0], so the last
+      first-column entry is d1 again and c0's sign does not count.
+    - c3 a lone zero of the s^3 row [c3, c1] (c3 = 2T - T^2 is one float
+      per T, exactly 0 at T = 2). The scalar then pivots on ROUTH_EPS_REL
+      * scale instead of c3, which gives other b1 and d1. A block without
+      a small c3 in a finite cell pays for this one any().
     """
     c0, c1, c2, c3, c4 = _ip_coeffs(alpha, kp, t)
     scale = np.maximum(np.maximum(np.abs(c0), np.abs(c1)),
@@ -273,7 +302,7 @@ def _routh_block(kp, alpha, t):
     zero_tol = ROUTH_ZERO_REL_TOL * scale
     finite = np.isfinite(scale)
     zero_pivot = abs(c3) <= zero_tol
-    lone = None
+    degenerate = np.abs(c0) <= zero_tol
     pivot = c3
     # an excluded alpha = 0 column has infinite coefficients: not a lone zero
     if (zero_pivot & finite).any():
@@ -281,61 +310,70 @@ def _routh_block(kp, alpha, t):
                 & (abs(c3) <= ROUTH_ZERO_REL_TOL * np.maximum(abs(c3), np.abs(c1))))
         pivot = np.where(lone, ROUTH_EPS_REL * scale, c3)
         zero_pivot &= ~lone
+        degenerate |= lone
     b1 = c2 - c4 * c1 / pivot
     d1 = c1 - pivot * c0 / b1
     flagged = ~(finite & np.isfinite(b1) & np.isfinite(d1))
     flagged |= zero_pivot
     flagged |= c4 <= TRIM_REL_TOL * scale
-    for entry in (b1, d1, c0):
+    for entry in (b1, d1):
         flagged |= np.abs(entry) <= zero_tol
-    unstable = (pivot < 0.0) | (b1 < 0.0) | (d1 < 0.0) | (c0 < 0.0)
-    marginal = None if lone is None else lone & ~flagged & ~unstable
+    unstable = (pivot < 0.0) | (b1 < 0.0) | (d1 < 0.0) | (c0 < -zero_tol)
+    marginal = degenerate & ~flagged & ~unstable
     return unstable, marginal, flagged
 
 
-def sweep(spec: GridSpec) -> StabilityGrid:
-    """Classify and count every grid cell.
+def _decide(codes, kp, alpha, t):
+    """Apply _routh_block at t to the cells of codes still followed
+    (stable or marginal so far), writing their new codes in place.
+    Returns the cells still followed: a flagged cell gets _FALLBACK and an
+    unstable one is decided, while a marginal one may yet turn unstable
+    or flagged at a later T."""
+    with np.errstate(all="ignore"):
+        unstable, marginal, flagged = _routh_block(kp, alpha, t)
+    followed = (codes == _STABLE) | (codes == _MARGINAL)
+    codes[followed & flagged] = _FALLBACK
+    followed &= ~flagged
+    codes[followed & unstable] = _UNSTABLE
+    followed &= ~unstable
+    codes[followed & marginal] = _MARGINAL
+    return followed
 
-    Works in blocks of whole kp rows and, within a block, T by T in axis
-    order, as cell_verdict does. The vector test (_routh_block) follows a
-    cell until it is unstable or flagged, a marginal cell included; a cell
-    flagged first is classified by the scalar cell_verdict, so the
-    verdicts equal cell_verdict's on every cell.
+
+def sweep(spec: GridSpec) -> StabilityGrid:
+    """Classify every grid cell.
+
+    Takes the T's in axis order, as cell_verdict does. The first T runs on
+    blocks of whole kp rows; each later T runs only on the cells still
+    followed (not yet unstable or flagged, a marginal cell included), in
+    1-D chunks of at most _BLOCK_CELLS. A flagged cell is classified by
+    the scalar cell_verdict, so the verdicts equal cell_verdict's on
+    every cell.
     """
     kps = spec.kp_values()
     alphas = spec.alpha_values()
     ts = spec.t_values()
-    excluded = np.abs(alphas) < ALPHA_EXCLUSION
+    codes = np.full((len(kps), len(alphas)), _STABLE, np.int8)
+    codes[:, np.abs(alphas) < ALPHA_EXCLUSION] = _EXCLUDED
+    followed = np.empty(codes.shape, bool)
     rows_per_block = max(1, _BLOCK_CELLS // len(alphas))
-    verdicts = []
-    counts = dict.fromkeys(_VERDICTS[:_FALLBACK].tolist(), 0)
     for start in range(0, len(kps), rows_per_block):
-        kp = kps[start:start + rows_per_block, None]
-        codes = np.zeros((len(kp), len(alphas)), np.intp)
-        codes[:, excluded] = _EXCLUDED
-        undecided = codes == _STABLE
-        for t in ts:
-            with np.errstate(all="ignore"):
-                unstable, marginal, flagged = _routh_block(kp, alphas, t)
-            codes[undecided & flagged] = _FALLBACK
-            undecided &= ~flagged
-            codes[undecided & unstable] = _UNSTABLE
-            undecided &= ~unstable
-            if marginal is not None:
-                # still followed: a later T may make it unstable or flagged
-                codes[undecided & marginal] = _MARGINAL
-            if not undecided.any():
-                break
-        rows = _VERDICTS[codes].tolist()
-        # the zip drops the _FALLBACK count: those cells count below, by
-        # the scalar verdict that replaces them
-        for verdict, count in zip(counts, np.bincount(codes.ravel(), minlength=_FALLBACK)):
-            counts[verdict] += int(count)
-        for i, j in zip(*np.nonzero(codes == _FALLBACK)):
-            rows[i][j] = cell_verdict(float(kp[i, 0]), float(alphas[j]), spec)
-            counts[rows[i][j]] += 1
-        verdicts.extend(rows)
-    return StabilityGrid(spec, verdicts, counts)
+        rows = slice(start, start + rows_per_block)
+        followed[rows] = _decide(codes[rows], kps[rows, None], alphas, ts[0])
+    cells = np.flatnonzero(followed)
+    flat = codes.reshape(-1)
+    for t in ts[1:]:
+        still = np.empty(len(cells), bool)
+        for start in range(0, len(cells), _BLOCK_CELLS):
+            chunk = cells[start:start + _BLOCK_CELLS]
+            i, j = np.divmod(chunk, len(alphas))
+            chunk_codes = flat[chunk]
+            still[start:start + _BLOCK_CELLS] = _decide(chunk_codes, kps[i], alphas[j], t)
+            flat[chunk] = chunk_codes
+        cells = cells[still]
+    for i, j in zip(*np.nonzero(codes == _FALLBACK)):
+        codes[i, j] = _CODES[cell_verdict(float(kps[i]), float(alphas[j]), spec)]
+    return StabilityGrid(spec, codes)
 
 
 def export_grid(grid: StabilityGrid, path) -> None:
@@ -350,15 +388,15 @@ def export_grid(grid: StabilityGrid, path) -> None:
         header, mid = "kp,alpha,verdict\n", ","
     else:
         header, mid = "kp,alpha,t,verdict\n", ",all,"
-    # each alpha's row tail for each verdict; a kp row is its tails joined
-    # by, and led by, the kp field
-    tails = [{v: "," + repr(alpha) + mid + v + "\n" for v in _VERDICTS.tolist()}
+    # each alpha's row tail for each verdict code; a kp row is its tails
+    # joined by, and led by, the kp field
+    tails = [["," + repr(alpha) + mid + v + "\n" for v in _VERDICTS.tolist()]
              for alpha in spec.alpha_values().tolist()]
     with open(path, "w", newline="\n") as fh:
         fh.write(header)
-        for kp, row in zip(spec.kp_values().tolist(), grid.verdicts):
+        for kp, row in zip(spec.kp_values().tolist(), grid.codes.tolist()):
             kp_field = repr(kp)
-            fh.write(kp_field + kp_field.join([t[v] for t, v in zip(tails, row)]))
+            fh.write(kp_field + kp_field.join([t[c] for t, c in zip(tails, row)]))
         fh.write("# stable_fraction = %s\n" % repr(grid.stable_fraction))
 
 
@@ -466,8 +504,6 @@ def cross_validate(grid: StabilityGrid, samples: int = 50, seed: int = 0,
     kps = spec.kp_values().tolist()
     alphas = spec.alpha_values().tolist()
     n_alpha = len(alphas)
-    # one scan of the grid; each pool reads its kp-major flat indices
-    verdicts = np.array(grid.verdicts, dtype=object)
 
     def off_band(verdict, flat):
         # the cells at the flat indices in turn, skipping those within the band
@@ -479,9 +515,10 @@ def cross_validate(grid: StabilityGrid, samples: int = 50, seed: int = 0,
 
     rng = np.random.default_rng(seed)
     pools = []
-    for verdict in (VERDICT_STABLE, VERDICT_UNSTABLE):
-        flat = np.flatnonzero(verdicts == verdict)
-        pools.append(off_band(verdict, flat[rng.permutation(len(flat))]))
+    for code in (_STABLE, _UNSTABLE):
+        # the kp-major flat indices of the cells with this verdict
+        flat = np.flatnonzero(grid.codes == code)
+        pools.append(off_band(_VERDICTS[code], flat[rng.permutation(len(flat))]))
 
     # round robin: one cell from each pool in turn, dropping a pool once empty
     picked = []

@@ -13,7 +13,8 @@ from forks import (another_thread_running, count_forks, forbid_processes, needs_
                    no_child_left)
 from ultralocal import pool, stabmap
 from ultralocal.control import ANALYSIS_FORM
-from ultralocal.poly import Polynomial, PolynomialError, StabilityKind, routh_hurwitz
+from ultralocal.poly import (ROUTH_ZERO_REL_TOL, Polynomial, PolynomialError, StabilityKind,
+                             routh_hurwitz)
 from ultralocal.stabmap import (
     ALPHA_EXCLUSION,
     FIXED_T,
@@ -212,6 +213,9 @@ def test_sweep_matches_cell_verdict():
     assert grid.stable_fraction == stable / 25
     # the middle alpha column is excluded, never stable
     assert all(grid.verdicts[i][2] == VERDICT_EXCLUDED for i in range(5))
+    # grids compare by spec and codes
+    assert sweep(spec) == grid
+    assert sweep(GridSpec((-1.0, 1.0, 5), (-0.4, 0.4, 5), (0.5,))) != grid
 
 
 _VERDICT_CONSTANTS = (VERDICT_STABLE, VERDICT_UNSTABLE, VERDICT_MARGINAL, VERDICT_EXCLUDED)
@@ -234,35 +238,41 @@ def _assert_sweep_equals_cell_verdict(spec):
     return grid
 
 
-@pytest.mark.parametrize("spec,vector_marginals", [
-    (default_grid_spec(), 0),
-    (default_all_t_grid_spec(), 0),
-    (GridSpec((-5.0, 5.0, 301), (-5.0, 5.0, 101), (0.37,)), 0),
-    (default_grid_spec(2.0), 0),
+@pytest.mark.parametrize("spec,vector_marginals,scalar_calls", [
+    # the kp = 0 row (c0 = 0) is decided in closed form: 9 of its cells
+    # are marginal, and only 3 cells elsewhere reach cell_verdict
+    (default_grid_spec(), 9, 3),
+    (default_all_t_grid_spec(), 0, 0),
+    (GridSpec((-5.0, 5.0, 301), (-5.0, 5.0, 101), (0.37,)), 3, 0),
+    (default_grid_spec(2.0), 0, 200),
     # T = 2 makes c3 = 0 a lone zero; where kp / alpha <= -1e9 the other
     # coefficients dwarf c4 = 4, so b1 = c2 - c4*c1/eps stays positive and
     # the table has no sign change: 6 of the 9 cells are marginal
-    (GridSpec((-1e6, -1e5, 3), (1e-4, 1e-3, 3), (2.0,)), 6),
+    (GridSpec((-1e6, -1e5, 3), (1e-4, 1e-3, 3), (2.0,)), 6, 0),
 ], ids=["default-fixed-t", "default-all-t", "301x101", "default-t2", "t2-marginal"])
-def test_sweep_equals_cell_verdict_on_full_grids(monkeypatch, spec, vector_marginals):
+def test_sweep_equals_cell_verdict_on_full_grids(monkeypatch, spec, vector_marginals,
+                                                 scalar_calls):
     # vector_marginals counts the marginal cells the vector path decides
-    # itself, never handing them to cell_verdict
-    sent = set()
+    # itself, never handing them to cell_verdict; scalar_calls counts the
+    # cells it does hand over
+    sent = []
     real = stabmap.cell_verdict
     monkeypatch.setattr(stabmap, "cell_verdict",
-                        lambda kp, alpha, spec: sent.add((kp, alpha)) or real(kp, alpha, spec))
+                        lambda kp, alpha, spec: sent.append((kp, alpha)) or real(kp, alpha, spec))
     grid = _assert_sweep_equals_cell_verdict(spec)
+    assert len(sent) == scalar_calls
     cells = [(kp, alpha) for kp in spec.kp_values().tolist()
              for alpha in spec.alpha_values().tolist()]
     verdicts = [v for row in grid.verdicts for v in row]
+    sent = set(sent)
     assert sum(v == VERDICT_MARGINAL and cell not in sent
                for cell, v in zip(cells, verdicts)) == vector_marginals
 
 
 def test_t2_map_hands_only_its_degenerate_rows_to_the_scalar_table(monkeypatch):
     # at T = 2, c3 = 2T - T^2 is exactly 0 in every cell; the vector sweep
-    # decides that lone zero itself, so only the kp = 0 row (c0 = 0) and
-    # the kp = 0.25 row (c1 = 0, a zero s^3 row) reach cell_verdict
+    # decides that lone zero and the kp = 0 row's zero c0 itself, so only
+    # the kp = 0.25 row (c1 = 0, a zero s^3 row) reaches cell_verdict
     calls = []
     real = stabmap.cell_verdict
     monkeypatch.setattr(stabmap, "cell_verdict",
@@ -270,8 +280,8 @@ def test_t2_map_hands_only_its_degenerate_rows_to_the_scalar_table(monkeypatch):
     spec = default_grid_spec(2.0)
     sweep(spec)
     included = int(np.count_nonzero(np.abs(spec.alpha_values()) >= ALPHA_EXCLUSION))
-    assert sorted(set(calls)) == [0.0, 0.25]
-    assert len(calls) == 2 * included
+    assert sorted(set(calls)) == [0.25]
+    assert len(calls) == included
 
 
 def test_lone_zero_c3_closed_form_equals_the_scalar_table(monkeypatch):
@@ -294,6 +304,40 @@ def test_lone_zero_c3_closed_form_equals_the_scalar_table(monkeypatch):
             kind == StabilityKind.UNSTABLE, kind == StabilityKind.MARGINAL)
         kinds[kind] += 1
     assert min(kinds.values()) > 100
+
+
+@pytest.mark.parametrize("t", [0.1, 0.37, 2.0])
+def test_zero_c0_closed_form_equals_the_scalar_table(monkeypatch, t):
+    # quartics t^2 s^4 + (2t - t^2) s^3 + c2 s^2 + c1 s + c0 with c0 = +0.0,
+    # -0.0 or 0 < |c0| <= the zero tolerance, mixed in one block, fed to
+    # _routh_block through its coefficient function: every cell it decides
+    # gets the scalar table's verdict, and it decides nearly all of them
+    rng = np.random.default_rng(11)
+    shape = (60, 50)
+    sign = lambda: rng.choice([-1.0, 1.0], shape)
+    c3, c4 = 2.0 * t - t * t, t * t
+    c1 = sign() * 10.0 ** rng.uniform(-2.0, 2.0, shape)
+    c2 = sign() * 10.0 ** rng.uniform(-2.0, 2.0, shape)
+    tiny = (sign() * rng.uniform(0.01, 0.99, shape) * ROUTH_ZERO_REL_TOL
+            * np.maximum(np.maximum(np.abs(c1), np.abs(c2)), max(abs(c3), c4)))
+    c0 = np.choose(rng.integers(0, 3, shape), [np.zeros(shape), -np.zeros(shape), tiny])
+    monkeypatch.setattr(stabmap, "_ip_coeffs", lambda a, kp, t: (c0, c1, c2, c3, c4))
+    with np.errstate(all="ignore"):
+        unstable, marginal, flagged = stabmap._routh_block(np.zeros((60, 1)), np.zeros(50), t)
+    assert np.count_nonzero(flagged) < 0.01 * flagged.size
+    kinds = {StabilityKind.UNSTABLE: 0, StabilityKind.MARGINAL: 0}
+    for i, j in zip(*np.nonzero(~flagged)):
+        kind = routh_hurwitz(Polynomial([c0[i, j], c1[i, j], c2[i, j], c3, c4])).kind
+        assert (bool(unstable[i, j]), bool(marginal[i, j])) == (
+            kind == StabilityKind.UNSTABLE, kind == StabilityKind.MARGINAL)
+        kinds[kind] += 1
+    assert kinds[StabilityKind.UNSTABLE] > 100
+    if t == 2.0:
+        # the lone zero c3 pivots on a tiny epsilon, so b1 and d1 have
+        # opposite signs: every decided cell is unstable
+        assert kinds[StabilityKind.MARGINAL] == 0
+    else:
+        assert kinds[StabilityKind.MARGINAL] > 100
 
 
 @st.composite
@@ -332,6 +376,8 @@ def _grid_specs(draw):
 @example(GridSpec((1e6, 2e6, 2), (-0.2, 0.2, 2), (1e-3,)))
 # on the Hurwitz boundary: the third Routh row is ~1e-15, a zero row, marginal
 @example(GridSpec((-0.8258533954434202, 0.0, 2), (0.2, 1.0, 2), (0.1,)))
+# every cell excluded: no cell is left for the later T's
+@example(GridSpec((-1.0, 1.0, 5), (-5e-10, 5e-10, 2), (0.1, 2.0), FOR_ALL_T))
 def test_sweep_equals_cell_verdict_on_drawn_grids(spec):
     _assert_sweep_equals_cell_verdict(spec)
 
@@ -382,7 +428,7 @@ def test_sweep_works_in_row_blocks(monkeypatch, kp_axis, alpha_axis):
     sizes = []
 
     def spy(kp, alpha, t):
-        sizes.append(kp.size * alpha.size)
+        sizes.append(np.broadcast(kp, alpha).size)
         return real(kp, alpha, t)
 
     monkeypatch.setattr(stabmap, "_routh_block", spy)
