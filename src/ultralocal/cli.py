@@ -314,9 +314,12 @@ def _delta_metrics_lines(entries: dict) -> list:
             for line in _metrics_lines("%s_delta%s" % key, m)]
 
 
-def _tuned_laws(cfg: ScenarioConfig) -> dict:
-    """The tuned iPD and classic PID, as kind -> (controller, estimator)."""
-    return {"ipd": tuned_ipd_controller(cfg), "pid": (tuned_pid_controller(cfg), None)}
+def _tuned_laws(cfg: ScenarioConfig, kinds=("ipd", "pid")) -> dict:
+    """The tuned law of each of kinds ("ipd", "pid"), as kind ->
+    (controller, estimator); only those kinds' poles are checked."""
+    tuners = {"ipd": lambda: tuned_ipd_controller(cfg),
+              "pid": lambda: (tuned_pid_controller(cfg), None)}
+    return {kind: tuners[kind]() for kind in kinds}
 
 
 def _measured_run(cfg: ScenarioConfig, noise: NoiseModel, law: tuple, delta: float,
@@ -358,7 +361,7 @@ def _trace_files(jobs: dict) -> dict:
 
 
 def _scenario_tracking(cfg: ScenarioConfig, kind: str):
-    jobs = _loop_jobs(cfg, {kind: _tuned_laws(cfg)[kind]})
+    jobs = _loop_jobs(cfg, _tuned_laws(cfg, (kind,)))
     return _trace_files(jobs), lambda results: (
         ["seed = %d" % cfg.seed] + _delta_metrics_lines(dict(zip(jobs, results))))
 

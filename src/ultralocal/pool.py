@@ -61,47 +61,21 @@ def _run_claimed(jobs, bounds: list, tokens: int) -> tuple:
     return results, None
 
 
-def _unsendable(index: int, raised: bool, type_name: str, exc: Exception) -> RuntimeError:
-    return RuntimeError("job %d %s a %s, which a worker process cannot send back: %s"
-                        % (index, "raised" if raised else "returned", type_name, exc))
-
-
-def _dumped(outcome: tuple) -> list:
-    """The outcome's return values in job order, then its exception if
-    any, as entries (index, raised, type name, pickled value). The first
-    value pickle cannot dump ends the list, as a RuntimeError naming its
-    job and type."""
+def _sendable(outcome: tuple) -> tuple:
+    """The outcome with its first value that does not survive a pickle
+    round trip, and every value after it, replaced by a RuntimeError
+    naming that job and the value's type."""
     results, error = outcome
-    values = [(index, False, value) for index, value in results.items()]
-    if error is not None:
-        values.append((error[0], True, error[1]))
-    entries = []
-    for index, raised, value in values:
-        name = type(value).__name__
+    entries = list(results.items()) + ([error] if error is not None else [])
+    for n, (index, value) in enumerate(entries):
         try:
-            entries.append((index, raised, name, pickle.dumps(value)))
+            pickle.loads(pickle.dumps(value))
         except Exception as exc:
-            entries.append((index, True, "RuntimeError",
-                            pickle.dumps(_unsendable(index, raised, name, exc))))
-            break
-    return entries
-
-
-def _loaded(entries: list) -> tuple:
-    """The outcome, ({index: return value}, (index, exception) or None),
-    that _dumped's entries hold, each value unpickled once. The first
-    value pickle cannot load ends it, as a RuntimeError naming its job
-    and type."""
-    results = {}
-    for index, raised, name, data in entries:
-        try:
-            value = pickle.loads(data)
-        except Exception as exc:
-            return results, (index, _unsendable(index, raised, name, exc))
-        if raised:
-            return results, (index, value)
-        results[index] = value
-    return results, None
+            how = "raised" if n == len(results) else "returned"
+            return dict(entries[:n]), (index, RuntimeError(
+                "job %d %s a %s, which a worker process cannot send back: %s"
+                % (index, how, type(value).__name__, exc)))
+    return outcome
 
 
 def _fork_worker(jobs, bounds: list, tokens: int) -> tuple:
@@ -120,9 +94,9 @@ def _fork_worker(jobs, bounds: list, tokens: int) -> tuple:
         code = 1
         try:
             os.close(read_end)
-            entries = _dumped(_run_claimed(jobs, bounds, tokens))
+            outcome = _run_claimed(jobs, bounds, tokens)
             os.close(tokens)
-            payload = pickle.dumps(entries)
+            payload = pickle.dumps(_sendable(outcome))
             with open(write_end, "wb") as out:
                 out.write(payload)
             code = 0
@@ -143,11 +117,9 @@ def _received(payload: bytes, status: int) -> tuple:
     """The outcome a child sent, or an empty one and how the child ended
     if it ended without sending one."""
     try:
-        entries = pickle.loads(payload)
+        return pickle.loads(payload), None
     except (EOFError, pickle.UnpicklingError):  # it ended before sending all of it
         pass
-    else:
-        return _loaded(entries), None
     code = os.waitstatus_to_exitcode(status)
     return ({}, None), "by signal %d" % -code if code < 0 else "with status %d" % code
 
@@ -185,8 +157,7 @@ def run_jobs(jobs: list) -> list:
             os.close(token_writer)
         for _ in range(workers - 1):
             children.append(_fork_worker(jobs, bounds, tokens))
-        # the same pickle round trip as a child's values take
-        outcomes = [_loaded(_dumped(_run_claimed(jobs, bounds, tokens)))]
+        outcomes = [_sendable(_run_claimed(jobs, bounds, tokens))]
         payloads = [_read_to_end(read_end) for _, read_end in children]
         failed = False
     finally:

@@ -36,6 +36,7 @@ from ultralocal.control import ANALYSIS_FORM, DELAYED_INPUT, ESTIMATOR_VARIANTS
 from ultralocal.sim import (
     CONSTANT,
     SMOOTH_STEP,
+    TRACE_COLUMNS,
     Metrics,
     ReferenceTrajectory,
     SimulationTrace,
@@ -373,6 +374,27 @@ def test_compare_controllers_entries():
     assert all(w in ("ipd", "pid") for w in report.winners.values())
 
 
+@needs_fork
+def test_compare_controllers_traces_cross_the_pool_intact(monkeypatch):
+    # full-length runs: each trace is ~1.6 MB, the package's one path that
+    # sends megabyte values back from a forked worker
+    cfg = _cfg("compare", delta="0.8,0.5")
+    monkeypatch.setattr(pool, "usable_cores", lambda: 1)
+    expected_report, expected_traces = compare_controllers(cfg)
+    monkeypatch.setattr(pool, "usable_cores", lambda: 2)
+    forks = count_forks(monkeypatch)
+    report, traces = compare_controllers(cfg)
+    assert len(forks) == 1
+    assert report == expected_report
+    assert traces.keys() == expected_traces.keys()
+    for key, trace in traces.items():
+        expected = expected_traces[key]
+        for name in TRACE_COLUMNS:
+            assert getattr(trace, name).tobytes() == getattr(expected, name).tobytes()
+        assert trace.diverged == expected.diverged
+        assert trace.meta == expected.meta
+
+
 # ---------------------------------------------------------------------------
 # main()
 
@@ -615,6 +637,19 @@ def _run_and_hash(capsys, out, argv):
     digests = {p.relative_to(out).as_posix(): hashlib.sha256(p.read_bytes()).hexdigest()
                for p in out.rglob("*") if p.is_file()}
     return rc, wrote, digests
+
+
+@pytest.mark.parametrize("scenario,item", [
+    ("ipd-nominal", "pid_pole=1e120"),
+    ("ipd-delta", "pid_pole=1e120"),
+    ("pid-nominal", "ipd_pole=1e160"),
+    ("pid-delta", "ipd_pole=1e160"),
+])
+def test_tracking_scenario_ignores_the_other_laws_pole(tmp_path, capsys, scenario, item):
+    argv = ["--scenario", scenario] + _SHORT
+    expected = _run_and_hash(capsys, tmp_path / "default", argv)
+    assert expected[0] == 0
+    assert _run_and_hash(capsys, tmp_path / "other", argv + ["--set", item]) == expected
 
 
 @needs_fork
