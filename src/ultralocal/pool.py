@@ -1,14 +1,23 @@
 """Independent jobs across the usable cores: forked children and the caller.
 
-The sampled closed loops of stabmap.cross_validate and the runs of a
-CLI scenario (each simulating its closed loop and writing its trace
-file) are each a list of jobs that share nothing, and their costs
-differ: a stable closed loop runs every step, a diverging one stops
-early. run_jobs therefore hands the jobs out on demand. Before it
-forks min(usable cores, jobs) - 1 children, it writes one token per job
-(per contiguous chunk of jobs, for long lists) into a pipe; each child
-and the calling process then take one token at a time until the pipe is
-empty, so no process waits while another still has jobs queued.
+Three callers hand run_jobs a list of jobs that share nothing:
+stabmap.cross_validate (one sampled closed loop per job), the CLI
+scenarios (one per run, simulating its closed loop and writing its trace
+file), and sim's trace CSV I/O (SimulationTrace.to_csv writes, and
+load_trace_csv parses, one contiguous part of one file's rows per job,
+the parts cut by part_bounds). Their costs differ: a stable closed loop
+runs every step, a diverging one stops early. run_jobs therefore hands
+the jobs out on demand. Before it forks min(processes(), jobs) - 1
+children, it writes one token per job (per contiguous chunk of jobs,
+for long lists) into a pipe; each child and the calling process then
+take one token at a time until the pipe is empty, so no process waits
+while another still has jobs queued.
+
+processes() is the one rule for how many processes a call may use: the
+usable cores, or 1 inside a job of a run_jobs call that forked (in a
+child and in the caller alike), with no fork on the platform, or while
+other threads run. A trace file that a scenario's job writes is thus one
+part, and that scenario forks only for its jobs.
 
 A job is a callable taking no argument, at times a closure (a lambda
 over a stability grid) that pickle cannot send. The children inherit
@@ -31,6 +40,12 @@ import threading
 _TOKEN_BYTES = 2
 _MAX_TOKENS = 2048
 
+# Whether this process is running the jobs of a run_jobs call that forked:
+# set in the caller for the call's duration and inherited by its children
+# through the fork. It describes the process, not a caller, so it is
+# module state.
+_in_forked_call = False
+
 
 class WorkerLost(RuntimeError):
     """A worker process ended (a signal, os._exit, the OOM killer) before
@@ -43,6 +58,24 @@ def usable_cores() -> int:
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
+
+
+def processes() -> int:
+    """How many processes a run_jobs call made now may use: the usable
+    cores, or 1 inside a job of a run_jobs call that forked, without
+    fork on the platform, or while other threads are running (a fork
+    copies their locks in whatever state they are)."""
+    if _in_forked_call or not hasattr(os, "fork") or threading.active_count() > 1:
+        return 1
+    return usable_cores()
+
+
+def part_bounds(size: int, floor: int) -> list:
+    """Bounds of near-equal contiguous parts of range(size): one part per
+    process a run_jobs call may use, but none shorter than floor unless
+    it is the only one. Part k is range(bounds[k], bounds[k + 1])."""
+    parts = max(1, min(processes(), size // floor))
+    return [size * k // parts for k in range(parts + 1)]
 
 
 def _run_claimed(jobs, bounds: list, tokens: int) -> tuple:
@@ -127,7 +160,7 @@ def _received(payload: bytes, status: int) -> tuple:
 def run_jobs(jobs: list) -> list:
     """Each job's return value, in the jobs' order.
 
-    min(usable cores, jobs) processes run the jobs: forked children and
+    min(processes(), jobs) processes run the jobs: forked children and
     this one. Each takes the next unclaimed job (up to 2,048 tokens, each
     a contiguous chunk of a longer list) when it is free, and stops at its
     first job that raises. Every child is reaped before this returns or
@@ -136,12 +169,13 @@ def run_jobs(jobs: list) -> list:
     came back, because the child that claimed it died, raises a
     WorkerLost naming that job; and a return value or exception that
     pickle cannot send back, whichever process ran its job, raises a
-    RuntimeError naming its job. With one worker, no fork on the platform,
-    or other threads running (a fork copies their locks in whatever state
-    they are), the jobs run here instead, one after another.
+    RuntimeError naming its job. Where processes() or the job count is 1,
+    the jobs run here instead, one after another; a run_jobs call inside
+    a job of a call that forked runs so, and forks nothing.
     """
-    workers = min(usable_cores(), len(jobs))
-    if workers < 2 or not hasattr(os, "fork") or threading.active_count() > 1:
+    global _in_forked_call
+    workers = min(processes(), len(jobs))
+    if workers < 2:
         return [job() for job in jobs]
     n_tokens = min(len(jobs), _MAX_TOKENS)
     bounds = [len(jobs) * k // n_tokens for k in range(n_tokens + 1)]
@@ -149,6 +183,7 @@ def run_jobs(jobs: list) -> list:
     children = []   # (pid, read end) of each forked worker
     statuses = []
     failed = True
+    _in_forked_call = True
     try:
         try:
             os.write(token_writer, b"".join(k.to_bytes(_TOKEN_BYTES, "little")
@@ -161,6 +196,7 @@ def run_jobs(jobs: list) -> list:
         payloads = [_read_to_end(read_end) for _, read_end in children]
         failed = False
     finally:
+        _in_forked_call = False
         os.close(tokens)
         for pid, read_end in children:
             os.close(read_end)

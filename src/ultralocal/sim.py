@@ -9,7 +9,12 @@ logged alongside for analysis.
 
 from __future__ import annotations
 
+import functools
+import io
 import math
+import os
+import shutil
+import tempfile
 import warnings
 from dataclasses import dataclass, field
 
@@ -24,6 +29,7 @@ from .control import (
     EstimatorConfig,
     filter_constants,
 )
+from .pool import part_bounds, run_jobs
 
 # |y_true| beyond this is treated as loop divergence; the trace is truncated
 # at the first crossing sample and flagged.
@@ -42,8 +48,13 @@ MAX_SAMPLES = 1_000_000
 # at a time.
 _LOOP_BLOCK = 4096
 
-# Rows per write of SimulationTrace.to_csv.
+# Rows per write of SimulationTrace.to_csv, and the fewest rows of one of
+# its parts; and the fewest body bytes of one part of load_trace_csv. A
+# part is a pool.run_jobs job, and a job of its own can cost a fork, 2 to
+# 3.5 ms in a 50-60 MB process on a 2-vCPU VM: a block's rows take about
+# 20 ms to format there, and _READ_PART_BYTES of rows about 6 ms to parse.
 _CSV_BLOCK_ROWS = 4096
+_READ_PART_BYTES = 1 << 19
 
 TRACE_COLUMNS = ("t", "u", "y_true", "y_measured", "y_ref", "e", "f_hat", "f_true")
 
@@ -192,43 +203,157 @@ class SimulationTrace:
     def to_csv(self, path) -> None:
         """Write the pinned columns with repr floats (round-trip exact), LF endings.
 
-        Rows are formatted and written in blocks of _CSV_BLOCK_ROWS, so the
-        text of a long trace is never held in memory whole.
+        The rows are cut into contiguous parts (pool.part_bounds, none
+        shorter than _CSV_BLOCK_ROWS rows), each written by one
+        pool.run_jobs job: the first straight into the file after the
+        header, the others into anonymous spill files in the file's
+        directory, which are then appended in order. A short trace, and a
+        trace written inside a job of a run_jobs call that forked, is one
+        part, written here. Rows are formatted and written in blocks of
+        _CSV_BLOCK_ROWS, and spill files copied in bounded chunks, so the
+        text of a long trace is never held in memory whole. The bytes do
+        not depend on the part count.
         """
-        with open(path, "w", newline="\n") as fh:
-            fh.write(",".join(TRACE_COLUMNS) + "\n")
-            for start in range(0, len(self), _CSV_BLOCK_ROWS):
-                stop = start + _CSV_BLOCK_ROWS
-                cols = [map(repr, getattr(self, name)[start:stop].tolist())
-                        for name in TRACE_COLUMNS]
-                fh.write("\n".join(map(",".join, zip(*cols))) + "\n")
+        bounds = part_bounds(len(self), _CSV_BLOCK_ROWS)
+        with open(path, "wb") as fh:
+            fh.write((",".join(TRACE_COLUMNS) + "\n").encode())
+            fh.flush()  # before any fork, so that the header is written once
+            spills = []
+            try:
+                for _ in bounds[2:]:
+                    spills.append(tempfile.TemporaryFile(
+                        dir=os.path.dirname(os.path.abspath(path))))
+                run_jobs([functools.partial(self._write_rows, out, start, stop)
+                          for out, start, stop in zip([fh] + spills, bounds, bounds[1:])])
+                for spill in spills:
+                    fh.seek(0, os.SEEK_END)  # past the parts before, whichever process wrote them
+                    spill.seek(0)
+                    shutil.copyfileobj(spill, fh)
+            finally:
+                for spill in spills:
+                    spill.close()
+
+    def _write_rows(self, out, start: int, stop: int) -> None:
+        """CSV rows start to stop into the binary handle out, flushed before
+        this returns: a forked child leaves through os._exit, which flushes
+        nothing."""
+        for first in range(start, stop, _CSV_BLOCK_ROWS):
+            last = min(stop, first + _CSV_BLOCK_ROWS)
+            cols = [map(repr, getattr(self, name)[first:last].tolist())
+                    for name in TRACE_COLUMNS]
+            out.write(("\n".join(map(",".join, zip(*cols))) + "\n").encode())
+        out.flush()
+
+
+class _ByteRange(io.RawIOBase):
+    """Bytes start to stop of a file, as a raw stream with a handle of its own."""
+
+    def __init__(self, path, start: int, stop: int):
+        self._file = open(path, "rb", buffering=0)
+        self._file.seek(start)
+        self._left = stop - start
+
+    def readable(self) -> bool:
+        return True
+
+    def readinto(self, buffer) -> int:
+        n = self._file.readinto(memoryview(buffer)[:self._left])
+        self._left -= n
+        return n
+
+    def close(self) -> None:
+        self._file.close()
+        super().close()
+
+
+def _lines(path, start: int, stop: int) -> io.TextIOWrapper:
+    """Bytes start to stop of a file as text, its lines split as
+    open(path, newline="") splits them."""
+    return io.TextIOWrapper(io.BufferedReader(_ByteRange(path, start, stop)), newline="")
+
+
+def _parse_rows(path, start: int, stop: int) -> np.ndarray:
+    """The rows of bytes start to stop of a trace CSV, as a 2-D array."""
+    with _lines(path, start, stop) as lines, warnings.catch_warnings():
+        # a range of empty lines is an empty part, not a fault
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+        return np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
+
+
+def _ragged_row(path, start: int, stop: int):
+    """A ValueError naming the first row of the body (bytes start to stop,
+    after a one-line header) whose field count differs from the body's
+    first row's, by its line in the file; None if every row has one
+    width. An empty line is no row, as for np.loadtxt."""
+    width = None
+    with _lines(path, start, stop) as lines:
+        for number, line in enumerate(lines, 2):
+            line = line.rstrip("\r\n")
+            if not line:
+                continue
+            fields = line.count(",") + 1
+            if width is None:
+                width = fields
+            elif fields != width:
+                return ValueError("%s: line %d has %d fields, the rows above it %d"
+                                  % (path, number, fields, width))
+    return None
+
+
+def _line_start(fh, offset: int) -> int:
+    """The first line start at or after offset in the binary file fh."""
+    fh.seek(offset - 1)
+    while (chunk := fh.readline(1 << 16)) and not chunk.endswith(b"\n"):
+        pass
+    return fh.tell()
 
 
 def load_trace_csv(path) -> dict[str, np.ndarray]:
     """Read a trace CSV back into a column dict (inverse of to_csv).
 
-    numpy's C reader parses the rows with the same correctly rounded
-    string-to-double as float(), so repr-written floats load bit for bit.
-    A header-only file gives empty columns; an empty file or header line,
-    a name the header repeats, a ragged row, or rows whose width differs
-    from the header's, raises ValueError.
+    The body is cut at line starts into byte ranges (pool.part_bounds,
+    none shorter than _READ_PART_BYTES), each parsed as a stream of its
+    lines by np.loadtxt in one pool.run_jobs job, and the parts are
+    joined in order. numpy's C reader parses the rows with the same
+    correctly rounded string-to-double as float(), so repr-written floats
+    load bit for bit, whatever the part count. A header-only file gives
+    empty columns; an empty file or header line, a name the header
+    repeats, a ragged row (named by its line in the file), or rows whose
+    width differs from the header's, raises ValueError.
     """
     with open(path, "r", newline="") as fh:
-        line = fh.readline().strip()
-        if not line:
-            raise ValueError("%s: no header line" % (path,))
-        header = line.split(",")
-        if len(set(header)) != len(header):
-            repeated = sorted(name for name in set(header) if header.count(name) > 1)
-            raise ValueError("%s: the header repeats column %s"
-                             % (path, ", ".join(map(repr, repeated))))
-        with warnings.catch_warnings():
-            # a header-only file is an empty trace, not a fault
-            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-            data = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2)
-    if data.size == 0:
-        data = data.reshape(0, len(header))
-    elif data.shape[1] != len(header):
+        first = fh.readline()
+        body = len(first.encode(fh.encoding))
+        size = os.fstat(fh.fileno()).st_size
+    line = first.strip()
+    if not line:
+        raise ValueError("%s: no header line" % (path,))
+    header = line.split(",")
+    if len(set(header)) != len(header):
+        repeated = sorted(name for name in set(header) if header.count(name) > 1)
+        raise ValueError("%s: the header repeats column %s"
+                         % (path, ", ".join(map(repr, repeated))))
+    with open(path, "rb") as fh:
+        cuts = [_line_start(fh, body + offset)
+                for offset in part_bounds(size - body, _READ_PART_BYTES)[1:-1]]
+    cuts = [body] + cuts + [size]
+    try:
+        parts = run_jobs([functools.partial(_parse_rows, path, start, stop)
+                          for start, stop in zip(cuts, cuts[1:]) if start < stop])
+    except ValueError:
+        parts = None
+    if parts is None or len({part.shape[1] for part in parts if part.size}) > 1:
+        # name the ragged row by its line in the file; any other fault is
+        # numpy's to report, for the body parsed as one stream
+        ragged = _ragged_row(path, body, size)
+        if ragged is not None:
+            raise ragged
+        parts = [_parse_rows(path, body, size)]
+    parts = [part for part in parts if part.size]
+    if not parts:
+        return {name: np.empty(0) for name in header}
+    data = np.concatenate(parts) if len(parts) > 1 else parts[0]
+    if data.shape[1] != len(header):
         raise ValueError("%s: the header names %d columns but the rows have %d fields"
                          % (path, len(header), data.shape[1]))
     return {name: data[:, i] for i, name in enumerate(header)}

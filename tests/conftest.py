@@ -5,6 +5,7 @@ import os
 import pytest
 
 from forks import no_child_left
+from ultralocal import pool
 
 
 @pytest.fixture(autouse=True)
@@ -25,3 +26,9 @@ def handoff():
     yield (lambda: os.read(read_end, 1), lambda n=1: os.write(write_end, b"x" * n))
     os.close(read_end)
     os.close(write_end)
+
+
+@pytest.fixture
+def cores(monkeypatch):
+    """Set the usable core count that pool.processes sees."""
+    return lambda n: monkeypatch.setattr(pool, "usable_cores", lambda: n)

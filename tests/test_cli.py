@@ -669,6 +669,24 @@ def test_scenario_files_do_not_depend_on_the_core_count(tmp_path, capsys, monkey
     assert one_core[0] == 0 and len(one_core[2]) == len(one_core[1]) >= 3
 
 
+@needs_fork
+@pytest.mark.parametrize("scenario", ["ipd-nominal", "ipd-delta"])
+def test_full_length_traces_fork_once_whatever_the_scenario(tmp_path, capsys, monkeypatch,
+                                                            scenario):
+    # 20,001-row traces: ipd-nominal's one trace file is written in two
+    # parts, one by a forked child; ipd-delta's two runs are split across
+    # the processes instead, and each writes its trace whole
+    argv = ["--scenario", scenario]
+    monkeypatch.setattr(pool, "usable_cores", lambda: 1)
+    one_core = _run_and_hash(capsys, tmp_path / "one", argv)
+    monkeypatch.setattr(pool, "usable_cores", lambda: 2)
+    forks = count_forks(monkeypatch)
+    two_cores = _run_and_hash(capsys, tmp_path / "two", argv)
+    assert len(forks) == 1
+    assert no_child_left()
+    assert two_cores == one_core and one_core[0] == 0
+
+
 @pytest.mark.parametrize("argv", [
     ["--scenario", "ipd-nominal"] + _SHORT,
     ["--scenario", "stabmap-fixed-t", "--set", "kp_axis=-1,1,5"],

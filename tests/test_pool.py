@@ -55,12 +55,6 @@ def time_limit():
         signal.signal(signal.SIGALRM, previous)
 
 
-@pytest.fixture
-def cores(monkeypatch):
-    """Set the usable core count run_jobs sees."""
-    return lambda n: monkeypatch.setattr(pool, "usable_cores", lambda: n)
-
-
 @needs_fork
 @pytest.mark.parametrize("n_cores", [2, 3])
 def test_a_waiting_job_holds_its_worker_while_another_claims_every_other_job(
@@ -271,3 +265,66 @@ def test_forking_jobs_loads_no_multiprocessing():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, timeout=60, check=True).stdout
     assert out.strip() == "[]"
+
+
+@needs_fork
+def test_run_jobs_inside_a_job_of_a_forked_call_forks_nothing(monkeypatch, cores, handoff):
+    # each job runs a run_jobs call of its own and counts the forks its
+    # process made meanwhile; this process holds its first job until the
+    # child has run one, so both processes run nested calls
+    wait, post = handoff
+    test_pid = os.getpid()
+    waited = []
+    cores(2)
+    forks = count_forks(monkeypatch)
+
+    def nested():
+        before = len(forks)
+        pids = run_jobs([os.getpid] * 3)
+        if os.getpid() != test_pid:
+            post()
+        elif not waited:
+            waited.append(wait())
+        return len(forks) - before, pids == [os.getpid()] * 3, os.getpid()
+    results = run_jobs([nested] * 4)
+    assert len(forks) == 1
+    assert [result[:2] for result in results] == [(0, True)] * 4
+    assert len({result[2] for result in results}) == 2
+    assert no_child_left()
+
+
+@needs_fork
+def test_processes_is_one_only_inside_a_forked_call(cores):
+    cores(3)
+    assert pool.processes() == 3
+    assert run_jobs([pool.processes] * 4) == [1] * 4
+    assert run_jobs([pool.processes]) == [3]        # one job runs here, unforked
+    with pytest.raises(JobFailure):
+        run_jobs([pool.processes, functools.partial(_fail_at, {1}, 1)])
+    assert pool.processes() == 3
+    assert no_child_left()
+
+
+def test_processes_is_one_where_run_jobs_runs_here(monkeypatch, cores):
+    cores(1)
+    assert pool.processes() == 1
+    cores(2)
+    with another_thread_running():
+        assert pool.processes() == 1
+    assert pool.processes() == 2
+    monkeypatch.delattr(os, "fork")
+    assert pool.processes() == 1
+
+
+@pytest.mark.parametrize("n_cores,size,floor,bounds", [
+    (1, 20001, 4096, [0, 20001]),
+    (2, 20001, 4096, [0, 10000, 20001]),
+    (3, 20001, 4096, [0, 6667, 13334, 20001]),
+    (8, 20001, 4096, [0, 5000, 10000, 15000, 20001]),
+    (3, 8191, 4096, [0, 8191]),
+    (3, 0, 4096, [0, 0]),
+])
+def test_part_bounds_give_each_process_one_part_of_at_least_the_floor(
+        cores, n_cores, size, floor, bounds):
+    cores(n_cores)
+    assert pool.part_bounds(size, floor) == bounds

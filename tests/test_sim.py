@@ -1,7 +1,10 @@
 """Tests for the plant model, references, noise, closed loop, and metrics."""
 
+import errno
 import math
+import os
 import re
+import tempfile
 import warnings
 
 import numpy as np
@@ -9,7 +12,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from loop_oracle import _rk4
+from forks import count_forks, needs_fork, no_child_left
+from loop_oracle import _rk4, to_csv_reference
+from ultralocal import sim
 from ultralocal.control import (
     ANALYSIS_FORM,
     ConfigMismatch,
@@ -31,6 +36,7 @@ from ultralocal.sim import (
     load_trace_csv,
     run_closed_loop,
 )
+from ultralocal.pool import WorkerLost
 
 H = 1e-3
 EXAMPLE_COEFFS = (-1.0, 0.0, 1.0)
@@ -365,7 +371,8 @@ def test_load_trace_csv_rejects_a_ragged_row(tmp_path):
         fh.write(",".join(TRACE_COLUMNS) + "\n")
         fh.write(",".join(["1.0"] * 8) + "\n")
         fh.write(",".join(["1.0"] * 7) + "\n")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^%s$" % re.escape(
+            "%s: line 3 has 7 fields, the rows above it 8" % path)):
         load_trace_csv(path)
 
 
@@ -401,6 +408,216 @@ def test_load_trace_csv_rejects_a_repeated_column_name(tmp_path, header, repeate
     with pytest.raises(ValueError, match=re.escape("%s: the header repeats column %s"
                                                    % (path, repeated))):
         load_trace_csv(path)
+
+
+# ---------------------------------------------------------------------------
+# Trace CSV across cores: one file's rows cut into parts, one pool job each
+
+# 20,001 rows, four blocks: one part per core up to four cores, cut
+# unevenly (10,000 and 10,001 rows at two cores)
+def _full_run():
+    return _nominal_run(sigma=0.01, seed=13)
+
+
+def _diverged_run():
+    # a positive-feedback iPD: truncated at sample 14,937
+    trace = run_closed_loop(
+        example_plant(1.0), ControllerSpec.ipd(-0.5, 0.0, alpha=0.5), _estimator(),
+        ReferenceTrajectory.constant(0.0), NoiseModel(0.01, 3), h=H, duration=20.0,
+        y0=-0.05)
+    assert trace.diverged and len(trace) == 14938
+    return trace
+
+
+def _bits_trace(n):
+    return _float_trace(np.random.default_rng(n).integers(
+        0, 2 ** 64, n, dtype=np.uint64).view(np.float64))
+
+
+_WRITTEN = {
+    "one-row": lambda: _float_trace(np.array([-0.0])),
+    "under-two-blocks": lambda: _bits_trace(2 * sim._CSV_BLOCK_ROWS - 1),
+    # two parts of a block and five rows each: a part's last write is
+    # smaller than a file buffer
+    "two-blocks-and-ten-rows": lambda: _bits_trace(2 * sim._CSV_BLOCK_ROWS + 10),
+    "diverged": _diverged_run,
+    "20001-rows": _full_run,
+}
+
+
+@pytest.fixture(scope="module", params=list(_WRITTEN))
+def written(request):
+    return _WRITTEN[request.param]()
+
+
+@pytest.fixture
+def spills(monkeypatch):
+    """The spill files the writer makes from now on."""
+    made = []
+    real = tempfile.TemporaryFile
+
+    def recording(*args, **kwargs):
+        made.append(real(*args, **kwargs))
+        return made[-1]
+    monkeypatch.setattr(tempfile, "TemporaryFile", recording)
+    return made
+
+
+@needs_fork
+@pytest.mark.parametrize("n_cores", [1, 2, 3, 4])
+def test_to_csv_bytes_do_not_depend_on_the_core_count(tmp_path, monkeypatch, cores, spills,
+                                                      written, n_cores):
+    reference = tmp_path / "reference.csv"
+    to_csv_reference(written, reference)
+    path = tmp_path / "trace.csv"
+    cores(n_cores)
+    forks = count_forks(monkeypatch)
+    written.to_csv(path)
+    parts = max(1, min(n_cores, len(written) // sim._CSV_BLOCK_ROWS))
+    assert path.read_bytes() == reference.read_bytes()
+    assert len(forks) == len(spills) == parts - 1
+    assert all(spill.closed for spill in spills)
+    assert sorted(os.listdir(tmp_path)) == ["reference.csv", "trace.csv"]
+    assert no_child_left()
+
+
+# One row of four special values each, the zero's sign, NaN, the
+# infinities, subnormals and the extremes, rotating, beside four random
+# doubles: every part boundary falls between two such rows.
+_SPECIAL = ["-0.0", "nan", "inf", "-inf", "5e-324", "1e-320", "2.2250738585072014e-308",
+            "1.7976931348623157e+308", "-1.7976931348623157e+308", "0.1", "-2"]
+
+
+def _special_csv(path, rows, widths=None):
+    """Write a CRLF trace CSV of rows rows; return its columns as float()
+    reads them. widths maps a line of the file (1 is the header) to the
+    fields it is given instead of eight, and then nothing is returned."""
+    values = np.random.default_rng(rows).integers(
+        0, 2 ** 64, (rows, 4), dtype=np.uint64).view(np.float64)
+    lines = [",".join(TRACE_COLUMNS)]
+    for i, row in enumerate(values.tolist()):
+        special = [_SPECIAL[(i + k) % len(_SPECIAL)] for k in range(4)]
+        lines.append(",".join(special + list(map(repr, row))))
+    for line, fields in (widths or {}).items():
+        lines[line - 1] = ",".join((lines[line - 1].split(",") + ["1.0"])[:fields])
+    path.write_bytes(("\r\n".join(lines) + "\r\n").encode())
+    if widths:
+        return None
+    return np.array([[float(x) for x in line.split(",")] for line in lines[1:]]).T
+
+
+@needs_fork
+@pytest.mark.parametrize("n_cores", [1, 2, 3, 4])
+def test_load_trace_csv_bits_do_not_depend_on_the_core_count(tmp_path, monkeypatch, cores,
+                                                             n_cores):
+    path = tmp_path / "trace.csv"
+    expected = _special_csv(path, 24000)
+    cores(n_cores)
+    forks = count_forks(monkeypatch)
+    data = load_trace_csv(path)
+    assert path.stat().st_size > 4 * sim._READ_PART_BYTES
+    assert len(forks) == n_cores - 1
+    assert list(data) == list(TRACE_COLUMNS)
+    for name, column in zip(TRACE_COLUMNS, expected):
+        assert data[name].tobytes() == column.tobytes()
+    assert no_child_left()
+
+
+@needs_fork
+@pytest.mark.parametrize("n_cores", [1, 2, 3])
+@pytest.mark.parametrize("fields", [7, 9])
+def test_load_trace_csv_names_a_ragged_row_by_its_line_in_the_file(tmp_path, cores, n_cores,
+                                                                    fields):
+    # the ragged row sits in the last part
+    path = tmp_path / "trace.csv"
+    _special_csv(path, 24000, {23990: fields})
+    cores(n_cores)
+    with pytest.raises(ValueError, match="^%s$" % re.escape(
+            "%s: line 23990 has %d fields, the rows above it 8" % (path, fields))):
+        load_trace_csv(path)
+    assert no_child_left()
+
+
+@needs_fork
+@pytest.mark.parametrize("n_cores", [1, 2])
+def test_load_trace_csv_names_the_first_row_of_a_narrower_part(tmp_path, cores, n_cores):
+    # every row of the second half has seven fields, its eighth blanked
+    # out to spaces, which keeps the byte offsets: at two cores that half
+    # is a part of its own, narrower than the first, though no part is
+    # ragged
+    path = tmp_path / "trace.csv"
+    _special_csv(path, 24000)
+    text = path.read_bytes()
+    body = text.index(b"\n") + 1
+    cut = text.index(b"\n", body + (len(text) - body) // 2 - 1) + 1
+    line = text.count(b"\n", 0, cut) + 1
+    tail = [row[:row.rindex(b",")].ljust(len(row)) if row else row
+            for row in text[cut:].split(b"\r\n")]
+    path.write_bytes(text[:cut] + b"\r\n".join(tail))
+    assert path.stat().st_size == len(text)
+    cores(n_cores)
+    with pytest.raises(ValueError, match="^%s$" % re.escape(
+            "%s: line %d has 7 fields, the rows above it 8" % (path, line))):
+        load_trace_csv(path)
+
+
+@needs_fork
+def test_a_child_that_dies_writing_its_part_raises_worker_lost(tmp_path, monkeypatch, cores,
+                                                               spills, handoff):
+    # this process holds its part until the child has claimed the other,
+    # in which the child dies
+    wait, post = handoff
+    test_pid = os.getpid()
+    real_write_rows = SimulationTrace._write_rows
+
+    def dying(trace, out, start, stop):
+        if os.getpid() != test_pid:
+            post()
+            os._exit(3)
+        wait()
+        real_write_rows(trace, out, start, stop)
+    monkeypatch.setattr(SimulationTrace, "_write_rows", dying)
+    cores(2)
+    with pytest.raises(WorkerLost, match="ended with status 3"):
+        _full_run().to_csv(tmp_path / "trace.csv")
+    assert no_child_left()
+    assert len(spills) == 1 and spills[0].closed
+    assert os.listdir(tmp_path) == ["trace.csv"]
+
+
+@needs_fork
+@pytest.mark.parametrize("n_cores", [2, 3])
+def test_an_os_error_in_a_part_reaches_the_caller(tmp_path, monkeypatch, cores, spills,
+                                                  n_cores):
+    # every part after the first fails, whichever process writes or
+    # parses it
+    real_write_rows = SimulationTrace._write_rows
+    real_parse_rows = sim._parse_rows
+    full = tmp_path / "full.csv"
+    trace = _full_run()
+    trace.to_csv(full)
+
+    def write_rows(trace, out, start, stop):
+        if start:
+            raise OSError(errno.ENOSPC, "no space in part", "spill")
+        real_write_rows(trace, out, start, stop)
+
+    def parse_rows(path, start, stop):
+        if start > full.stat().st_size // 3:
+            raise OSError(errno.EIO, "unreadable part", str(path))
+        return real_parse_rows(path, start, stop)
+    monkeypatch.setattr(SimulationTrace, "_write_rows", write_rows)
+    monkeypatch.setattr(sim, "_parse_rows", parse_rows)
+    cores(n_cores)
+    with pytest.raises(OSError, match="no space in part") as info:
+        trace.to_csv(tmp_path / "trace.csv")
+    assert info.value.errno == errno.ENOSPC
+    with pytest.raises(OSError, match="unreadable part") as info:
+        load_trace_csv(full)
+    assert info.value.errno == errno.EIO
+    assert all(spill.closed for spill in spills)
+    assert sorted(os.listdir(tmp_path)) == ["full.csv", "trace.csv"]
+    assert no_child_left()
 
 
 # ---------------------------------------------------------------------------
