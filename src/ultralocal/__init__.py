@@ -35,10 +35,11 @@ from .sim import (
     ReferenceTrajectory,
     SimulationTrace,
     TRACE_COLUMNS,
-    closed_loop_diverges,
     compute_metrics,
     example_plant,
     load_trace_csv,
+    loop_matrix,
+    regulation_diverged,
     run_closed_loop,
 )
 from .stabmap import (

@@ -1,7 +1,6 @@
 """Independent jobs across the usable cores: forked children and the caller.
 
-Three callers hand run_jobs a list of jobs that share nothing:
-stabmap.cross_validate (one sampled closed loop per job), the CLI
+Two callers hand run_jobs a list of jobs that share nothing: the CLI
 scenarios (one per run, simulating its closed loop and writing its trace
 file), and sim's trace CSV I/O (SimulationTrace.to_csv writes, and
 load_trace_csv parses, one contiguous part of one file's rows per job,

@@ -35,13 +35,21 @@ from .pool import part_bounds, run_jobs
 # at the first crossing sample and flagged.
 BLOWUP_THRESHOLD = 1e3
 
-# Largest sample count duration / h a run may ask for. A logged run
+# Largest sample count duration / h a run may ask for. A run
 # (run_closed_loop) peaks at about 140 bytes per sample, mostly the float
 # arrays of its input columns and of the trace it returns: about 140 MB
-# at this cap. A flag-only run (closed_loop_diverges) logs nothing and
-# peaks at about 50 bytes per sample. The Python float lists it steps
-# through are one block of _LOOP_BLOCK samples long.
+# at this cap. The Python float lists it steps through are one block of
+# _LOOP_BLOCK samples long.
 MAX_SAMPLES = 1_000_000
+
+# regulation_diverged reads the y and v of _FLAG_BLOCK samples at once,
+# from a stack of _FLAG_BLOCK (y, v) row pairs of matrix powers per loop,
+# for _FLAG_LOOPS loops at a time: about 0.25 MB of 6-wide rows. A value
+# decides a flag only if it is more than _FLAG_MARGIN, relative, from the
+# threshold: the matrix and the simulated loop differ by about 1e-12.
+_FLAG_BLOCK = 256
+_FLAG_LOOPS = 10
+_FLAG_MARGIN = 1e-6
 
 # Samples per block of a closed-loop run: the input columns it reads are
 # turned into Python floats, and the columns it logs into arrays, a block
@@ -280,23 +288,48 @@ def _parse_rows(path, start: int, stop: int) -> np.ndarray:
         return np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
 
 
-def _ragged_row(path, start: int, stop: int):
+def _faulty_row(path, start: int, stop: int):
     """A ValueError naming the first row of the body (bytes start to stop,
     after a one-line header) whose field count differs from the body's
-    first row's, by its line in the file; None if every row has one
-    width. An empty line is no row, as for np.loadtxt."""
+    first row's, or a field of which np.loadtxt cannot read, by its line
+    in the file; None if it finds none. An empty line is no row, as for
+    np.loadtxt."""
     width = None
     with _lines(path, start, stop) as lines:
         for number, line in enumerate(lines, 2):
             line = line.rstrip("\r\n")
             if not line:
                 continue
-            fields = line.count(",") + 1
+            fields = line.split(",")
             if width is None:
-                width = fields
-            elif fields != width:
+                width = len(fields)
+            elif len(fields) != width:
                 return ValueError("%s: line %d has %d fields, the rows above it %d"
-                                  % (path, number, fields, width))
+                                  % (path, number, len(fields), width))
+            field = _unread_field(line, fields)
+            if field is not None:
+                return ValueError("%s: line %d: %r is not a number" % (path, number, field))
+    return None
+
+
+def _unread_field(line: str, fields: list):
+    """The first field of a body line that np.loadtxt cannot read as a
+    float; None where it reads the whole line. An ASCII field without an
+    underscore reads as float() reads it; numpy reads no underscore and
+    no other digits than ASCII ones."""
+    for field in fields:
+        if not (field.isascii() and "_" not in field):
+            break
+        try:
+            float(field)
+        except ValueError:
+            break
+    else:
+        return None
+    try:
+        np.loadtxt([line], delimiter=",", comments=None, ndmin=2)
+    except ValueError:
+        return field
     return None
 
 
@@ -318,8 +351,9 @@ def load_trace_csv(path) -> dict[str, np.ndarray]:
     correctly rounded string-to-double as float(), so repr-written floats
     load bit for bit, whatever the part count. A header-only file gives
     empty columns; an empty file or header line, a name the header
-    repeats, a ragged row (named by its line in the file), or rows whose
-    width differs from the header's, raises ValueError.
+    repeats, a ragged row or a field that is not a number (named by its
+    line in the file), or rows whose width differs from the header's,
+    raises ValueError.
     """
     with open(path, "r", newline="") as fh:
         first = fh.readline()
@@ -343,11 +377,11 @@ def load_trace_csv(path) -> dict[str, np.ndarray]:
     except ValueError:
         parts = None
     if parts is None or len({part.shape[1] for part in parts if part.size}) > 1:
-        # name the ragged row by its line in the file; any other fault is
+        # name the faulty row by its line in the file; any other fault is
         # numpy's to report, for the body parsed as one stream
-        ragged = _ragged_row(path, body, size)
-        if ragged is not None:
-            raise ragged
+        fault = _faulty_row(path, body, size)
+        if fault is not None:
+            raise fault
         parts = [_parse_rows(path, body, size)]
     parts = [part for part in parts if part.size]
     if not parts:
@@ -402,6 +436,44 @@ def compute_metrics(trace: SimulationTrace) -> Metrics:
     return Metrics(rmse, iae, tail, trace.diverged)
 
 
+def sample_count(h: float, duration: float) -> int:
+    """Samples of a closed-loop run; ValueError unless h is positive and
+    finite and duration / h is at least ten and at most MAX_SAMPLES."""
+    if not (h > 0.0 and math.isfinite(h)):
+        raise ValueError("h must be positive, got %r" % (h,))
+    if duration < 10.0 * h:
+        raise ValueError("duration must cover at least ten steps")
+    if not duration / h <= MAX_SAMPLES:
+        raise ValueError("duration / h = %r samples, above the cap of %d"
+                         % (duration / h, MAX_SAMPLES))
+    return int(round(duration / h)) + 1
+
+
+def _check_loop(plant, controller, estimator, y0, ydot0, use_oracle_estimator,
+                pid_filter_time) -> None:
+    """Raise for a loop run_closed_loop cannot run: a non-finite start, or
+    a controller that its estimator, or the oracle mode, does not fit."""
+    for name, value in (("y0", y0), ("ydot0", ydot0)):
+        if not math.isfinite(value):
+            raise ValueError("%s must be finite, got %r" % (name, value))
+    if use_oracle_estimator:
+        if controller.kind != IPD:
+            raise ConfigMismatch("oracle estimator mode requires the iPD law")
+        if plant.b * plant.delta == 0.0:
+            raise ConfigMismatch("oracle estimator mode needs b*delta != 0")
+    elif controller.kind != CLASSIC_PID:
+        if estimator is None:
+            raise ConfigMismatch("intelligent controller needs an estimator config")
+        if estimator.nu != controller.nu:
+            raise ConfigMismatch(
+                "estimator order %d does not match controller order %d"
+                % (estimator.nu, controller.nu))
+        if estimator.alpha != controller.alpha:
+            raise ConfigMismatch("estimator and controller alpha must match")
+    elif not (pid_filter_time > 0.0 and math.isfinite(pid_filter_time)):
+        raise ValueError("pid_filter_time must be positive, got %r" % (pid_filter_time,))
+
+
 def run_closed_loop(plant: LtiPlant, controller: ControllerSpec,
                     estimator: EstimatorConfig | None,
                     reference: ReferenceTrajectory, noise: NoiseModel,
@@ -436,68 +508,14 @@ def run_closed_loop(plant: LtiPlant, controller: ControllerSpec,
     Time, noise and reference columns are computed before the loop and
     the columns derived from u, y and ydot after it. The tests hold every
     column bit-identical to the frozen per-sample loop in
-    tests/loop_oracle.py, and f_hat to replay_estimator.
-    closed_loop_diverges runs the same loop and logs nothing.
+    tests/loop_oracle.py, and f_hat to replay_estimator. _lane_step is the
+    same step over arrays, without noise, reference or the oracle mode.
     """
-    return _simulate(True, plant, controller, estimator, reference, noise, h, duration,
-                     y0, ydot0, use_oracle_estimator, pid_filter_time, meta)
-
-
-def closed_loop_diverges(plant: LtiPlant, controller: ControllerSpec,
-                         estimator: EstimatorConfig | None,
-                         reference: ReferenceTrajectory, noise: NoiseModel,
-                         h: float = 1e-3, duration: float = 20.0,
-                         y0: float = 0.0, ydot0: float = 0.0,
-                         pid_filter_time: float = 0.1) -> bool:
-    """run_closed_loop(...).diverged, from the same loop with nothing logged.
-
-    For callers that need only the flag: no sample is appended to a log,
-    and no column or meta dict is built after the loop.
-    """
-    return _simulate(False, plant, controller, estimator, reference, noise, h, duration,
-                     y0, ydot0, False, pid_filter_time, None)
-
-
-def sample_count(h: float, duration: float) -> int:
-    """Samples of a closed-loop run; ValueError unless h is positive and
-    finite and duration / h is at least ten and at most MAX_SAMPLES."""
-    if not (h > 0.0 and math.isfinite(h)):
-        raise ValueError("h must be positive, got %r" % (h,))
-    if duration < 10.0 * h:
-        raise ValueError("duration must cover at least ten steps")
-    if not duration / h <= MAX_SAMPLES:
-        raise ValueError("duration / h = %r samples, above the cap of %d"
-                         % (duration / h, MAX_SAMPLES))
-    return int(round(duration / h)) + 1
-
-
-def _simulate(log, plant, controller, estimator, reference, noise, h, duration, y0, ydot0,
-              use_oracle_estimator, pid_filter_time, meta):
-    # the loop of run_closed_loop (log true: returns the trace) and of
-    # closed_loop_diverges (log false: returns the diverged flag)
     n = sample_count(h, duration)
-    for name, value in (("y0", y0), ("ydot0", ydot0)):
-        if not math.isfinite(value):
-            raise ValueError("%s must be finite, got %r" % (name, value))
+    _check_loop(plant, controller, estimator, y0, ydot0, use_oracle_estimator,
+                pid_filter_time)
     kind = controller.kind
     intelligent = kind != CLASSIC_PID
-
-    if use_oracle_estimator:
-        if kind != IPD:
-            raise ConfigMismatch("oracle estimator mode requires the iPD law")
-        if plant.b * plant.delta == 0.0:
-            raise ConfigMismatch("oracle estimator mode needs b*delta != 0")
-    elif intelligent:
-        if estimator is None:
-            raise ConfigMismatch("intelligent controller needs an estimator config")
-        if estimator.nu != controller.nu:
-            raise ConfigMismatch(
-                "estimator order %d does not match controller order %d"
-                % (estimator.nu, controller.nu))
-        if estimator.alpha != controller.alpha:
-            raise ConfigMismatch("estimator and controller alpha must match")
-    elif not (pid_filter_time > 0.0 and math.isfinite(pid_filter_time)):
-        raise ValueError("pid_filter_time must be positive, got %r" % (pid_filter_time,))
 
     t = np.arange(n) * h
     noise_col = noise.sequence(n)
@@ -587,11 +605,10 @@ def _simulate(log, plant, controller, estimator, reference, noise, h, duration, 
                 e_prev = e
                 u = kp * e + ki * e_int + kd * d1
 
-            if log:
-                log_u(u)
-                log_y(y)
-                log_v(v)
-                log_fh(f_hat)
+            log_u(u)
+            log_y(y)
+            log_v(v)
+            log_fh(f_hat)
 
             if abs(y) > blowup:
                 diverged = True
@@ -616,14 +633,11 @@ def _simulate(log, plant, controller, estimator, reference, noise, h, duration, 
                 diverged = True
                 break
             u_prev = u
-        if log:
-            logged.append((np.array(u_log), np.array(y_log), np.array(v_log),
-                           np.array(fh_log)))
+        logged.append((np.array(u_log), np.array(y_log), np.array(v_log),
+                       np.array(fh_log)))
         if diverged or k == last:
             break
 
-    if not log:
-        return diverged
     u, y_true, ydot, fh_logged = (np.concatenate(column) for column in zip(*logged))
     m = len(u)
     y_measured = y_true + noise_col[:m]
@@ -652,3 +666,161 @@ def _simulate(log, plant, controller, estimator, reference, noise, h, duration, 
         t=t[:m], u=u, y_true=y_true, y_measured=y_measured, y_ref=y_ref[:m],
         e=y_ref[:m] - y_measured, f_hat=f_hat, f_true=f_true,
         ydot_true=ydot, yddot_true=yddot, h=h, diverged=diverged, meta=trace_meta)
+
+
+def _lane_step(state, plant, controller, estimator, h, pid_filter_time, first=False):
+    """One step of run_closed_loop's loop without noise, with a zero
+    reference and without the oracle mode, over lanes.
+
+    state holds floats or numpy arrays of one shape, one lane per
+    element: (y, v, ym_prev, d1, d2, u_prev) for the iP and iPD,
+    (y, v, e_prev, e_int, d1) for the classic PID, as the loop holds them
+    before a sample. Returns the state after it: the law's statements,
+    then RK4, with every noise and reference value the 0.0 the loop sees.
+    first runs sample 0, which only primes the filter memories.
+    """
+    a1, a0, bd = plant.a1, plant.a0, plant.b * plant.delta
+    kp, ki, kd = controller.kp, controller.ki, controller.kd
+    hh = 0.5 * h
+    if controller.kind != CLASSIC_PID:
+        y, v, ym_prev, d1, d2, u_prev = state
+        keep, gain = filter_constants(estimator.t_filter, h)
+        ym = y + 0.0
+        e = 0.0 - ym
+        if not first:
+            s1 = keep * d1 + gain * ((ym - ym_prev) / h)
+            d2 = keep * d2 + gain * ((s1 - d1) / h)
+            d1 = s1
+        u_sub = u_prev
+        if estimator.variant == ANALYSIS_FORM:
+            ea1, ea0, eb = estimator.plant_coeffs
+            u_sub = (d2 + ea1 * d1 + ea0 * ym) / eb
+        f_hat = (d1 if controller.nu == 1 else d2) - controller.alpha * u_sub
+        u = -(f_hat - 0.0 - kp * e
+              - kd * (0.0 - d1 if controller.kind == IPD else 0.0)) / controller.alpha
+        memory = (ym, d1, d2, u)
+    else:
+        y, v, e_prev, e_int, d1 = state
+        keep, gain = filter_constants(pid_filter_time, h)
+        e = 0.0 - (y + 0.0)
+        if not first:
+            e_int = e_int + hh * (e_prev + e)
+            d1 = keep * d1 + gain * ((e - e_prev) / h)
+        u = kp * e + ki * e_int + kd * d1
+        memory = (e, e_int, d1)
+    fu = bd * u
+    k1v = fu - a1 * v - a0 * y
+    y2 = y + hh * v
+    v2 = v + hh * k1v
+    k2v = fu - a1 * v2 - a0 * y2
+    y3 = y + hh * v2
+    v3 = v + hh * k2v
+    k3v = fu - a1 * v3 - a0 * y3
+    y4 = y + h * v3
+    v4 = v + h * k3v
+    k4v = fu - a1 * v4 - a0 * y4
+    return (y + h * (v + 2.0 * v2 + 2.0 * v3 + v4) / 6.0,
+            v + h * (k1v + 2.0 * k2v + 2.0 * k3v + k4v) / 6.0) + memory
+
+
+def loop_matrix(plant: LtiPlant, controller: ControllerSpec,
+                estimator: EstimatorConfig | None, h: float = 1e-3,
+                y0: float = 0.0, ydot0: float = 0.0,
+                pid_filter_time: float = 0.1) -> tuple:
+    """(A, x1) of the noise-free loop regulated to zero.
+
+    Every step after sample 0 is the linear map x -> A x of the loop's
+    state x, (y, v, ym_prev, d1, d2, u_prev) for the iP and iPD and
+    (y, v, e_prev, e_int, d1) for the classic PID; x1 is the state after
+    sample 0 from (y0, ydot0). Both come from _lane_step: A from its step
+    on the basis vectors, one lane each, and x1 from its sample 0. So
+    y_true[k] of run_closed_loop with a constant 0.0 reference and no
+    noise is (A^(k-1) x1)[0] for k >= 1, up to rounding, and
+    log(max |eig A|) / h is the loop's asymptotic rate.
+    """
+    if not (h > 0.0 and math.isfinite(h)):
+        raise ValueError("h must be positive, got %r" % (h,))
+    _check_loop(plant, controller, estimator, y0, ydot0, False, pid_filter_time)
+    d = 5 if controller.kind == CLASSIC_PID else 6
+    args = (plant, controller, estimator, h, pid_filter_time)
+    with np.errstate(all="ignore"):
+        a = np.array(_lane_step(tuple(np.eye(d)), *args))
+        x1 = np.array(_lane_step((float(y0), float(ydot0)) + (0.0,) * (d - 2), *args,
+                                 first=True))
+    return a, x1
+
+
+def regulation_diverged(loops: list, h: float = 1e-3, duration: float = 20.0,
+                        pid_filter_time: float = 0.1) -> list:
+    """run_closed_loop(plant, controller, estimator,
+    ReferenceTrajectory.constant(0.0), NoiseModel(0.0), h, duration, y0,
+    ydot0, pid_filter_time=pid_filter_time).diverged for each (plant,
+    controller, estimator, y0, ydot0) of loops.
+
+    Each loop's flag is read from its loop_matrix: the y and v of every
+    sample, for blocks of _FLAG_BLOCK samples at once, from the rows of
+    A^j (j < _FLAG_BLOCK) times the state at the block's start. These
+    differ from the simulated ones by rounding only, so a loop is
+    decided here only where that cannot matter: a |y| above
+    BLOWUP_THRESHOLD * (1 + _FLAG_MARGIN) before any non-finite value
+    (diverged), or every value finite and |y| below
+    BLOWUP_THRESHOLD * (1 - _FLAG_MARGIN) (not diverged). Any other loop
+    is simulated by run_closed_loop.
+    """
+    n = sample_count(h, duration)
+    flags = []
+    for start in range(0, len(loops), _FLAG_LOOPS):
+        chunk = loops[start:start + _FLAG_LOOPS]
+        flags.extend(_clear_flags(
+            [loop_matrix(plant, controller, estimator, h, y0, ydot0, pid_filter_time)
+             for plant, controller, estimator, y0, ydot0 in chunk],
+            [loop[3] for loop in chunk], n))
+    zero, quiet = ReferenceTrajectory.constant(0.0), NoiseModel(0.0)
+    return [run_closed_loop(plant, controller, estimator, zero, quiet, h, duration, y0, ydot0,
+                            pid_filter_time=pid_filter_time).diverged if flag is None else flag
+            for (plant, controller, estimator, y0, ydot0), flag in zip(loops, flags)]
+
+
+def _clear_flags(matrices: list, y0: list, n: int) -> list:
+    """Per (A, x1) of matrices with its y0: True or False where the n
+    samples' blocked values decide the diverged flag clearly, else None."""
+    d = max(len(x1) for _, x1 in matrices)
+    a = np.zeros((len(matrices), d, d))
+    x = np.zeros((len(matrices), d, 1))
+    for i, (ai, x1) in enumerate(matrices):
+        a[i, :len(x1), :len(x1)] = ai
+        x[i, :len(x1), 0] = x1
+    high = BLOWUP_THRESHOLD * (1.0 + _FLAG_MARGIN)
+    low = BLOWUP_THRESHOLD * (1.0 - _FLAG_MARGIN)
+    y0 = np.abs(np.array(y0))
+    crossed = y0 > high  # a clear crossing before any non-finite value
+    broken = np.zeros(len(y0), bool)  # a non-finite value before any clear crossing
+    near = y0 >= low  # some |y| at or above the lower bound
+    with np.errstate(all="ignore"):
+        # the (y, v) rows of A^j for j < _FLAG_BLOCK, and power = A^_FLAG_BLOCK
+        rows = np.broadcast_to(np.eye(d)[:2], (len(y0), 2, d))
+        power = a
+        for _ in range(_FLAG_BLOCK.bit_length() - 1):
+            rows = np.concatenate([rows, rows @ power], axis=1)
+            power = power @ power
+        open_ = ~crossed
+        for first in range(1, n, _FLAG_BLOCK):  # the sample of state x
+            if not open_.any():
+                break
+            yv = (rows[:, :2 * min(_FLAG_BLOCK, n - first)] @ x).reshape(len(y0), -1, 2)
+            x = power @ x
+            # most blocks leave every open loop finite and below low (NaN
+            # fails the comparison), and nothing to record
+            if not (open_ & ~(np.abs(yv).max(axis=(1, 2)) < low)).any():
+                continue
+            y = np.abs(yv[..., 0])
+            over = y > high
+            bad = ~np.isfinite(yv).all(axis=2)
+            first_over = np.where(over.any(axis=1), over.argmax(axis=1), y.shape[1])
+            first_bad = np.where(bad.any(axis=1), bad.argmax(axis=1), y.shape[1])
+            crossed |= open_ & (first_over < first_bad)
+            broken |= open_ & (first_bad <= first_over) & bad.any(axis=1)
+            near |= open_ & (y >= low).any(axis=1)
+            open_ = ~(crossed | broken)
+    return [True if c else None if b or m else False
+            for c, b, m in zip(crossed.tolist(), broken.tolist(), near.tolist())]

@@ -5,18 +5,21 @@ of the loop's quartic characteristic polynomial, either at one filter
 time constant or aggregated over a whole axis of them. A cross-validation
 routine replays sampled cells as actual time-domain simulations so the
 algebraic verdicts and the loop behavior can be compared on equal terms;
-it runs those simulations on every core the process may use.
+it reads the runs' diverged flags off the sampled loops' step matrices
+(sim.regulation_diverged).
 
 The quartic's coefficients are built here (_ip_coeffs), for the vector
 sweep, the scalar cell_verdict, the root oracle quartic_max_real_root and
 GridSpec's overflow check alike. The sweep computes the quartic's Routh
 first column as numpy arrays, with routh_hurwitz's float operations in
 their order, so every cell it decides gets the verdict the scalar table
-gives. Two degenerate tables it decides in closed form, as the scalar
-does: a zero c0 (the whole kp = 0 row) and a lone zero c3 (every cell at
-T = 2). Wherever another branch of the scalar table could fire (a
-trimmed leading coefficient, a zero row or pivot, a non-finite entry)
-the cell is flagged and classified by the scalar cell_verdict instead,
+gives. Four degenerate tables it decides in closed form, as the scalar
+does: a zero c0 (the whole kp = 0 row), a lone zero c3 (every cell at
+T = 2), a zero s^3 row (c3 = c1 = 0: the kp = 0.25 row at T = 2) and a
+lone zero b1 (in that row, at alpha = 0.5).
+Wherever another branch of the scalar table could fire (a trimmed
+leading coefficient, another zero row or pivot, a non-finite entry) the
+cell is flagged and classified by the scalar cell_verdict instead,
 which stays the reference the vector path is tested against.
 """
 
@@ -39,8 +42,7 @@ from .poly import (
     max_real_part_of_roots,
     routh_hurwitz,
 )
-from .pool import run_jobs
-from .sim import NoiseModel, ReferenceTrajectory, closed_loop_diverges, example_plant
+from .sim import example_plant, regulation_diverged
 
 # |alpha| below this is excluded from sweeps: the control law divides by alpha.
 ALPHA_EXCLUSION = 1e-9
@@ -284,9 +286,9 @@ def _routh_block(kp, alpha, t):
     An unflagged cell is unstable exactly when the scalar table has a sign
     change.
 
-    Two degenerate cases are decided here, as the scalar decides them;
-    both may apply to one cell, and either makes the cell marginal unless
-    it is unstable or flagged:
+    Four degenerate cases are decided here, as the scalar decides them;
+    a zero c0 may come with any of the others, and each makes the cell
+    marginal unless it is unstable or flagged:
     - c0 within the zero tolerance (c0 = -kp/alpha, so the whole kp = 0
       row): the s^0 row [e1, 0, 0] is a zero row, which the scalar
       replaces by the derivative of the s^1 row [d1, 0, 0], so the last
@@ -295,6 +297,13 @@ def _routh_block(kp, alpha, t):
       per T, exactly 0 at T = 2). The scalar then pivots on ROUTH_EPS_REL
       * scale instead of c3, which gives other b1 and d1. A block without
       a small c3 in a finite cell pays for this one any().
+    - c3 and c1 both within the zero tolerance (at T = 2, the kp = 0.25
+      row): the s^3 row is a zero row, which the scalar replaces by the
+      derivative [4 c4, 2 c2] of the s^4 row's c4 s^4 + c2 s^2 + c0.
+    - b1 a lone zero of the s^2 row [b1, c0] (at T = 2, kp = 0.25 and
+      alpha = 0.5, where c2 = 0 too): the scalar pivots on ROUTH_EPS_REL
+      times the largest entry of the rows above. Found only where some
+      b1 is within the zero tolerance.
     """
     c0, c1, c2, c3, c4 = _ip_coeffs(alpha, kp, t)
     scale = np.maximum(np.maximum(np.abs(c0), np.abs(c1)),
@@ -303,21 +312,33 @@ def _routh_block(kp, alpha, t):
     finite = np.isfinite(scale)
     zero_pivot = abs(c3) <= zero_tol
     degenerate = np.abs(c0) <= zero_tol
-    pivot = c3
-    # an excluded alpha = 0 column has infinite coefficients: not a lone zero
+    pivot, s3 = c3, c1  # the s^3 row [c3, c1] as the table uses it
+    # an excluded alpha = 0 column has infinite coefficients: not a zero
     if (zero_pivot & finite).any():
         lone = (zero_pivot & finite & (np.abs(c1) > zero_tol)
                 & (abs(c3) <= ROUTH_ZERO_REL_TOL * np.maximum(abs(c3), np.abs(c1))))
-        pivot = np.where(lone, ROUTH_EPS_REL * scale, c3)
-        zero_pivot &= ~lone
-        degenerate |= lone
-    b1 = c2 - c4 * c1 / pivot
-    d1 = c1 - pivot * c0 / b1
+        zero_row = zero_pivot & finite & (np.abs(c1) <= zero_tol)
+        pivot = np.where(lone, ROUTH_EPS_REL * scale, np.where(zero_row, 4.0 * c4, c3))
+        s3 = np.where(zero_row, 2.0 * c2, c1)
+        zero_pivot &= ~(lone | zero_row)
+        degenerate |= lone | zero_row
+    b1 = c2 - c4 * s3 / pivot
+    small_b1 = np.abs(b1) <= zero_tol
+    if (small_b1 & finite).any():
+        # a lone zero b1 of the s^2 row [b1, c0]: the scalar pivots on
+        # ROUTH_EPS_REL * the largest entry of the rows above instead
+        lone_b1 = (small_b1 & finite & (np.abs(c0) > zero_tol)
+                   & (np.abs(b1) <= ROUTH_ZERO_REL_TOL * np.abs(c0)))
+        table_max = np.maximum(scale, np.maximum(np.abs(pivot), np.abs(s3)))
+        b1 = np.where(lone_b1, ROUTH_EPS_REL * table_max, b1)
+        small_b1 &= ~lone_b1
+        degenerate |= lone_b1
+    d1 = s3 - pivot * c0 / b1
     flagged = ~(finite & np.isfinite(b1) & np.isfinite(d1))
     flagged |= zero_pivot
     flagged |= c4 <= TRIM_REL_TOL * scale
-    for entry in (b1, d1):
-        flagged |= np.abs(entry) <= zero_tol
+    flagged |= small_b1
+    flagged |= np.abs(d1) <= zero_tol
     unstable = (pivot < 0.0) | (b1 < 0.0) | (d1 < 0.0) | (c0 < -zero_tol)
     marginal = degenerate & ~flagged & ~unstable
     return unstable, marginal, flagged
@@ -465,15 +486,6 @@ class AgreementReport:
         return "\n".join(lines)
 
 
-def _cell_diverged(kp: float, alpha: float, t: float) -> bool:
-    """Whether the loop of map cell (kp, alpha, t) diverges in a noise-free
-    20 s regulation to zero from y0 = -0.05."""
-    controller, estimator = ip_loop_for_cell(kp, alpha, t)
-    return closed_loop_diverges(example_plant(delta=1.0), controller, estimator,
-                                ReferenceTrajectory.constant(0.0), NoiseModel(0.0, 0),
-                                h=1e-3, duration=20.0, y0=-0.05)
-
-
 def cross_validate(grid: StabilityGrid, samples: int = 50, seed: int = 0,
                    boundary_band: float = 0.05) -> AgreementReport:
     """Compare grid verdicts against noise-free time-domain simulations.
@@ -484,10 +496,12 @@ def cross_validate(grid: StabilityGrid, samples: int = 50, seed: int = 0,
     a 20 s run cannot separate slow growth from slow decay (InvalidGrid if
     that leaves no cell). Each sampled cell is simulated as the matching
     intelligent-proportional loop (ip_loop_for_cell, regulation to zero
-    from y0 = -0.05, no noise); a stable verdict should mean a bounded run and an unstable
-    verdict a diverged one. The cells are picked here and simulated on
-    every usable core (pool.run_jobs); the report does not depend on the
-    core count.
+    from y0 = -0.05, no noise, 20 s at h = 1e-3); a stable verdict should
+    mean a bounded run and an unstable verdict a diverged one. The
+    diverged flags come from one sim.regulation_diverged call for all
+    picked cells, which reads them off each loop's step matrix and
+    simulates only a loop whose flag that leaves unclear; they equal
+    run_closed_loop's flags. Nothing runs in another process.
     """
     spec = grid.spec
     if spec.aggregation != FIXED_T:
@@ -532,9 +546,9 @@ def cross_validate(grid: StabilityGrid, samples: int = 50, seed: int = 0,
         raise InvalidGrid("no stable or unstable cell has |largest root real part|"
                           " > boundary_band = %r" % (boundary_band,))
 
-    # the runs are deterministic, so the flags do not depend on the core count
-    flags = run_jobs([functools.partial(_cell_diverged, kp, alpha, t)
-                      for kp, alpha, _, _ in picked])
+    plant = example_plant(delta=1.0)
+    flags = regulation_diverged([(plant, *ip_loop_for_cell(kp, alpha, t), -0.05, 0.0)
+                                 for kp, alpha, _, _ in picked], h=1e-3, duration=20.0)
     checks = [SampleCheck(kp, alpha, t, verdict, max_re, diverged,
                           diverged == (verdict == VERDICT_UNSTABLE))
               for (kp, alpha, verdict, max_re), diverged in zip(picked, flags)]

@@ -8,11 +8,12 @@ bytes and dtype, the length, the diverged flag and the meta dict. Wherever
 the loop estimates the lumped term, replay_estimator run over the logged
 y_measured and u columns must reproduce its f_hat column byte for byte,
 since the loop and the replay write the same estimator recursion.
-closed_loop_diverges, the same loop with nothing logged, must return
-run_closed_loop's diverged flag.
+Without noise and with a zero reference, iterating the loop's matrix
+(loop_matrix) must follow run_closed_loop's y_true to rounding, and the
+flags regulation_diverged reads off the matrices must be
+run_closed_loop's diverged flags.
 """
 
-import inspect
 import itertools
 import math
 
@@ -26,6 +27,7 @@ from loop_oracle import (
     run_closed_loop_reference,
     to_csv_reference,
 )
+from ultralocal import sim
 from ultralocal.control import (
     _ALL_KINDS,
     _INTELLIGENT_KINDS,
@@ -44,11 +46,13 @@ from ultralocal.sim import (
     LtiPlant,
     NoiseModel,
     ReferenceTrajectory,
-    closed_loop_diverges,
     example_plant,
+    loop_matrix,
+    regulation_diverged,
     run_closed_loop,
 )
-from ultralocal.stabmap import ip_loop_for_cell
+from ultralocal.poly import expand_pole, ipd_gains_from_target, pid_gains_from_target
+from ultralocal.stabmap import VERDICT_STABLE, cell_verdict, default_grid_spec, ip_loop_for_cell
 
 ALL_COLUMNS = TRACE_COLUMNS + ("ydot_true", "yddot_true")
 EXAMPLE_COEFFS = (-1.0, 0.0, 1.0)
@@ -238,42 +242,41 @@ def test_to_csv_equals_row_writer(tmp_path, duration):
 
 
 # ---------------------------------------------------------------------------
-# The flag run against the logged run
+# The loop matrix and its flags against the logged run
+
+ZERO = ReferenceTrajectory.constant(0.0)
 
 
-def _flags(*args, **kwargs):
-    """run_closed_loop's diverged flag, checked equal to closed_loop_diverges'."""
-    diverged = run_closed_loop(*args, **kwargs).diverged
-    kwargs.pop("meta", None)
-    assert closed_loop_diverges(*args, **kwargs) is diverged
+def _flags(plant, controller, estimator, reference, noise, h, duration, y0=0.0,
+           ydot0=0.0, pid_filter_time=0.1, meta=None):
+    """run_closed_loop's diverged flag; where the run is a noise-free
+    regulation to zero, checked equal to regulation_diverged's."""
+    diverged = run_closed_loop(plant, controller, estimator, reference, noise, h, duration,
+                               y0, ydot0, pid_filter_time=pid_filter_time,
+                               meta=meta).diverged
+    if reference == ZERO and noise.sigma == 0.0:
+        assert regulation_diverged([(plant, controller, estimator, y0, ydot0)], h,
+                                   duration, pid_filter_time) == [diverged]
     return diverged
 
 
 def test_flag_run_equals_trace_flag_across_the_matrix():
-    # the laws x deltas x references x noise of test_loop_equals_oracle,
-    # run long enough (5 s at h = 1e-2) that some of them diverge
+    # the laws x deltas x references x noise of test_loop_equals_oracle
+    # and a zero reference, run long enough (5 s at h = 1e-2) that some of
+    # them diverge
     flags = [_flags(example_plant(delta), _controller(kind), _estimator(kind, variant),
                     ref, NoiseModel(sigma, 5), h=1e-2, duration=5.0,
                     y0=-0.05, ydot0=0.1, meta={"case": "flag"})
              for (kind, variant), delta, ref, sigma
-             in itertools.product(_LAWS, (1.0, 0.8, 0.5, 0.0), REFERENCES.values(),
-                                  (0.0, 0.01))]
+             in itertools.product(_LAWS, (1.0, 0.8, 0.5, 0.0),
+                                  (ZERO,) + tuple(REFERENCES.values()), (0.0, 0.01))]
     assert 0 < sum(flags) < len(flags)
-
-
-def test_flag_run_takes_the_trace_run_parameters_but_oracle_and_meta():
-    # the one parameter list written twice: same names, order and defaults
-    run = inspect.signature(run_closed_loop).parameters
-    flag = inspect.signature(closed_loop_diverges).parameters
-    assert list(flag.values()) == [p for name, p in run.items()
-                                   if name not in ("use_oracle_estimator", "meta")]
 
 
 @_NON_FINITE_CASES
 def test_flag_run_equals_trace_flag_on_non_finite_truncation(kp, y0, length):
     assert _flags(example_plant(1.0), ControllerSpec.classic_pid(kp, 0.0, 0.0), None,
-                  ReferenceTrajectory.constant(0.0), NoiseModel(0.0), h=1e-3,
-                  duration=0.1, y0=y0)
+                  ZERO, NoiseModel(0.0), h=1e-3, duration=0.1, y0=y0)
 
 
 @pytest.mark.parametrize("kp,alpha,diverges", [
@@ -285,9 +288,16 @@ def test_flag_run_equals_trace_flag_on_non_finite_truncation(kp, y0, length):
 ])
 def test_flag_run_equals_trace_flag_on_map_cells(kp, alpha, diverges):
     controller, estimator = ip_loop_for_cell(kp, alpha, 0.1)
-    assert _flags(example_plant(1.0), controller, estimator,
-                  ReferenceTrajectory.constant(0.0), NoiseModel(0.0, 0),
+    assert _flags(example_plant(1.0), controller, estimator, ZERO, NoiseModel(0.0, 0),
                   h=1e-3, duration=20.0, y0=-0.05) is diverges
+
+
+# starts at and near the blow-up threshold, so that some runs diverge and
+# some stay within the margin of it
+_NEAR_THRESHOLD = (st.sampled_from((-0.05, BLOWUP_THRESHOLD,
+                                    -math.nextafter(BLOWUP_THRESHOLD, 2e3)))
+                   | st.floats(-1.01 * BLOWUP_THRESHOLD, -0.99 * BLOWUP_THRESHOLD)
+                   | st.floats(0.99 * BLOWUP_THRESHOLD, 1.01 * BLOWUP_THRESHOLD))
 
 
 @settings(max_examples=100, deadline=None)
@@ -297,20 +307,117 @@ def test_flag_run_equals_trace_flag_on_map_cells(kp, alpha, diverges):
        t_filter=st.floats(1e-3, 2.0),
        h=st.floats(1e-4, 5e-2),
        steps=st.integers(10, 400),
-       sigma=st.sampled_from((0.0, 0.02)),
-       # starts at and near the blow-up threshold, so that some runs diverge
-       y0=st.sampled_from((-0.05, BLOWUP_THRESHOLD, -math.nextafter(BLOWUP_THRESHOLD, 2e3)))
-       | st.floats(-1.01 * BLOWUP_THRESHOLD, -0.99 * BLOWUP_THRESHOLD)
-       | st.floats(0.99 * BLOWUP_THRESHOLD, 1.01 * BLOWUP_THRESHOLD),
+       y0=_NEAR_THRESHOLD,
        plant=st.builds(LtiPlant, a1=st.floats(-2.0, 2.0), a0=st.floats(-2.0, 2.0),
                        b=st.floats(0.2, 2.0), delta=st.floats(0.1, 1.0)))
 def test_flag_run_equals_trace_flag_on_drawn_configurations(law, variant, alpha,
-                                                            t_filter, h, steps, sigma,
-                                                            y0, plant):
+                                                            t_filter, h, steps, y0, plant):
     kind, (kp, ki, kd) = law
     controller = ControllerSpec(kind, kp=kp, ki=ki, kd=kd,
                                 alpha=None if kind == CLASSIC_PID else alpha)
     _flags(plant, controller,
            _estimator(kind, variant, alpha, t_filter, (plant.a1, plant.a0, plant.b)),
-           REFERENCES["smooth-step"], NoiseModel(sigma, 9), h=h,
-           duration=steps * h, y0=y0, ydot0=0.2, pid_filter_time=t_filter)
+           ZERO, NoiseModel(0.0), h=h, duration=steps * h, y0=y0, ydot0=0.2,
+           pid_filter_time=t_filter)
+
+
+@pytest.mark.parametrize("h,steps", [(1e-3, 3000), (1e-2, 400)])
+def test_regulation_flags_equal_trace_flags_on_a_drawn_batch(monkeypatch, h, steps):
+    # 60 drawn loops of every law in one call, a third of them starting
+    # within 1% of the threshold and a third within 1e-6 below it, inside
+    # the margin: each flag equals run_closed_loop's, and a loop whose
+    # values come within the margin and never clearly cross is simulated
+    rng = np.random.default_rng(23)
+    loops = []
+    for i in range(60):
+        kind, variant = _LAWS[i % len(_LAWS)]
+        alpha = rng.choice([-1.0, 1.0]) * rng.uniform(0.05, 5.0)
+        plant = LtiPlant(a1=rng.uniform(-2.0, 2.0), a0=rng.uniform(-2.0, 2.0),
+                         b=rng.uniform(0.2, 2.0), delta=rng.uniform(0.1, 1.0))
+        kp, ki, kd = rng.uniform(-20.0, 20.0, 3)
+        controller = ControllerSpec(kind, kp=kp, ki=ki if kind == CLASSIC_PID else 0.0,
+                                    kd=0.0 if kind == IP else kd,
+                                    alpha=None if kind == CLASSIC_PID else alpha)
+        near = (-0.05, rng.uniform(0.99, 1.01), 1.0 - rng.uniform(0.0, 1e-6))[i % 3]
+        y0 = rng.choice([-1.0, 1.0]) * BLOWUP_THRESHOLD * near if i % 3 else near
+        loops.append((plant, controller,
+                      _estimator(kind, variant, alpha, 0.1, (plant.a1, plant.a0, plant.b)),
+                      y0, 0.2))
+    real = sim.run_closed_loop
+    simulated = []
+    monkeypatch.setattr(sim, "run_closed_loop",
+                        lambda *args, **kwargs: simulated.append(args) or real(*args, **kwargs))
+    flags = regulation_diverged(loops, h, steps * h)
+    expected = [real(plant, controller, estimator, ZERO, NoiseModel(0.0), h, steps * h,
+                     y0, ydot0).diverged
+                for plant, controller, estimator, y0, ydot0 in loops]
+    assert flags == expected
+    assert 0 < sum(flags) < len(flags)
+    assert 0 < len(simulated) < len(loops) // 2
+
+
+def _iterated(a, x1, y0, n):
+    """y of samples 0 to n - 1 from iterating the loop matrix."""
+    ys = [y0]
+    x = x1
+    for _ in range(n - 1):
+        ys.append(x[0])
+        x = a @ x
+    return np.array(ys)
+
+
+@pytest.mark.parametrize("kind,variant", _LAWS)
+@pytest.mark.parametrize("delta", [1.0, 0.5])
+def test_loop_matrix_iteration_follows_the_trace(kind, variant, delta):
+    # 5 s at h = 1e-3; the delayed-input iPD diverges within it
+    plant = example_plant(delta)
+    controller, estimator = _controller(kind), _estimator(kind, variant)
+    trace = run_closed_loop(plant, controller, estimator, ZERO, NoiseModel(0.0), h=1e-3,
+                            duration=5.0, y0=-0.05, ydot0=0.1)
+    a, x1 = loop_matrix(plant, controller, estimator, h=1e-3, y0=-0.05, ydot0=0.1)
+    assert a.shape == (len(x1),) * 2 == ((5, 5) if kind == CLASSIC_PID else (6, 6))
+    # sample 0 is the loop's own step on the same floats
+    assert (x1[0], x1[1]) == (trace.y_true[1], trace.ydot_true[1])
+    y = _iterated(a, x1, -0.05, len(trace))
+    assert np.max(np.abs(y - trace.y_true)) <= 1e-12 * np.max(np.abs(trace.y_true))
+
+
+@pytest.mark.parametrize("kp,alpha,rate", [
+    # Routh-stable default-map cells (T = 0.1) whose sampled loop grows
+    (-3.0, 0.1, 0.01570), (-2.95, 0.1, 0.005855), (-1.4, 0.15, 0.003369),
+    (-0.5, 0.25, 0.001078),
+])
+def test_loop_rate_of_routh_stable_cells_that_grow(kp, alpha, rate):
+    assert cell_verdict(kp, alpha, default_grid_spec()) == VERDICT_STABLE
+    a, _ = loop_matrix(example_plant(1.0), *ip_loop_for_cell(kp, alpha, 0.1), h=1e-3)
+    assert math.log(np.max(np.abs(np.linalg.eigvals(a)))) / 1e-3 == pytest.approx(rate, rel=1e-3)
+
+
+@pytest.mark.parametrize("law,rate", [
+    ("ipd-analysis-form", -0.3724), ("pid", -0.4128), ("ipd-delayed-input", 24.25),
+])
+def test_loop_rate_of_the_tuned_laws(law, rate):
+    # the CLI's default tunings at delta = 1: iPD double pole at -0.5,
+    # alpha = 0.5, T = 0.1; PID triple pole at -0.66, lag 0.1
+    plant = example_plant(1.0)
+    if law == "pid":
+        controller = ControllerSpec.classic_pid(
+            *pid_gains_from_target(plant, expand_pole(0.66, 3)))
+        estimator = None
+    else:
+        kp, kd = ipd_gains_from_target(expand_pole(0.5, 2))
+        controller = ControllerSpec.ipd(kp=kp, kd=kd, alpha=0.5)
+        variant = law[len("ipd-"):]
+        estimator = _estimator(IPD, variant)
+    a, _ = loop_matrix(plant, controller, estimator, h=1e-3, pid_filter_time=0.1)
+    assert math.log(np.max(np.abs(np.linalg.eigvals(a)))) / 1e-3 == pytest.approx(rate, rel=1e-3)
+
+
+def test_loop_matrix_rejects_what_run_closed_loop_rejects():
+    controller, estimator = _controller(IPD), _estimator(IP, ANALYSIS_FORM)
+    with pytest.raises(ValueError, match="order"):
+        loop_matrix(example_plant(), controller, estimator)
+    with pytest.raises(ValueError, match="y0"):
+        loop_matrix(example_plant(), _controller(CLASSIC_PID), None, y0=math.nan)
+    with pytest.raises(ValueError, match="h must be positive"):
+        loop_matrix(example_plant(), _controller(CLASSIC_PID), None, h=0.0)

@@ -376,6 +376,17 @@ def test_load_trace_csv_rejects_a_ragged_row(tmp_path):
         load_trace_csv(path)
 
 
+@pytest.mark.parametrize("row,field", [("3,abc", "abc"), ("3,1_0", "1_0"), ("3,", "")],
+                         ids=["word", "underscore", "empty"])
+def test_load_trace_csv_names_a_field_that_is_not_a_number(tmp_path, row, field):
+    # the empty line 3 is no row, but still a line of the file
+    path = tmp_path / "trace.csv"
+    path.write_text("t,u\n1,2\n\n" + row + "\n")
+    with pytest.raises(ValueError, match="^%s$" % re.escape(
+            "%s: line 4: %r is not a number" % (path, field))):
+        load_trace_csv(path)
+
+
 @pytest.mark.parametrize("names,fields", [(2, 3), (4, 3)],
                          ids=["header-narrower", "header-wider"])
 def test_load_trace_csv_rejects_header_and_row_widths_that_differ(tmp_path, names, fields):
@@ -534,6 +545,22 @@ def test_load_trace_csv_names_a_ragged_row_by_its_line_in_the_file(tmp_path, cor
     cores(n_cores)
     with pytest.raises(ValueError, match="^%s$" % re.escape(
             "%s: line 23990 has %d fields, the rows above it 8" % (path, fields))):
+        load_trace_csv(path)
+    assert no_child_left()
+
+
+@needs_fork
+@pytest.mark.parametrize("n_cores", [1, 2, 3])
+def test_load_trace_csv_names_a_field_that_is_not_a_number_in_the_last_part(tmp_path, cores,
+                                                                           n_cores):
+    path = tmp_path / "trace.csv"
+    _special_csv(path, 24000)
+    lines = path.read_bytes().split(b"\r\n")
+    lines[23989] = lines[23989].rsplit(b",", 1)[0] + b",0x10"  # line 23990
+    path.write_bytes(b"\r\n".join(lines))
+    cores(n_cores)
+    with pytest.raises(ValueError, match="^%s$" % re.escape(
+            "%s: line 23990: '0x10' is not a number" % path)):
         load_trace_csv(path)
     assert no_child_left()
 

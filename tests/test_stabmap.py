@@ -1,5 +1,6 @@
 """Tests for the stability-map sweep and its simulation cross-check."""
 
+import functools
 import math
 import os
 import subprocess
@@ -9,10 +10,10 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from forks import (another_thread_running, count_forks, forbid_processes, needs_fork,
-                   no_child_left)
-from ultralocal import pool, stabmap
+from forks import another_thread_running, forbid_processes
+from ultralocal import pool, sim, stabmap
 from ultralocal.control import ANALYSIS_FORM
+from ultralocal.sim import NoiseModel, ReferenceTrajectory, example_plant
 from ultralocal.poly import (ROUTH_ZERO_REL_TOL, Polynomial, PolynomialError, StabilityKind,
                              routh_hurwitz)
 from ultralocal.stabmap import (
@@ -240,11 +241,14 @@ def _assert_sweep_equals_cell_verdict(spec):
 
 @pytest.mark.parametrize("spec,vector_marginals,scalar_calls", [
     # the kp = 0 row (c0 = 0) is decided in closed form: 9 of its cells
-    # are marginal, and only 3 cells elsewhere reach cell_verdict
-    (default_grid_spec(), 9, 3),
+    # are marginal, and only 1 cell elsewhere reaches cell_verdict
+    (default_grid_spec(), 9, 1),
     (default_all_t_grid_spec(), 0, 0),
     (GridSpec((-5.0, 5.0, 301), (-5.0, 5.0, 101), (0.37,)), 3, 0),
-    (default_grid_spec(2.0), 0, 200),
+    # T = 2: the lone zero c3 of every cell, the kp = 0.25 row's zero s^3
+    # row (c3 = c1 = 0) and its lone zero b1 at alpha = 0.5 (c2 = 0 too)
+    # are all decided in closed form
+    (default_grid_spec(2.0), 0, 0),
     # T = 2 makes c3 = 0 a lone zero; where kp / alpha <= -1e9 the other
     # coefficients dwarf c4 = 4, so b1 = c2 - c4*c1/eps stays positive and
     # the table has no sign change: 6 of the 9 cells are marginal
@@ -269,21 +273,6 @@ def test_sweep_equals_cell_verdict_on_full_grids(monkeypatch, spec, vector_margi
                for cell, v in zip(cells, verdicts)) == vector_marginals
 
 
-def test_t2_map_hands_only_its_degenerate_rows_to_the_scalar_table(monkeypatch):
-    # at T = 2, c3 = 2T - T^2 is exactly 0 in every cell; the vector sweep
-    # decides that lone zero and the kp = 0 row's zero c0 itself, so only
-    # the kp = 0.25 row (c1 = 0, a zero s^3 row) reaches cell_verdict
-    calls = []
-    real = stabmap.cell_verdict
-    monkeypatch.setattr(stabmap, "cell_verdict",
-                        lambda kp, alpha, spec: calls.append(kp) or real(kp, alpha, spec))
-    spec = default_grid_spec(2.0)
-    sweep(spec)
-    included = int(np.count_nonzero(np.abs(spec.alpha_values()) >= ALPHA_EXCLUSION))
-    assert sorted(set(calls)) == [0.25]
-    assert len(calls) == included
-
-
 def test_lone_zero_c3_closed_form_equals_the_scalar_table(monkeypatch):
     # quartics 4s^4 + 0s^3 + c2 s^2 + c1 s + c0 fed to _routh_block through
     # its coefficient function: every cell it decides gets the scalar
@@ -304,6 +293,62 @@ def test_lone_zero_c3_closed_form_equals_the_scalar_table(monkeypatch):
             kind == StabilityKind.UNSTABLE, kind == StabilityKind.MARGINAL)
         kinds[kind] += 1
     assert min(kinds.values()) > 100
+
+
+@pytest.mark.parametrize("c3", [0.0, -0.0, 3e-13])
+def test_zero_s3_row_closed_form_equals_the_scalar_table(monkeypatch, c3):
+    # quartics 4s^4 + c3 s^3 + c2 s^2 + c1 s + c0 whose c3 (one float, as
+    # 2T - T^2 is) and c1 are +0.0, -0.0 or within the zero tolerance, so
+    # that the s^3 row is a zero row, fed to _routh_block through its
+    # coefficient function; a fifth of the c2 are 0.0, so that the
+    # derivative row gives b1 a lone zero. Every cell it decides gets the
+    # scalar table's verdict, it decides nearly all of them, and both of
+    # its verdicts occur
+    rng = np.random.default_rng(13)
+    shape = (60, 50)
+    sign = lambda: rng.choice([-1.0, 1.0], shape)
+    c0 = sign() * 10.0 ** rng.uniform(-3.0, 1.0, shape)
+    c2 = np.where(rng.random(shape) < 0.2, 0.0, sign() * 10.0 ** rng.uniform(-3.0, 1.0, shape))
+    tol = ROUTH_ZERO_REL_TOL * np.maximum(np.maximum(np.abs(c0), np.abs(c2)), 4.0)
+    c1 = np.choose(rng.integers(0, 3, shape),
+                   [np.zeros(shape), -np.zeros(shape),
+                    sign() * rng.uniform(0.01, 0.99, shape) * tol])
+    monkeypatch.setattr(stabmap, "_ip_coeffs", lambda a, kp, t: (c0, c1, c2, c3, 4.0))
+    with np.errstate(all="ignore"):
+        unstable, marginal, flagged = stabmap._routh_block(np.zeros((60, 1)), np.zeros(50), 2.0)
+    assert np.count_nonzero(flagged) < 0.01 * flagged.size
+    kinds = {StabilityKind.UNSTABLE: 0, StabilityKind.MARGINAL: 0}
+    lone_b1 = 0
+    for i, j in zip(*np.nonzero(~flagged)):
+        coeffs = [c0[i, j], c1[i, j], c2[i, j], c3, 4.0]
+        kind = routh_hurwitz(Polynomial(coeffs)).kind
+        assert (bool(unstable[i, j]), bool(marginal[i, j])) == (
+            kind == StabilityKind.UNSTABLE, kind == StabilityKind.MARGINAL), coeffs
+        kinds[kind] += 1
+        lone_b1 += c2[i, j] == 0.0
+    assert min(kinds.values()) > 100
+    assert lone_b1 > 100
+
+
+@pytest.mark.parametrize("c3", [0.7, -1.3])
+def test_lone_zero_b1_closed_form_equals_the_scalar_table(monkeypatch, c3):
+    # quartics with c2 = c4*c1/c3 as the table computes it, so that
+    # b1 = c2 - c4*c1/c3 is 0.0 and the scalar table pivots on an epsilon
+    rng = np.random.default_rng(17)
+    shape = (60, 50)
+    sign = lambda: rng.choice([-1.0, 1.0], shape)
+    c0, c1 = (sign() * 10.0 ** rng.uniform(-2.0, 2.0, shape) for _ in range(2))
+    c4 = 0.25
+    c2 = c4 * c1 / c3
+    monkeypatch.setattr(stabmap, "_ip_coeffs", lambda a, kp, t: (c0, c1, c2, c3, c4))
+    with np.errstate(all="ignore"):
+        unstable, marginal, flagged = stabmap._routh_block(np.zeros((60, 1)), np.zeros(50), 0.5)
+    assert np.count_nonzero(flagged) < 0.01 * flagged.size
+    for i, j in zip(*np.nonzero(~flagged)):
+        coeffs = [c0[i, j], c1[i, j], c2[i, j], c3, c4]
+        kind = routh_hurwitz(Polynomial(coeffs)).kind
+        assert (bool(unstable[i, j]), bool(marginal[i, j])) == (
+            kind == StabilityKind.UNSTABLE, kind == StabilityKind.MARGINAL), coeffs
 
 
 @pytest.mark.parametrize("t", [0.1, 0.37, 2.0])
@@ -605,12 +650,34 @@ def test_cross_validate_sample_order_is_pinned(grid, samples, seed, expected):
     assert [(c.kp, c.alpha, c.verdict) for c in report.checks] == expected
 
 
+def test_cross_validate_flags_equal_the_simulated_flags(monkeypatch):
+    # every cell cross_validate picks on the default map at 40 seeds: its
+    # flag, read off the loop's matrix without one simulated run (a spy
+    # on run_closed_loop sees none), is run_closed_loop's own flag
+    grid = sweep(default_grid_spec())
+    real = sim.run_closed_loop
+    runs = []
+    monkeypatch.setattr(sim, "run_closed_loop",
+                        lambda *args, **kwargs: runs.append(args) or real(*args, **kwargs))
+    flags = {}
+    for seed in range(40):
+        for c in cross_validate(grid, 10, seed).checks:
+            assert flags.setdefault((c.kp, c.alpha), c.diverged) is c.diverged
+    assert runs == []
+    assert 100 < sum(flags.values()) < len(flags) - 100
+
+    def simulated(kp, alpha):
+        controller, estimator = ip_loop_for_cell(kp, alpha, 0.1)
+        return real(example_plant(1.0), controller, estimator,
+                    ReferenceTrajectory.constant(0.0), NoiseModel(0.0), h=1e-3,
+                    duration=20.0, y0=-0.05).diverged
+    # the runs are independent, so they share the usable cores
+    assert pool.run_jobs([functools.partial(simulated, kp, alpha)
+                          for kp, alpha in flags]) == list(flags.values())
+
+
 # ---------------------------------------------------------------------------
 # Cross-validation across cores
-
-
-class WorkerFailure(RuntimeError):
-    pass
 
 
 def test_usable_cores_counts_the_affinity_set():
@@ -619,7 +686,6 @@ def test_usable_cores_counts_the_affinity_set():
     assert pool.usable_cores() == expected >= 1
 
 
-@needs_fork
 @pytest.mark.parametrize("grid,samples,seed", [
     # the calls of test_cross_validate_sample_order_is_pinned, and the
     # default grid at another seed
@@ -630,45 +696,18 @@ def test_usable_cores_counts_the_affinity_set():
 ], ids=["both-pools-run-out", "stable-pool-runs-out", "default-grid", "default-grid-seed0"])
 def test_cross_validate_reports_do_not_depend_on_the_core_count(monkeypatch, grid,
                                                                 samples, seed):
+    # the flags come from the loops' matrices in this process: no process
+    # is started at one core or at two, and the report is the same
     grid = sweep(grid)
+    forbid_processes(monkeypatch)
     monkeypatch.setattr(pool, "usable_cores", lambda: 1)
     one_core = cross_validate(grid, samples, seed)
     monkeypatch.setattr(pool, "usable_cores", lambda: 2)
-    forks = count_forks(monkeypatch)
     two_cores = cross_validate(grid, samples, seed)
-    assert len(forks) == 1
-    assert no_child_left()
     assert two_cores.checks == one_core.checks
     assert two_cores.agreement_rate == one_core.agreement_rate
     assert two_cores.boundary_band == one_core.boundary_band
     assert two_cores.summary() == one_core.summary()
-
-
-@needs_fork
-def test_cross_validate_worker_exception_reaches_the_caller(monkeypatch, handoff):
-    test_pid = os.getpid()
-    real_run = stabmap.closed_loop_diverges
-    wait, post = handoff
-    waited = []
-
-    def fail_in_the_child(*args, **kwargs):
-        # only the child's runs fail; this process holds its first run
-        # until the child has claimed one, so the child cannot find every
-        # run taken
-        if os.getpid() != test_pid:
-            post()
-            raise WorkerFailure("run failed")
-        if not waited:
-            waited.append(wait())
-        return real_run(*args, **kwargs)
-    # the forked child inherits the patched module
-    monkeypatch.setattr(stabmap, "closed_loop_diverges", fail_in_the_child)
-    monkeypatch.setattr(pool, "usable_cores", lambda: 2)
-    forks = count_forks(monkeypatch)
-    with pytest.raises(WorkerFailure, match="run failed"):
-        cross_validate(_small_grid(), samples=6, seed=2)
-    assert len(forks) == 1
-    assert no_child_left()
 
 
 @pytest.mark.parametrize("cores,samples", [(1, 6), (2, 1)],
