@@ -273,6 +273,28 @@ def test_sweep_equals_cell_verdict_on_full_grids(monkeypatch, spec, vector_margi
                for cell, v in zip(cells, verdicts)) == vector_marginals
 
 
+def test_t2_map_hands_only_its_degenerate_rows_to_the_scalar_table(monkeypatch):
+    # at T = 2, c3 = 2T - T^2 is exactly 0 in every cell; the vector sweep
+    # decides that lone zero, the kp = 0 row's zero c0 and the kp = 0.25
+    # row's zero s^3 row (c1 = 0) itself, so no cell reaches cell_verdict,
+    # and the degenerate rows' verdicts equal the scalar table's
+    calls = []
+    real = stabmap.cell_verdict
+    monkeypatch.setattr(stabmap, "cell_verdict",
+                        lambda kp, alpha, spec: calls.append(kp) or real(kp, alpha, spec))
+    spec = default_grid_spec(2.0)
+    grid = sweep(spec)
+    assert calls == []
+    kps = spec.kp_values().tolist()
+    alphas = spec.alpha_values().tolist()
+    included = int(np.count_nonzero(np.abs(spec.alpha_values()) >= ALPHA_EXCLUSION))
+    assert included > 0
+    for kp in (0.0, 0.25):
+        row = grid.verdicts[kps.index(kp)]
+        assert row == [real(kp, alpha, spec) for alpha in alphas]
+        assert sum(v != VERDICT_EXCLUDED for v in row) == included
+
+
 def test_lone_zero_c3_closed_form_equals_the_scalar_table(monkeypatch):
     # quartics 4s^4 + 0s^3 + c2 s^2 + c1 s + c0 fed to _routh_block through
     # its coefficient function: every cell it decides gets the scalar
