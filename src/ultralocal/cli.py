@@ -344,13 +344,19 @@ def _loop_jobs(cfg: ScenarioConfig, laws: dict) -> dict:
     """One job per law (tag -> (controller, estimator)) at each of
     cfg.deltas, all with one shared seed, keyed by (tag, delta tag),
     deltas outer and laws inner. Each job is _measured_run(..., path)."""
-    # sim's run-length limits, checked first so that the message names the keys
+    # sim's run-length limits and noise draws, checked first so that the
+    # message names the keys
     try:
-        sample_count(cfg.h, cfg.duration)
+        n = sample_count(cfg.h, cfg.duration)
     except ValueError as exc:
         raise ConfigError("config key 'duration' = %s and config key 'h' = %s: %s"
                           % (_fmt(cfg.duration), _fmt(cfg.h), exc)) from None
     noise = NoiseModel(cfg.sigma, cfg.seed)
+    try:
+        noise.sequence(n)
+    except ValueError:
+        raise ConfigError("config key 'sigma' = %s overflows a noise draw of seed %d"
+                          % (_fmt(cfg.sigma), cfg.seed)) from None
     return {(tag, _fmt(delta)): functools.partial(_measured_run, cfg, noise, law, delta)
             for delta in cfg.deltas for tag, law in laws.items()}
 

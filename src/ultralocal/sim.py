@@ -10,7 +10,6 @@ logged alongside for analysis.
 from __future__ import annotations
 
 import functools
-import io
 import math
 import os
 import shutil
@@ -109,11 +108,16 @@ class NoiseModel:
             raise ValueError("sigma must be >= 0, got %r" % (self.sigma,))
 
     def sequence(self, n: int) -> np.ndarray:
-        """n pregenerated draws; identical (sigma, seed, n) gives identical bits."""
+        """n pregenerated draws; identical (sigma, seed, n) gives identical
+        bits. ValueError where sigma times a standard normal draw overflows."""
         if self.sigma == 0.0:
             return np.zeros(n)
-        rng = np.random.default_rng(self.seed)
-        return self.sigma * rng.standard_normal(n)
+        with np.errstate(over="ignore"):
+            draws = self.sigma * np.random.default_rng(self.seed).standard_normal(n)
+        if not np.isfinite(draws).all():
+            raise ValueError("sigma = %r overflows a noise draw of seed %d"
+                             % (self.sigma, self.seed))
+        return draws
 
 
 CONSTANT = "constant"
@@ -253,50 +257,35 @@ class SimulationTrace:
         out.flush()
 
 
-class _ByteRange(io.RawIOBase):
-    """Bytes start to stop of a file, as a raw stream with a handle of its own."""
-
-    def __init__(self, path, start: int, stop: int):
-        self._file = open(path, "rb", buffering=0)
-        self._file.seek(start)
-        self._left = stop - start
-
-    def readable(self) -> bool:
-        return True
-
-    def readinto(self, buffer) -> int:
-        n = self._file.readinto(memoryview(buffer)[:self._left])
-        self._left -= n
-        return n
-
-    def close(self) -> None:
-        self._file.close()
-        super().close()
-
-
-def _lines(path, start: int, stop: int) -> io.TextIOWrapper:
-    """Bytes start to stop of a file as text, its lines split as
-    open(path, newline="") splits them."""
-    return io.TextIOWrapper(io.BufferedReader(_ByteRange(path, start, stop)), newline="")
+def _lines(path, start: int, stop: int):
+    """Bytes start to stop of a file, each a line start or the end, as lines
+    split at LF alone and decoded as UTF-8, read about 64 KiB at a time: a
+    UnicodeDecodeError, a ValueError, at the first line that is not."""
+    with open(path, "rb") as fh:
+        fh.seek(start)
+        while start < stop and (block := fh.readlines(min(stop - start, 1 << 16))):
+            start += sum(map(len, block))
+            # readlines adds one line more where the lines fill the hint
+            # exactly: in the last block, a line past stop
+            yield from map(bytes.decode, block if start <= stop else block[:-1])
 
 
 def _parse_rows(path, start: int, stop: int) -> np.ndarray:
     """The rows of bytes start to stop of a trace CSV, as a 2-D array."""
-    with _lines(path, start, stop) as lines, warnings.catch_warnings():
+    with warnings.catch_warnings():
         # a range of empty lines is an empty part, not a fault
         warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-        return np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
+        return np.loadtxt(_lines(path, start, stop), delimiter=",", comments=None, ndmin=2)
 
 
 def _faulty_row(path, start: int, stop: int):
-    """A ValueError naming the first row of the body (bytes start to stop,
-    after a one-line header) whose field count differs from the body's
-    first row's, or a field of which np.loadtxt cannot read, by its line
-    in the file; None if it finds none. An empty line is no row, as for
-    np.loadtxt."""
-    width = None
-    with _lines(path, start, stop) as lines:
-        for number, line in enumerate(lines, 2):
+    """A ValueError naming by its line in the file the first body line
+    (bytes start to stop, after a one-line header) that is not UTF-8,
+    whose field count differs from the first row's, or with a field
+    np.loadtxt cannot read; None if none is. An empty line is no row."""
+    number, width = 1, None
+    try:
+        for number, line in enumerate(_lines(path, start, stop), 2):
             line = line.rstrip("\r\n")
             if not line:
                 continue
@@ -306,30 +295,26 @@ def _faulty_row(path, start: int, stop: int):
             elif len(fields) != width:
                 return ValueError("%s: line %d has %d fields, the rows above it %d"
                                   % (path, number, len(fields), width))
-            field = _unread_field(line, fields)
+            field = _unread_field(fields)
             if field is not None:
                 return ValueError("%s: line %d: %r is not a number" % (path, number, field))
+    except UnicodeDecodeError:
+        return ValueError("%s: line %d is not UTF-8 text" % (path, number + 1))
     return None
 
 
-def _unread_field(line: str, fields: list):
-    """The first field of a body line that np.loadtxt cannot read as a
-    float; None where it reads the whole line. An ASCII field without an
-    underscore reads as float() reads it; numpy reads no underscore and
-    no other digits than ASCII ones."""
+def _unread_field(fields: list):
+    """The first of a body line's fields that np.loadtxt cannot read as a
+    float, or None. An ASCII field without an underscore reads as float()
+    reads it; numpy reads no underscore and no other digits than ASCII
+    ones."""
     for field in fields:
         if not (field.isascii() and "_" not in field):
-            break
+            return field
         try:
             float(field)
         except ValueError:
-            break
-    else:
-        return None
-    try:
-        np.loadtxt([line], delimiter=",", comments=None, ndmin=2)
-    except ValueError:
-        return field
+            return field
     return None
 
 
@@ -344,49 +329,44 @@ def _line_start(fh, offset: int) -> int:
 def load_trace_csv(path) -> dict[str, np.ndarray]:
     """Read a trace CSV back into a column dict (inverse of to_csv).
 
-    The body is cut at line starts into byte ranges (pool.part_bounds,
-    none shorter than _READ_PART_BYTES), each parsed as a stream of its
-    lines by np.loadtxt in one pool.run_jobs job, and the parts are
-    joined in order. numpy's C reader parses the rows with the same
-    correctly rounded string-to-double as float(), so repr-written floats
-    load bit for bit, whatever the part count. A header-only file gives
-    empty columns; an empty file or header line, a name the header
-    repeats, a ragged row or a field that is not a number (named by its
-    line in the file), or rows whose width differs from the header's,
-    raises ValueError.
+    The file is read as UTF-8 text with LF or CRLF line ends. The body is
+    cut at line starts into byte ranges (pool.part_bounds, none shorter
+    than _READ_PART_BYTES); one pool.run_jobs job each parses the _lines
+    of a range with np.loadtxt, whose correctly rounded string-to-double
+    is float()'s, so repr-written floats load bit for bit whatever the
+    part count. A header-only file gives empty columns. ValueError is
+    raised for a missing or repeating header, one that is not UTF-8 or
+    holds a bare CR, rows whose width differs from the header's, and a
+    part or join that fails: _faulty_row's error naming the line, or
+    else numpy's with the path.
     """
-    with open(path, "r", newline="") as fh:
-        first = fh.readline()
-        body = len(first.encode(fh.encoding))
-        size = os.fstat(fh.fileno()).st_size
-    line = first.strip()
-    if not line:
-        raise ValueError("%s: no header line" % (path,))
-    header = line.split(",")
-    if len(set(header)) != len(header):
-        repeated = sorted(name for name in set(header) if header.count(name) > 1)
-        raise ValueError("%s: the header repeats column %s"
-                         % (path, ", ".join(map(repr, repeated))))
     with open(path, "rb") as fh:
-        cuts = [_line_start(fh, body + offset)
-                for offset in part_bounds(size - body, _READ_PART_BYTES)[1:-1]]
-    cuts = [body] + cuts + [size]
+        first = fh.readline()
+        try:
+            line = first.decode().strip()
+        except UnicodeDecodeError:
+            raise ValueError("%s: line 1 is not UTF-8 text" % (path,)) from None
+        if not line:
+            raise ValueError("%s: no header line" % (path,))
+        if "\r" in line:
+            raise ValueError("%s: line 1 holds a bare CR; only LF and CRLF line ends are read"
+                             % (path,))
+        header = line.split(",")
+        if len(set(header)) != len(header):
+            repeated = sorted(name for name in set(header) if header.count(name) > 1)
+            raise ValueError("%s: the header repeats column %s"
+                             % (path, ", ".join(map(repr, repeated))))
+        body, size = len(first), os.fstat(fh.fileno()).st_size
+        cuts = [body] + [_line_start(fh, body + offset) for offset in
+                         part_bounds(size - body, _READ_PART_BYTES)[1:-1]] + [size]
     try:
-        parts = run_jobs([functools.partial(_parse_rows, path, start, stop)
-                          for start, stop in zip(cuts, cuts[1:]) if start < stop])
-    except ValueError:
-        parts = None
-    if parts is None or len({part.shape[1] for part in parts if part.size}) > 1:
-        # name the faulty row by its line in the file; any other fault is
-        # numpy's to report, for the body parsed as one stream
-        fault = _faulty_row(path, body, size)
-        if fault is not None:
-            raise fault
-        parts = [_parse_rows(path, body, size)]
-    parts = [part for part in parts if part.size]
-    if not parts:
-        return {name: np.empty(0) for name in header}
-    data = np.concatenate(parts) if len(parts) > 1 else parts[0]
+        parts = [part for part in run_jobs([functools.partial(_parse_rows, path, start, stop)
+                                            for start, stop in zip(cuts, cuts[1:])
+                                            if start < stop])
+                 if part.size] or [np.empty((0, len(header)))]
+        data = np.concatenate(parts) if len(parts) > 1 else parts[0]
+    except ValueError as exc:
+        raise _faulty_row(path, body, size) or ValueError("%s: %s" % (path, exc)) from exc
     if data.shape[1] != len(header):
         raise ValueError("%s: the header names %d columns but the rows have %d fields"
                          % (path, len(header), data.shape[1]))

@@ -283,7 +283,9 @@ def _routh_block(kp, alpha, t):
     first-column entry b1 or d1 within ROUTH_ZERO_REL_TOL of the
     coefficient scale. The last covers the scalar's zero-row and
     zero-pivot branches: every second-column entry is at most the scale.
-    An unflagged cell is unstable exactly when the scalar table has a sign
+    A small d1 flags no cell whose pivot or b1 is negative: the scalar
+    table has a sign change above d1 there, whatever d1 becomes. An
+    unflagged cell is unstable exactly when the scalar table has a sign
     change.
 
     Four degenerate cases are decided here, as the scalar decides them;
@@ -338,7 +340,7 @@ def _routh_block(kp, alpha, t):
     flagged |= zero_pivot
     flagged |= c4 <= TRIM_REL_TOL * scale
     flagged |= small_b1
-    flagged |= np.abs(d1) <= zero_tol
+    flagged |= (np.abs(d1) <= zero_tol) & ~((pivot < 0.0) | (b1 < 0.0))
     unstable = (pivot < 0.0) | (b1 < 0.0) | (d1 < 0.0) | (c0 < -zero_tol)
     marginal = degenerate & ~flagged & ~unstable
     return unstable, marginal, flagged

@@ -9,6 +9,7 @@ import os
 import re
 import select
 import tempfile
+import warnings
 import weakref
 from dataclasses import fields
 
@@ -520,6 +521,7 @@ _REJECTED_RUNS = {
     "overflowing-ip-stable-cell": ["--scenario", "ip-attempt", "--set", "ip_stable_kp=1e300",
                                    "--set", "ip_stable_alpha=1e-300"],
     "overflowing-t-filter": ["--scenario", "ip-attempt", "--set", "t_filter=1e300"],
+    "overflowing-sigma": ["--scenario", "ipd-nominal", "--set", "sigma=1e308"],
 }
 
 
@@ -536,6 +538,21 @@ def test_rejected_run_creates_no_directory(tmp_path, capsys, argv):
     assert main(argv + ["--out", str(out)]) == 2
     assert [p.name for p in out.iterdir()] == [argv[1]]
     assert [p.name for p in existing.iterdir()] == ["keep.txt"]
+
+
+def test_sigma_whose_noise_draws_overflow_is_rejected_before_any_output(tmp_path, capsys):
+    # the draws are fixed by sigma, the seed and the sample count, so the
+    # runner checks them before <out>/<scenario>/ exists, and numpy's
+    # overflow warning never shows
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main(["--scenario", "ipd-nominal", "--out", str(tmp_path), "--seed", "7",
+                   "--set", "sigma=1e308"])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.err == "error: config key 'sigma' = 1e+308 overflows a noise draw of seed 7\n"
+    assert captured.out == ""
+    assert list(tmp_path.iterdir()) == []
 
 
 # the _REJECTED_RUNS whose map cell has no quartic, and what the message names

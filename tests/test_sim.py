@@ -132,6 +132,14 @@ def test_noise_reproducible():
     assert not np.array_equal(a, c)
 
 
+def test_noise_draws_that_overflow_raise_naming_sigma():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=r"^sigma = 1e\+308 overflows a noise draw of seed 3$"):
+            NoiseModel(1e308, 3).sequence(1000)
+        assert np.isfinite(NoiseModel(1e300, 3).sequence(1000)).all()
+
+
 def test_noise_statistics():
     n = 200_000
     sigma = 0.01
@@ -408,6 +416,46 @@ def test_load_trace_csv_rejects_a_file_without_a_header(tmp_path, content):
         load_trace_csv(path)
 
 
+@settings(max_examples=60, deadline=None)
+@given(lines=st.lists(st.text("a1,\r", max_size=5).map(lambda s: s + "\n"), max_size=12),
+       tail=st.text("a1,\r", max_size=3), data=st.data())
+def test_lines_of_a_byte_range_are_its_lines_split_at_lf(tmp_path_factory, lines, tail, data):
+    # a range runs from a line start to a line start or the end of the file
+    lines += [tail] if tail else []
+    path = tmp_path_factory.mktemp("lines") / "trace.csv"
+    path.write_bytes("".join(lines).encode())
+    starts = [sum(map(len, lines[:k])) for k in range(len(lines) + 1)]
+    i = data.draw(st.integers(0, len(lines)))
+    j = data.draw(st.integers(i, len(lines)))
+    assert list(sim._lines(path, starts[i], starts[j])) == lines[i:j]
+
+
+def test_lines_of_a_byte_range_longer_than_one_read(tmp_path):
+    # 4,096 16-byte lines fill one 64 KiB read exactly
+    lines = ["%015d\n" % k for k in range(3 * 4096 + 3)]
+    path = tmp_path / "trace.csv"
+    path.write_text("".join(lines))
+    assert list(sim._lines(path, 16, 16 * 8193)) == lines[1:8193]
+    assert list(sim._lines(path, 0, 16 * len(lines))) == lines
+
+
+def test_load_trace_csv_rejects_bare_cr_line_ends(tmp_path):
+    # lines are split at LF alone, so a bare-CR file is one long header
+    path = tmp_path / "trace.csv"
+    path.write_bytes(b"t,u\r1.0,2.0\r3.0,4.0\r")
+    with pytest.raises(ValueError, match="^%s$" % re.escape(
+            "%s: line 1 holds a bare CR; only LF and CRLF line ends are read" % path)):
+        load_trace_csv(path)
+
+
+def test_load_trace_csv_names_a_header_that_is_not_utf8(tmp_path):
+    path = tmp_path / "trace.csv"
+    path.write_bytes(b"t,\xffu\n1.0,2.0\n")
+    with pytest.raises(ValueError, match="^%s$" % re.escape(
+            "%s: line 1 is not UTF-8 text" % path)):
+        load_trace_csv(path)
+
+
 @pytest.mark.parametrize("header,repeated", [
     ("t,t", "'t'"),
     ("t,u,y,u,t,e", "'t', 'u'"),
@@ -561,6 +609,22 @@ def test_load_trace_csv_names_a_field_that_is_not_a_number_in_the_last_part(tmp_
     cores(n_cores)
     with pytest.raises(ValueError, match="^%s$" % re.escape(
             "%s: line 23990: '0x10' is not a number" % path)):
+        load_trace_csv(path)
+    assert no_child_left()
+
+
+@needs_fork
+@pytest.mark.parametrize("n_cores", [1, 2])
+def test_load_trace_csv_names_a_line_that_is_not_utf8_in_the_last_part(tmp_path, cores,
+                                                                       n_cores):
+    path = tmp_path / "trace.csv"
+    _special_csv(path, 24000)
+    lines = path.read_bytes().split(b"\r\n")
+    lines[23989] = lines[23989].rsplit(b",", 1)[0] + b",\xff"  # line 23990
+    path.write_bytes(b"\r\n".join(lines))
+    cores(n_cores)
+    with pytest.raises(ValueError, match="^%s$" % re.escape(
+            "%s: line 23990 is not UTF-8 text" % path)):
         load_trace_csv(path)
     assert no_child_left()
 

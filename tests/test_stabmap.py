@@ -241,8 +241,9 @@ def _assert_sweep_equals_cell_verdict(spec):
 
 @pytest.mark.parametrize("spec,vector_marginals,scalar_calls", [
     # the kp = 0 row (c0 = 0) is decided in closed form: 9 of its cells
-    # are marginal, and only 1 cell elsewhere reaches cell_verdict
-    (default_grid_spec(), 9, 1),
+    # are marginal; the one cell with a near-zero d1, (0.25, 0.95), has
+    # b1 < 0 above it and is decided unstable without cell_verdict
+    (default_grid_spec(), 9, 0),
     (default_all_t_grid_spec(), 0, 0),
     (GridSpec((-5.0, 5.0, 301), (-5.0, 5.0, 101), (0.37,)), 3, 0),
     # T = 2: the lone zero c3 of every cell, the kp = 0.25 row's zero s^3
@@ -253,7 +254,13 @@ def _assert_sweep_equals_cell_verdict(spec):
     # coefficients dwarf c4 = 4, so b1 = c2 - c4*c1/eps stays positive and
     # the table has no sign change: 6 of the 9 cells are marginal
     (GridSpec((-1e6, -1e5, 3), (1e-4, 1e-3, 3), (2.0,)), 6, 0),
-], ids=["default-fixed-t", "default-all-t", "301x101", "default-t2", "t2-marginal"])
+    # the T = 1.0 and T = 1.5 maps are all unstable; the cells they hand
+    # over have a near-zero d1 between a positive b1 and a negative c0,
+    # but for (0, -1) at T = 1.5, whose s^2 row [b1, c0] is a zero row
+    (default_grid_spec(1.0), 0, 7),
+    (default_grid_spec(1.5), 0, 3),
+], ids=["default-fixed-t", "default-all-t", "301x101", "default-t2", "t2-marginal", "default-t1",
+        "default-t1.5"])
 def test_sweep_equals_cell_verdict_on_full_grids(monkeypatch, spec, vector_marginals,
                                                  scalar_calls):
     # vector_marginals counts the marginal cells the vector path decides
