@@ -281,12 +281,16 @@ def _parse_rows(path, start: int, stop: int) -> np.ndarray:
 def _faulty_row(path, start: int, stop: int):
     """A ValueError naming by its line in the file the first body line
     (bytes start to stop, after a one-line header) that is not UTF-8,
-    whose field count differs from the first row's, or with a field
-    np.loadtxt cannot read; None if none is. An empty line is no row."""
+    holds a bare CR, whose field count differs from the first row's, or
+    with a field np.loadtxt cannot read; None if none is. An empty line
+    is no row."""
     number, width = 1, None
     try:
         for number, line in enumerate(_lines(path, start, stop), 2):
-            line = line.rstrip("\r\n")
+            line = line.removesuffix("\n").removesuffix("\r")
+            if "\r" in line:
+                return ValueError("%s: line %d holds a bare CR; only LF and CRLF line ends"
+                                  " are read" % (path, number))
             if not line:
                 continue
             fields = line.split(",")

@@ -21,6 +21,11 @@ Wherever another branch of the scalar table could fire (a trimmed
 leading coefficient, another zero row or pivot, a non-finite entry) the
 cell is flagged and classified by the scalar cell_verdict instead,
 which stays the reference the vector path is tested against.
+
+export_grid writes a grid's CSV from a table of bytes per grid, each
+alpha's row tail for each verdict code, picking every cell's tail with
+one numpy index; it writes in binary, a block of whole kp rows at a
+time.
 """
 
 from __future__ import annotations
@@ -56,8 +61,8 @@ MAX_GRID_CELLS = 4_000_000
 DEFAULT_AXIS = (-5.0, 5.0, 201)
 
 # Cells per block of the vector sweep (rounded down to whole kp rows, at
-# least one, at the first T), so its temporaries stay small whatever the
-# grid size.
+# least one, at the first T) and per write of export_grid (whole kp rows,
+# at least one), so their temporaries stay small whatever the grid size.
 _BLOCK_CELLS = 4096
 
 VERDICT_STABLE = "stable"
@@ -404,23 +409,30 @@ def export_grid(grid: StabilityGrid, path) -> None:
 
     Fixed-t grids use header kp,alpha,verdict; all-t grids add the
     aggregation tag in a t column. Rows iterate kp-major. The last line is
-    '# stable_fraction = <value>'.
+    '# stable_fraction = <value>'. The file is written in binary, one
+    block of whole kp rows (at most _BLOCK_CELLS cells, at least one row)
+    per write.
     """
     spec = grid.spec
     if spec.aggregation == FIXED_T:
-        header, mid = "kp,alpha,verdict\n", ","
+        header, mid = b"kp,alpha,verdict\n", b","
     else:
-        header, mid = "kp,alpha,t,verdict\n", ",all,"
-    # each alpha's row tail for each verdict code; a kp row is its tails
-    # joined by, and led by, the kp field
-    tails = [["," + repr(alpha) + mid + v + "\n" for v in _VERDICTS.tolist()]
-             for alpha in spec.alpha_values().tolist()]
-    with open(path, "w", newline="\n") as fh:
+        header, mid = b"kp,alpha,t,verdict\n", b",all,"
+    # tails[j, code]: alpha j's row tail for each verdict code; a kp row
+    # is its cells' tails joined by, and led by, the kp field
+    verdicts = [v.encode() for v in _VERDICTS.tolist()]
+    tails = np.array([[b"," + repr(alpha).encode() + mid + v + b"\n" for v in verdicts]
+                      for alpha in spec.alpha_values().tolist()], dtype=object)
+    columns = np.arange(len(tails))
+    kps = [repr(kp).encode() for kp in spec.kp_values().tolist()]
+    rows_per_block = max(1, _BLOCK_CELLS // len(tails))
+    with open(path, "wb") as fh:
         fh.write(header)
-        for kp, row in zip(spec.kp_values().tolist(), grid.codes.tolist()):
-            kp_field = repr(kp)
-            fh.write(kp_field + kp_field.join([t[c] for t, c in zip(tails, row)]))
-        fh.write("# stable_fraction = %s\n" % repr(grid.stable_fraction))
+        for start in range(0, len(kps), rows_per_block):
+            rows = slice(start, start + rows_per_block)
+            fh.write(b"".join([kp + kp.join(row) for kp, row in
+                               zip(kps[rows], tails[columns, grid.codes[rows]].tolist())]))
+        fh.write(b"# stable_fraction = " + repr(grid.stable_fraction).encode() + b"\n")
 
 
 def ip_loop_for_cell(kp: float, alpha: float, t: float) -> tuple:

@@ -56,7 +56,9 @@ def _cfg(scenario, **overrides):
 
 def _read_metrics(path) -> dict:
     out = {}
-    for line in open(path):
+    with open(path) as fh:
+        lines = fh.readlines()
+    for line in lines:
         key, sep, value = line.strip().partition(" = ")
         assert sep, "malformed metrics line %r" % line
         out[key] = value
@@ -321,7 +323,8 @@ def test_run_scenario_stabmap_fixed_t(tmp_path):
                kp_axis="-1,1,11", alpha_axis="-1,1,11")
     run_scenario(cfg)
     base = os.path.join(str(tmp_path), "stabmap-fixed-t")
-    lines = open(os.path.join(base, "grid.csv")).read().splitlines()
+    with open(os.path.join(base, "grid.csv")) as fh:
+        lines = fh.read().splitlines()
     assert lines[0] == "kp,alpha,verdict"
     assert len(lines) == 1 + 121 + 1
     m = _read_metrics(os.path.join(base, "metrics.txt"))
@@ -338,7 +341,8 @@ def test_run_scenario_stabmap_all_t(tmp_path):
                kp_axis="-1,1,5", alpha_axis="-1,1,5", t_axis="0.1,0.5")
     run_scenario(cfg)
     base = os.path.join(str(tmp_path), "stabmap-all-t")
-    lines = open(os.path.join(base, "grid.csv")).read().splitlines()
+    with open(os.path.join(base, "grid.csv")) as fh:
+        lines = fh.read().splitlines()
     assert lines[0] == "kp,alpha,t,verdict"
     assert all(",all," in line for line in lines[1:-1])
 
@@ -1000,7 +1004,8 @@ def test_repeated_config_file_key_names_both_lines(key, comments, blanks):
 
 def test_readme_config_keys_table_matches_the_key_table():
     # the README's table is the one list of keys kept outside the code
-    text = open(README).read()
+    with open(README) as fh:
+        text = fh.read()
     section = text.split("### Config keys", 1)[1].split("\n#", 1)[0]
     rows = [line for line in section.splitlines() if line.startswith("| `")]
     named = [key for row in rows for key in re.findall(r"`([a-z0-9_]+)`", row.split("|")[1])]

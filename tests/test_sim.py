@@ -613,6 +613,32 @@ def test_load_trace_csv_names_a_field_that_is_not_a_number_in_the_last_part(tmp_
     assert no_child_left()
 
 
+def test_load_trace_csv_names_a_bare_cr_in_a_body_line(tmp_path):
+    path = tmp_path / "trace.csv"
+    path.write_bytes(b"t,u\n1,2\r3,4\n")
+    with pytest.raises(ValueError, match="^%s$" % re.escape(
+            "%s: line 2 holds a bare CR; only LF and CRLF line ends are read" % path)):
+        load_trace_csv(path)
+
+
+@needs_fork
+@pytest.mark.parametrize("n_cores", [1, 2])
+@pytest.mark.parametrize("line", [3, 23990], ids=["first-part", "last-part"])
+def test_load_trace_csv_names_a_bare_cr_line_end_by_its_line(tmp_path, cores, n_cores, line):
+    # lines `line` and `line` + 1 joined by a bare CR are one line with
+    # sixteen fields, one of them holding the CR
+    path = tmp_path / "trace.csv"
+    _special_csv(path, 24000)
+    lines = path.read_bytes().split(b"\r\n")
+    lines[line - 1:line + 1] = [lines[line - 1] + b"\r" + lines[line]]
+    path.write_bytes(b"\r\n".join(lines))
+    cores(n_cores)
+    with pytest.raises(ValueError, match="^%s$" % re.escape(
+            "%s: line %d holds a bare CR; only LF and CRLF line ends are read" % (path, line))):
+        load_trace_csv(path)
+    assert no_child_left()
+
+
 @needs_fork
 @pytest.mark.parametrize("n_cores", [1, 2])
 def test_load_trace_csv_names_a_line_that_is_not_utf8_in_the_last_part(tmp_path, cores,

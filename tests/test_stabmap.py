@@ -1,10 +1,12 @@
 """Tests for the stability-map sweep and its simulation cross-check."""
 
 import functools
+import io
 import math
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -552,6 +554,89 @@ def test_export_deterministic_bytes(tmp_path):
     export_grid(grid, a)
     export_grid(grid, b)
     assert a.read_bytes() == b.read_bytes()
+
+
+def _export_grid_reference(grid, path):
+    """Grid CSV written one cell at a time, as export_grid did: a frozen
+    copy that export_grid must match byte for byte. Do not edit."""
+    spec = grid.spec
+    if spec.aggregation == FIXED_T:
+        header, mid = "kp,alpha,verdict\n", ","
+    else:
+        header, mid = "kp,alpha,t,verdict\n", ",all,"
+    verdicts = [VERDICT_STABLE, VERDICT_UNSTABLE, VERDICT_MARGINAL, VERDICT_EXCLUDED]
+    tails = [["," + repr(alpha) + mid + v + "\n" for v in verdicts]
+             for alpha in spec.alpha_values().tolist()]
+    with open(path, "w", newline="\n") as fh:
+        fh.write(header)
+        for kp, row in zip(spec.kp_values().tolist(), grid.codes.tolist()):
+            kp_field = repr(kp)
+            fh.write(kp_field + kp_field.join([t[c] for t, c in zip(tails, row)]))
+        fh.write("# stable_fraction = %s\n" % repr(grid.stable_fraction))
+
+
+def _record_writes(monkeypatch):
+    """Patch export_grid's open so that every write it makes is appended,
+    as bytes, to the returned list."""
+    writes = []
+
+    class Recorder(io.FileIO):
+        def write(self, data):
+            writes.append(bytes(data))
+            return super().write(data)
+
+    monkeypatch.setattr(stabmap, "open", Recorder, raising=False)
+    return writes
+
+
+@pytest.mark.parametrize("spec,block_cells", [
+    (default_grid_spec(), None),
+    (default_all_t_grid_spec(), None),
+    (GridSpec((-5.0, 5.0, 301), (-5.0, 5.0, 101), (0.37,)), None),
+    (GridSpec((-1e6, -1e5, 3), (1e-4, 1e-3, 3), (2.0,)), None),
+    # all four verdicts: an excluded alpha = 0 column, marginal cells in
+    # the kp = 0 row
+    (GridSpec((-0.5, 0.5, 3), (-0.4, 0.4, 5), (0.1,)), None),
+    # 7 kp rows at 2 rows per block: four writes, the last of one row
+    (GridSpec((-1.0, 1.0, 7), (-1.0, 1.0, 5), (0.1, 0.5), FOR_ALL_T), 12),
+    # a block smaller than one kp row still writes a whole row
+    (GridSpec((-0.5, 0.5, 3), (-0.4, 0.4, 5), (0.1,)), 2),
+], ids=["default-fixed-t", "default-all-t", "301x101", "t2-marginal", "excluded-column",
+        "several-blocks", "row-per-block"])
+def test_export_grid_bytes_equal_the_per_cell_writer(tmp_path, monkeypatch, spec, block_cells):
+    if block_cells is not None:
+        monkeypatch.setattr(stabmap, "_BLOCK_CELLS", block_cells)
+    grid = sweep(spec)
+    expected = tmp_path / "expected.csv"
+    _export_grid_reference(grid, expected)
+    writes = _record_writes(monkeypatch)
+    path = tmp_path / "grid.csv"
+    export_grid(grid, path)
+    assert path.read_bytes() == expected.read_bytes()
+    # a header, one write per block of whole kp rows, the summary line
+    n_kp, n_alpha = grid.codes.shape
+    rows_per_block = max(1, stabmap._BLOCK_CELLS // n_alpha)
+    blocks = writes[1:-1]
+    assert len(blocks) == -(-n_kp // rows_per_block)
+    assert [block.count(b"\n") for block in blocks] == [
+        n_alpha * min(rows_per_block, n_kp - start) for start in range(0, n_kp, rows_per_block)]
+    if spec.alpha_axis == (-0.4, 0.4, 5):
+        assert all(grid.counts.values())
+        assert grid.verdicts[1][2:] == [VERDICT_EXCLUDED, VERDICT_MARGINAL, VERDICT_MARGINAL]
+
+
+def test_export_grid_holds_no_per_cell_list(tmp_path):
+    # the per-cell writer peaked at 8.58 MB on this grid, mostly the grid's
+    # codes as one list of Python ints
+    grid = sweep(GridSpec((-5.0, 5.0, 1001), (-5.0, 5.0, 1001), (0.1,)))
+    grid.counts  # counted before: the count's temporaries are not the writer's
+    tracemalloc.start()
+    try:
+        export_grid(grid, tmp_path / "grid.csv")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2_000_000
 
 
 def test_export_io_failure(tmp_path):
