@@ -42,8 +42,9 @@ BLOWUP_THRESHOLD = 1e3
 MAX_SAMPLES = 1_000_000
 
 # regulation_diverged reads the y and v of _FLAG_BLOCK samples at once,
-# from a stack of _FLAG_BLOCK (y, v) row pairs of matrix powers per loop,
-# for _FLAG_LOOPS loops at a time: about 0.25 MB of 6-wide rows. A value
+# in the blocks that a bound cannot settle, from a stack of _FLAG_BLOCK
+# (y, v) row pairs of matrix powers per loop, for _FLAG_LOOPS loops at a
+# time: about 0.25 MB of 6-wide rows. A value
 # decides a flag only if it is more than _FLAG_MARGIN, relative, from the
 # threshold: the matrix and the simulated loop differ by about 1e-12.
 _FLAG_BLOCK = 256
@@ -741,15 +742,17 @@ def regulation_diverged(loops: list, h: float = 1e-3, duration: float = 20.0,
     ydot0, pid_filter_time=pid_filter_time).diverged for each (plant,
     controller, estimator, y0, ydot0) of loops.
 
-    Each loop's flag is read from its loop_matrix: the y and v of every
-    sample, for blocks of _FLAG_BLOCK samples at once, from the rows of
-    A^j (j < _FLAG_BLOCK) times the state at the block's start. These
+    Each loop's flag is read from its loop_matrix, in blocks of
+    _FLAG_BLOCK samples: the rows of A^j (j < _FLAG_BLOCK) times the
+    state at a block's start give the y and v of its samples. These
     differ from the simulated ones by rounding only, so a loop is
     decided here only where that cannot matter: a |y| above
     BLOWUP_THRESHOLD * (1 + _FLAG_MARGIN) before any non-finite value
     (diverged), or every value finite and |y| below
-    BLOWUP_THRESHOLD * (1 - _FLAG_MARGIN) (not diverged). Any other loop
-    is simulated by run_closed_loop.
+    low = BLOWUP_THRESHOLD * (1 - _FLAG_MARGIN) (not diverged). Any other
+    loop is simulated by run_closed_loop. A block whose bound on |y| is
+    below low and whose bound on |v| is finite is settled, and its values
+    are never evaluated (_clear_flags).
     """
     n = sample_count(h, duration)
     flags = []
@@ -767,7 +770,22 @@ def regulation_diverged(loops: list, h: float = 1e-3, duration: float = 20.0,
 
 def _clear_flags(matrices: list, y0: list, n: int) -> list:
     """Per (A, x1) of matrices with its y0: True or False where the n
-    samples' blocked values decide the diverged flag clearly, else None."""
+    samples' blocked values decide the diverged flag clearly, else None.
+
+    Block m of a loop starts at sample 1 + m * _FLAG_BLOCK from the state
+    x_m = A^(m * _FLAG_BLOCK) x1. With reach the largest |entry| of each
+    column of the loop's y rows of A^j (j < _FLAG_BLOCK), |x_m| . reach
+    bounds every |y| of the block, and likewise for v. A block is settled
+    where the y bound is below low and the v bound is finite: it holds no
+    non-finite value and no |y| at or above low, so it cannot set a flag.
+    Deciding from the bound is as safe as from the values: low already
+    sits _FLAG_MARGIN inside the threshold for the rounding gap between
+    the matrix and the simulated loop, far wider than the bound's own
+    rounding. Only unsettled blocks are evaluated, each open loop's next
+    one per round, from the start states and rows a scan of every block
+    uses, so the flags are that scan's unless a bound falls within a few
+    ulps under low while a value reaches it.
+    """
     d = max(len(x1) for _, x1 in matrices)
     a = np.zeros((len(matrices), d, d))
     x = np.zeros((len(matrices), d, 1))
@@ -780,6 +798,7 @@ def _clear_flags(matrices: list, y0: list, n: int) -> list:
     crossed = y0 > high  # a clear crossing before any non-finite value
     broken = np.zeros(len(y0), bool)  # a non-finite value before any clear crossing
     near = y0 >= low  # some |y| at or above the lower bound
+    blocks = len(range(1, n, _FLAG_BLOCK))  # block m starts at sample 1 + m * _FLAG_BLOCK
     with np.errstate(all="ignore"):
         # the (y, v) rows of A^j for j < _FLAG_BLOCK, and power = A^_FLAG_BLOCK
         rows = np.broadcast_to(np.eye(d)[:2], (len(y0), 2, d))
@@ -787,24 +806,37 @@ def _clear_flags(matrices: list, y0: list, n: int) -> list:
         for _ in range(_FLAG_BLOCK.bit_length() - 1):
             rows = np.concatenate([rows, rows @ power], axis=1)
             power = power @ power
-        open_ = ~crossed
-        for first in range(1, n, _FLAG_BLOCK):  # the sample of state x
-            if not open_.any():
-                break
-            yv = (rows[:, :2 * min(_FLAG_BLOCK, n - first)] @ x).reshape(len(y0), -1, 2)
-            x = power @ x
-            # most blocks leave every open loop finite and below low (NaN
-            # fails the comparison), and nothing to record
-            if not (open_ & ~(np.abs(yv).max(axis=(1, 2)) < low)).any():
-                continue
+        # every block's start state, stepped by power as the samples run
+        states = np.empty((blocks, len(y0), d, 1))
+        states[0] = x
+        for m in range(1, blocks):
+            np.matmul(power, states[m - 1], out=states[m])
+        reach = np.abs(rows).reshape(len(y0), _FLAG_BLOCK, 2, d).max(axis=1)
+        bound = (np.abs(states) * reach.swapaxes(1, 2)).sum(axis=2)  # (block, loop, y/v)
+        # NaN fails both tests: a block with a non-finite bound is evaluated
+        settled = (bound[..., 0] < low) & np.isfinite(bound[..., 1])
+        # after[m, l]: loop l's first unsettled block from block m on, or blocks
+        after = np.where(settled, blocks, np.arange(blocks)[:, None])
+        after = np.minimum.accumulate(after[::-1], axis=0)[::-1]
+        after = np.concatenate([after, np.full((1, len(y0)), blocks)])
+        at = after[0].copy()
+        open_ = ~crossed & (at < blocks)
+        while open_.any():
+            # each open loop's next unsettled block, evaluated in one product
+            loops = np.flatnonzero(open_)
+            m = at[loops]
+            yv = (rows[loops] @ states[m, loops]).reshape(len(loops), -1, 2)
+            # the last block's samples from n on are not the run's
+            inside = (1 + m * _FLAG_BLOCK)[:, None] + np.arange(_FLAG_BLOCK) < n
             y = np.abs(yv[..., 0])
-            over = y > high
-            bad = ~np.isfinite(yv).all(axis=2)
-            first_over = np.where(over.any(axis=1), over.argmax(axis=1), y.shape[1])
-            first_bad = np.where(bad.any(axis=1), bad.argmax(axis=1), y.shape[1])
-            crossed |= open_ & (first_over < first_bad)
-            broken |= open_ & (first_bad <= first_over) & bad.any(axis=1)
-            near |= open_ & (y >= low).any(axis=1)
-            open_ = ~(crossed | broken)
+            over = (y > high) & inside
+            bad = ~np.isfinite(yv).all(axis=2) & inside
+            first_over = np.where(over.any(axis=1), over.argmax(axis=1), _FLAG_BLOCK)
+            first_bad = np.where(bad.any(axis=1), bad.argmax(axis=1), _FLAG_BLOCK)
+            crossed[loops] |= first_over < first_bad
+            broken[loops] |= (first_bad <= first_over) & bad.any(axis=1)
+            near[loops] |= ((y >= low) & inside).any(axis=1)
+            at[loops] = after[m + 1, loops]
+            open_ = ~(crossed | broken) & (at < blocks)
     return [True if c else None if b or m else False
             for c, b, m in zip(crossed.tolist(), broken.tolist(), near.tolist())]

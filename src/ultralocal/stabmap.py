@@ -236,8 +236,9 @@ class StabilityGrid:
 
     @functools.cached_property
     def counts(self) -> dict:
-        return dict(zip(_VERDICTS.tolist(),
-                        np.bincount(self.codes.ravel(), minlength=len(_VERDICTS)).tolist()))
+        # one 1-byte mask per verdict, not the codes widened to 8-byte ints
+        return {verdict: int(np.count_nonzero(self.codes == code))
+                for code, verdict in enumerate(_VERDICTS.tolist())}
 
     @property
     def stable_fraction(self) -> float:

@@ -52,7 +52,16 @@ from ultralocal.sim import (
     run_closed_loop,
 )
 from ultralocal.poly import expand_pole, ipd_gains_from_target, pid_gains_from_target
-from ultralocal.stabmap import VERDICT_STABLE, cell_verdict, default_grid_spec, ip_loop_for_cell
+from ultralocal.stabmap import (
+    DEFAULT_AXIS,
+    VERDICT_STABLE,
+    GridSpec,
+    cell_verdict,
+    cross_validate,
+    default_grid_spec,
+    ip_loop_for_cell,
+    sweep,
+)
 
 ALL_COLUMNS = TRACE_COLUMNS + ("ydot_true", "yddot_true")
 EXAMPLE_COEFFS = (-1.0, 0.0, 1.0)
@@ -354,6 +363,138 @@ def test_regulation_flags_equal_trace_flags_on_a_drawn_batch(monkeypatch, h, ste
     assert flags == expected
     assert 0 < sum(flags) < len(flags)
     assert 0 < len(simulated) < len(loops) // 2
+
+
+def _clear_flags_reference(matrices, y0, n):
+    """The diverged flags scanned over every block of every loop, as
+    sim._clear_flags did before it skipped the blocks its bound settles:
+    a frozen copy that _clear_flags must match, None included. Do not
+    edit."""
+    block, margin = 256, 1e-6
+    d = max(len(x1) for _, x1 in matrices)
+    a = np.zeros((len(matrices), d, d))
+    x = np.zeros((len(matrices), d, 1))
+    for i, (ai, x1) in enumerate(matrices):
+        a[i, :len(x1), :len(x1)] = ai
+        x[i, :len(x1), 0] = x1
+    high = BLOWUP_THRESHOLD * (1.0 + margin)
+    low = BLOWUP_THRESHOLD * (1.0 - margin)
+    y0 = np.abs(np.array(y0))
+    crossed = y0 > high
+    broken = np.zeros(len(y0), bool)
+    near = y0 >= low
+    with np.errstate(all="ignore"):
+        rows = np.broadcast_to(np.eye(d)[:2], (len(y0), 2, d))
+        power = a
+        for _ in range(block.bit_length() - 1):
+            rows = np.concatenate([rows, rows @ power], axis=1)
+            power = power @ power
+        open_ = ~crossed
+        for first in range(1, n, block):
+            if not open_.any():
+                break
+            yv = (rows[:, :2 * min(block, n - first)] @ x).reshape(len(y0), -1, 2)
+            x = power @ x
+            if not (open_ & ~(np.abs(yv).max(axis=(1, 2)) < low)).any():
+                continue
+            y = np.abs(yv[..., 0])
+            over = y > high
+            bad = ~np.isfinite(yv).all(axis=2)
+            first_over = np.where(over.any(axis=1), over.argmax(axis=1), y.shape[1])
+            first_bad = np.where(bad.any(axis=1), bad.argmax(axis=1), y.shape[1])
+            crossed |= open_ & (first_over < first_bad)
+            broken |= open_ & (first_bad <= first_over) & bad.any(axis=1)
+            near |= open_ & (y >= low).any(axis=1)
+            open_ = ~(crossed | broken)
+    return [True if c else None if b or m else False
+            for c, b, m in zip(crossed.tolist(), broken.tolist(), near.tolist())]
+
+
+@pytest.mark.parametrize("t_filter", [0.1, 0.05, 0.5, 1.0, 1.5])
+def test_clear_flags_equal_the_full_scan_on_cross_validate_chunks(monkeypatch, t_filter):
+    # every chunk cross_validate hands to _clear_flags on the default map
+    # at this T, seeds 0 to 39
+    real = sim._clear_flags
+    chunks = []
+
+    def both(matrices, y0, n):
+        flags = real(matrices, y0, n)
+        chunks.append((flags, _clear_flags_reference(matrices, y0, n)))
+        return flags
+    monkeypatch.setattr(sim, "_clear_flags", both)
+    grid = sweep(GridSpec(DEFAULT_AXIS, DEFAULT_AXIS, (t_filter,)))
+    for seed in range(40):
+        cross_validate(grid, seed=seed)
+    assert len(chunks) == 40 * 5  # 50 samples, 10 loops per chunk
+    assert all(new == old for new, old in chunks)
+    assert {True, False} <= {flag for new, _ in chunks for flag in new}
+
+
+def _drawn_loop(rng, kind, variant, y0):
+    """A drawn loop of the law: plant, gains, alpha and T as the drawn
+    batch above draws them, from y0 with ydot0 = 0.2."""
+    alpha = rng.choice([-1.0, 1.0]) * rng.uniform(0.05, 5.0)
+    plant = LtiPlant(a1=rng.uniform(-2.0, 2.0), a0=rng.uniform(-2.0, 2.0),
+                     b=rng.uniform(0.2, 2.0), delta=rng.uniform(0.1, 1.0))
+    kp, ki, kd = rng.uniform(-20.0, 20.0, 3)
+    controller = ControllerSpec(kind, kp=kp, ki=ki if kind == CLASSIC_PID else 0.0,
+                                kd=0.0 if kind == IP else kd,
+                                alpha=None if kind == CLASSIC_PID else alpha)
+    t_filter = rng.uniform(1e-3, 2.0)
+    estimator = _estimator(kind, variant, alpha, t_filter, (plant.a1, plant.a0, plant.b))
+    return plant, controller, estimator, y0, 0.2, t_filter
+
+
+@pytest.mark.parametrize("n", [11, 256, 257, 258, 20_001])
+def test_clear_flags_equal_the_full_scan_on_drawn_batches(n):
+    # 10-loop batches of every law, 5x5 PID matrices padded next to 6x6
+    # iP and iPD ones. The first block holds samples 1 to 256: the
+    # horizons end early in it, one sample short of its end, at its end,
+    # one sample into a second block, and after 20 s at h = 1e-3. The
+    # last batch adds loops whose values overflow.
+    rng = np.random.default_rng(n)
+    flags = []
+    for batch in range(8):
+        h = (1e-3, 1e-2)[batch % 2]
+        loops = []
+        for i in range(10):
+            kind, variant = _LAWS[(batch + i) % len(_LAWS)]
+            # |y0| / BLOWUP_THRESHOLD: far below, part way, within 1%,
+            # within the margin below, at the threshold, at either edge
+            # of the margin
+            scale = (5e-5, rng.uniform(0.1, 0.9), rng.uniform(0.99, 1.01),
+                     1.0 - rng.uniform(0.0, 1e-6), 1.0, 1.0 - 1e-6, 1.0 + 1e-6)[(batch + i) % 7]
+            y0 = rng.choice([-1.0, 1.0]) * BLOWUP_THRESHOLD * scale
+            loops.append(_drawn_loop(rng, kind, variant, y0))
+        if batch == 7:
+            # the overflowing runs of the non-finite truncation tests
+            loops[:2] = [(example_plant(1.0), ControllerSpec.classic_pid(kp, 0.0, 0.0), None,
+                          y0, 0.0, 0.1) for kp, y0 in ((1e306, -999.0), (1e308, -1.0))]
+        matrices = [loop_matrix(plant, controller, estimator, h, y0, ydot0, t_filter)
+                    for plant, controller, estimator, y0, ydot0, t_filter in loops]
+        y0s = [loop[3] for loop in loops]
+        new = sim._clear_flags(matrices, y0s, n)
+        assert new == _clear_flags_reference(matrices, y0s, n)
+        flags += new
+    assert {True, False, None} <= set(flags)
+
+
+@pytest.mark.parametrize("n", [11, 20_001])
+def test_clear_flags_evaluate_the_blocks_a_bound_leaves_open(n):
+    # matrices whose y bound is tight: a y held just inside the margin
+    # below the threshold (its bound is below the threshold but not below
+    # low), and a v that doubles from 1e307 and overflows while y stays at
+    # 0.05 (its y bound is finite, its v bound not); beside them a y held
+    # far below and one above the threshold
+    grow_v = np.eye(6)
+    grow_v[1, 1] = 2.0
+    matrices = [(np.eye(6), np.array([BLOWUP_THRESHOLD * (1.0 - 1e-7), 0, 0, 0, 0, 0])),
+                (grow_v, np.array([0.05, 1e307, 0, 0, 0, 0])),
+                (np.eye(6), np.array([0.05, 0, 0, 0, 0, 0])),
+                (np.eye(6), np.array([2 * BLOWUP_THRESHOLD, 0, 0, 0, 0, 0]))]
+    y0 = [0.05] * 4
+    assert sim._clear_flags(matrices, y0, n) == [None, None, False, True]
+    assert _clear_flags_reference(matrices, y0, n) == [None, None, False, True]
 
 
 def _iterated(a, x1, y0, n):

@@ -639,6 +639,30 @@ def test_export_grid_holds_no_per_cell_list(tmp_path):
     assert peak < 2_000_000
 
 
+@pytest.mark.parametrize("spec", [
+    default_grid_spec(), default_all_t_grid_spec(),
+    GridSpec((-5.0, 5.0, 201), (-5.0, 5.0, 201), (2.0,)),
+    GridSpec((-5.0, 5.0, 301), (-5.0, 5.0, 101), (0.37,)),
+], ids=["default-fixed-t", "default-all-t", "t2", "301x101"])
+def test_counts_equal_bincount(spec):
+    grid = sweep(spec)
+    assert list(grid.counts.values()) == np.bincount(grid.codes.ravel(), minlength=4).tolist()
+
+
+def test_counts_hold_no_wide_copy_of_the_codes():
+    # bincount of the codes peaked at 8.0 MB on this grid, the codes as
+    # 8-byte ints
+    grid = sweep(GridSpec((-5.0, 5.0, 1001), (-5.0, 5.0, 1001), (0.1,)))
+    tracemalloc.start()
+    try:
+        counts = grid.counts
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert sum(counts.values()) == grid.codes.size
+    assert peak <= 2_000_000
+
+
 def test_export_io_failure(tmp_path):
     grid = sweep(GridSpec((0.5, 1.0, 2), (0.5, 1.0, 2), (0.1,)))
     with pytest.raises(OSError, match="grid.csv"):
