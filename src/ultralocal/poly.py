@@ -10,7 +10,9 @@ cross-check.
 from __future__ import annotations
 
 import enum
+import functools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -217,6 +219,89 @@ def routh_hurwitz(p: Polynomial) -> StabilityVerdict:
     if degenerate:
         return StabilityVerdict(StabilityKind.MARGINAL, 0, True)
     return StabilityVerdict(StabilityKind.HURWITZ, 0, False)
+
+
+def routh_block(coeffs):
+    """routh_hurwitz over numpy arrays, one polynomial per element.
+
+    coeffs is a sequence of ascending coefficients, arrays or floats that
+    broadcast together. Returns boolean arrays (unstable, degenerate,
+    flagged) of their shape; where flagged is False, they say whether
+    routh_hurwitz's verdict is UNSTABLE and whether it is degenerate.
+
+    The table is routh_hurwitz's, with its float operations in its order,
+    less the entries known to be zero. Each of its rules runs per element,
+    behind one test over the whole block: a leading coefficient Polynomial
+    would trim is dropped, a negative one negates the polynomial, a zero
+    row becomes the derivative of the row above's auxiliary polynomial,
+    and a lone zero first-column entry ROUTH_EPS_REL times the largest
+    entry so far. Flagged are the elements with a non-finite coefficient
+    or table entry, and constants, which routh_hurwitz rejects.
+    """
+    mags = [np.abs(c) for c in coeffs]
+    scale = functools.reduce(np.maximum, mags)
+    shape = np.shape(scale)
+    if len(coeffs) == 1:
+        return np.zeros(shape, bool), np.zeros(shape, bool), np.ones(shape, bool)
+    trimmed = mags[-1] <= TRIM_REL_TOL * scale
+    if np.count_nonzero(trimmed):
+        trimmed &= np.isfinite(scale)  # an infinite coefficient stays, to be flagged
+        if np.count_nonzero(trimmed):
+            out = np.empty((3,) + shape, bool)
+            for part, cs in ((trimmed, coeffs[:-1]), (~trimmed, coeffs)):
+                out[:, part] = routh_block([np.broadcast_to(c, shape)[part] for c in cs])
+            return tuple(out)
+    negative = np.less(coeffs[-1], 0.0)
+    if np.count_nonzero(negative):
+        coeffs = [np.where(negative, -c, c) for c in coeffs]
+
+    zero_tol = ROUTH_ZERO_REL_TOL * scale
+    # a coefficient's magnitude is known, and at most scale
+    known = {id(c): m for c, m in zip(coeffs, mags)}
+
+    def magnitude(x):
+        return known[id(x)] if id(x) in known else np.abs(x)
+
+    desc = coeffs[::-1]
+    above, row = desc[0::2], desc[1::2]
+    done = []  # the rows below the first, as patched
+    degenerate = np.zeros(shape, bool)
+    for power in range(len(coeffs) - 2, -1, -1):
+        # a zero row needs |row[0]| <= zero_tol, a lone zero |row[0]| <=
+        # ROUTH_ZERO_REL_TOL * |row[j]|, j >= 1, which a coefficient row[j] caps
+        small = magnitude(row[0]) <= functools.reduce(
+            np.maximum, [ROUTH_ZERO_REL_TOL * np.abs(x) for x in row[1:] if id(x) not in known],
+            zero_tol)
+        if np.count_nonzero(small):
+            zero_row = functools.reduce(operator.and_,
+                                        [magnitude(x) <= zero_tol for x in row[1:]], small)
+            if np.count_nonzero(zero_row):
+                # d/ds of A(s) = sum_j above[j] * s**(power + 1 - 2j)
+                row = [np.where(zero_row, (power + 1 - 2 * j) * above[j], x)
+                       for j, x in enumerate(row)]
+                degenerate |= zero_row
+            # a zero that is alone in its row needs a second entry
+            if len(row) > 1:
+                mag = [magnitude(x) for x in row]
+                lone = mag[0] <= ROUTH_ZERO_REL_TOL * functools.reduce(np.maximum, mag)
+                if np.count_nonzero(lone):
+                    table_max = functools.reduce(
+                        np.maximum, [magnitude(x) for r in done for x in r], scale)
+                    row = [np.where(lone, ROUTH_EPS_REL * table_max, row[0]), *row[1:]]
+                    degenerate |= lone
+        done.append(row)
+        if power == 0:
+            break
+        pivot, lead = row[0], above[0]
+        above, row = row, [above[j + 1] - lead * row[j + 1] / pivot if j + 1 < len(row)
+                           else above[j + 1] for j in range(len(above) - 1)]
+
+    # first[0] > 0, so a sign change is a first-column entry <= 0; a
+    # non-finite coefficient makes scale non-finite
+    first = [desc[0], *(r[0] for r in done)]
+    low = functools.reduce(np.minimum, first)
+    high = functools.reduce(np.maximum, [x for x in first if id(x) not in known], scale)
+    return low <= 0.0, degenerate, ~(np.isfinite(low) & np.isfinite(high))
 
 
 def expand_pole(r: float, multiplicity: int) -> Polynomial:

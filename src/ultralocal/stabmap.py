@@ -10,17 +10,12 @@ it reads the runs' diverged flags off the sampled loops' step matrices
 
 The quartic's coefficients are built here (_ip_coeffs), for the vector
 sweep, the scalar cell_verdict, the root oracle quartic_max_real_root and
-GridSpec's overflow check alike. The sweep computes the quartic's Routh
-first column as numpy arrays, with routh_hurwitz's float operations in
-their order, so every cell it decides gets the verdict the scalar table
-gives. Four degenerate tables it decides in closed form, as the scalar
-does: a zero c0 (the whole kp = 0 row), a lone zero c3 (every cell at
-T = 2), a zero s^3 row (c3 = c1 = 0: the kp = 0.25 row at T = 2) and a
-lone zero b1 (in that row, at alpha = 0.5).
-Wherever another branch of the scalar table could fire (a trimmed
-leading coefficient, another zero row or pivot, a non-finite entry) the
-cell is flagged and classified by the scalar cell_verdict instead,
-which stays the reference the vector path is tested against.
+GridSpec's overflow check alike. The sweep classifies blocks of cells
+with poly.routh_block, which runs routh_hurwitz's table and its
+degenerate-case rules over numpy arrays, so every cell gets the verdict
+the scalar table gives. A cell it flags (a non-finite table) goes to the
+scalar cell_verdict, which stays the reference the sweep is tested
+against.
 
 export_grid writes a grid's CSV from a table of bytes per grid, each
 alpha's row tail for each verdict code, picking every cell's tail with
@@ -39,12 +34,10 @@ import numpy as np
 
 from .control import ControllerSpec, EstimatorConfig, ANALYSIS_FORM
 from .poly import (
-    ROUTH_EPS_REL,
-    ROUTH_ZERO_REL_TOL,
-    TRIM_REL_TOL,
     Polynomial,
     StabilityKind,
     max_real_part_of_roots,
+    routh_block,
     routh_hurwitz,
 )
 from .sim import example_plant, regulation_diverged
@@ -275,131 +268,52 @@ def cell_verdict(kp: float, alpha: float, spec: GridSpec) -> str:
 _FALLBACK = len(_VERDICTS)
 
 
-def _routh_block(kp, alpha, t):
-    """Routh test of the quartic at one T over a block of cells.
-
-    kp and alpha broadcast against each other (a column and a row, or two
-    1-D arrays); returns boolean arrays (unstable, marginal, flagged). The
-    first column [c4, c3, b1, d1, e1] is computed with routh_hurwitz's
-    operations in its order. The table's last column is all zeros, so its
-    second-column entries b2, d2, e2 are c0, 0 and 0, and e1 is c0, up to
-    the sign of a zero.
-
-    Flagged are a trimmed leading coefficient, non-finite values, and a
-    first-column entry b1 or d1 within ROUTH_ZERO_REL_TOL of the
-    coefficient scale. The last covers the scalar's zero-row and
-    zero-pivot branches: every second-column entry is at most the scale.
-    A small d1 flags no cell whose pivot or b1 is negative: the scalar
-    table has a sign change above d1 there, whatever d1 becomes. An
-    unflagged cell is unstable exactly when the scalar table has a sign
-    change.
-
-    Four degenerate cases are decided here, as the scalar decides them;
-    a zero c0 may come with any of the others, and each makes the cell
-    marginal unless it is unstable or flagged:
-    - c0 within the zero tolerance (c0 = -kp/alpha, so the whole kp = 0
-      row): the s^0 row [e1, 0, 0] is a zero row, which the scalar
-      replaces by the derivative of the s^1 row [d1, 0, 0], so the last
-      first-column entry is d1 again and c0's sign does not count.
-    - c3 a lone zero of the s^3 row [c3, c1] (c3 = 2T - T^2 is one float
-      per T, exactly 0 at T = 2). The scalar then pivots on ROUTH_EPS_REL
-      * scale instead of c3, which gives other b1 and d1. A block without
-      a small c3 in a finite cell pays for this one any().
-    - c3 and c1 both within the zero tolerance (at T = 2, the kp = 0.25
-      row): the s^3 row is a zero row, which the scalar replaces by the
-      derivative [4 c4, 2 c2] of the s^4 row's c4 s^4 + c2 s^2 + c0.
-    - b1 a lone zero of the s^2 row [b1, c0] (at T = 2, kp = 0.25 and
-      alpha = 0.5, where c2 = 0 too): the scalar pivots on ROUTH_EPS_REL
-      times the largest entry of the rows above. Found only where some
-      b1 is within the zero tolerance.
-    """
-    c0, c1, c2, c3, c4 = _ip_coeffs(alpha, kp, t)
-    scale = np.maximum(np.maximum(np.abs(c0), np.abs(c1)),
-                       np.maximum(np.abs(c2), max(abs(c3), c4)))
-    zero_tol = ROUTH_ZERO_REL_TOL * scale
-    finite = np.isfinite(scale)
-    zero_pivot = abs(c3) <= zero_tol
-    degenerate = np.abs(c0) <= zero_tol
-    pivot, s3 = c3, c1  # the s^3 row [c3, c1] as the table uses it
-    # an excluded alpha = 0 column has infinite coefficients: not a zero
-    if (zero_pivot & finite).any():
-        lone = (zero_pivot & finite & (np.abs(c1) > zero_tol)
-                & (abs(c3) <= ROUTH_ZERO_REL_TOL * np.maximum(abs(c3), np.abs(c1))))
-        zero_row = zero_pivot & finite & (np.abs(c1) <= zero_tol)
-        pivot = np.where(lone, ROUTH_EPS_REL * scale, np.where(zero_row, 4.0 * c4, c3))
-        s3 = np.where(zero_row, 2.0 * c2, c1)
-        zero_pivot &= ~(lone | zero_row)
-        degenerate |= lone | zero_row
-    b1 = c2 - c4 * s3 / pivot
-    small_b1 = np.abs(b1) <= zero_tol
-    if (small_b1 & finite).any():
-        # a lone zero b1 of the s^2 row [b1, c0]: the scalar pivots on
-        # ROUTH_EPS_REL * the largest entry of the rows above instead
-        lone_b1 = (small_b1 & finite & (np.abs(c0) > zero_tol)
-                   & (np.abs(b1) <= ROUTH_ZERO_REL_TOL * np.abs(c0)))
-        table_max = np.maximum(scale, np.maximum(np.abs(pivot), np.abs(s3)))
-        b1 = np.where(lone_b1, ROUTH_EPS_REL * table_max, b1)
-        small_b1 &= ~lone_b1
-        degenerate |= lone_b1
-    d1 = s3 - pivot * c0 / b1
-    flagged = ~(finite & np.isfinite(b1) & np.isfinite(d1))
-    flagged |= zero_pivot
-    flagged |= c4 <= TRIM_REL_TOL * scale
-    flagged |= small_b1
-    flagged |= (np.abs(d1) <= zero_tol) & ~((pivot < 0.0) | (b1 < 0.0))
-    unstable = (pivot < 0.0) | (b1 < 0.0) | (d1 < 0.0) | (c0 < -zero_tol)
-    marginal = degenerate & ~flagged & ~unstable
-    return unstable, marginal, flagged
-
-
-def _decide(codes, kp, alpha, t):
-    """Apply _routh_block at t to the cells of codes still followed
-    (stable or marginal so far), writing their new codes in place.
-    Returns the cells still followed: a flagged cell gets _FALLBACK and an
-    unstable one is decided, while a marginal one may yet turn unstable
-    or flagged at a later T."""
-    with np.errstate(all="ignore"):
-        unstable, marginal, flagged = _routh_block(kp, alpha, t)
-    followed = (codes == _STABLE) | (codes == _MARGINAL)
-    codes[followed & flagged] = _FALLBACK
-    followed &= ~flagged
-    codes[followed & unstable] = _UNSTABLE
-    followed &= ~unstable
-    codes[followed & marginal] = _MARGINAL
-    return followed
-
-
 def sweep(spec: GridSpec) -> StabilityGrid:
     """Classify every grid cell.
 
     Takes the T's in axis order, as cell_verdict does. The first T runs on
-    blocks of whole kp rows; each later T runs only on the cells still
-    followed (not yet unstable or flagged, a marginal cell included), in
-    1-D chunks of at most _BLOCK_CELLS. A flagged cell is classified by
-    the scalar cell_verdict, so the verdicts equal cell_verdict's on
-    every cell.
+    blocks of whole kp rows; the later T's run together on the cells
+    still followed (not yet unstable or flagged, a marginal cell
+    included), in 1-D chunks of at most _BLOCK_CELLS (cell, T) pairs. A
+    flagged cell is classified by the scalar cell_verdict, so the
+    verdicts equal cell_verdict's on every cell.
     """
     kps = spec.kp_values()
     alphas = spec.alpha_values()
     ts = spec.t_values()
     codes = np.full((len(kps), len(alphas)), _STABLE, np.int8)
-    codes[:, np.abs(alphas) < ALPHA_EXCLUSION] = _EXCLUDED
-    followed = np.empty(codes.shape, bool)
+    excluded = np.abs(alphas) < ALPHA_EXCLUSION
+    # alpha = 1 stands in for an excluded cell's alpha, so that no block
+    # holds its non-finite coefficients; its code is set last
+    block_alphas = np.where(excluded, 1.0, alphas)
     rows_per_block = max(1, _BLOCK_CELLS // len(alphas))
     for start in range(0, len(kps), rows_per_block):
         rows = slice(start, start + rows_per_block)
-        followed[rows] = _decide(codes[rows], kps[rows, None], alphas, ts[0])
-    cells = np.flatnonzero(followed)
+        with np.errstate(all="ignore"):
+            unstable, degenerate, flagged = routh_block(
+                _ip_coeffs(block_alphas, kps[rows, None], ts[0]))
+        # each verdict overrides those written before it
+        block = codes[rows]
+        block[degenerate] = _MARGINAL
+        block[unstable] = _UNSTABLE
+        block[flagged] = _FALLBACK
+    codes[:, excluded] = _EXCLUDED
+    # the later T's, all in one call per chunk of the cells still followed
+    # (stable or marginal); a chunk times the later T's is <= _BLOCK_CELLS
+    later = np.reshape(ts[1:], (-1, 1))
+    cells = np.flatnonzero((codes == _STABLE) | (codes == _MARGINAL)) if len(later) else []
+    cells_per_chunk = max(1, _BLOCK_CELLS // max(1, len(later)))
     flat = codes.reshape(-1)
-    for t in ts[1:]:
-        still = np.empty(len(cells), bool)
-        for start in range(0, len(cells), _BLOCK_CELLS):
-            chunk = cells[start:start + _BLOCK_CELLS]
-            i, j = np.divmod(chunk, len(alphas))
-            chunk_codes = flat[chunk]
-            still[start:start + _BLOCK_CELLS] = _decide(chunk_codes, kps[i], alphas[j], t)
-            flat[chunk] = chunk_codes
-        cells = cells[still]
+    for start in range(0, len(cells), cells_per_chunk):
+        chunk = cells[start:start + cells_per_chunk]
+        i, j = np.divmod(chunk, len(alphas))
+        with np.errstate(all="ignore"):
+            unstable, degenerate, flagged = routh_block(_ip_coeffs(alphas[j], kps[i], later))
+        # a cell takes the verdict of its first T that is flagged or unstable
+        first = (flagged | unstable).argmax(axis=0), np.arange(len(chunk))
+        stopped = flagged[first] | unstable[first]
+        flat[chunk[stopped]] = np.where(flagged[first], _FALLBACK, _UNSTABLE)[stopped]
+        flat[chunk[~stopped & degenerate.any(axis=0)]] = _MARGINAL
     for i, j in zip(*np.nonzero(codes == _FALLBACK)):
         codes[i, j] = _CODES[cell_verdict(float(kps[i]), float(alphas[j]), spec)]
     return StabilityGrid(spec, codes)

@@ -4,9 +4,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from ultralocal.poly import (
     MAX_DEGREE,
+    ROUTH_ZERO_REL_TOL,
     ConvergenceFailure,
     DegreeZero,
     InvalidParams,
@@ -21,6 +23,7 @@ from ultralocal.poly import (
     ipd_gains_from_target,
     max_real_part_of_roots,
     pid_gains_from_target,
+    routh_block,
     routh_hurwitz,
 )
 
@@ -178,6 +181,60 @@ def test_routh_counts_match_root_oracle():
             continue
         assert v.right_half_plane_count == int(np.sum(roots.real > 0))
         checked += 1
+
+
+@st.composite
+def _padded_polynomials(draw):
+    """Ascending coefficients of a polynomial of degree 1-6, padded with
+    0.0 to 7: small integers (zero rows), +-0.0, floats, and entries
+    within ROUTH_ZERO_REL_TOL of the largest (lone zeros, trimming)."""
+    degree = draw(st.integers(1, 6))
+    cs = draw(st.lists(st.integers(-3, 3).map(float) | st.sampled_from((0.0, -0.0))
+                       | st.floats(-1e3, 1e3), min_size=degree + 1, max_size=degree + 1))
+    scale = max(map(abs, cs))
+    for k in draw(st.sets(st.integers(0, degree))):
+        cs[k] = draw(st.floats(-1.5, 1.5)) * ROUTH_ZERO_REL_TOL * scale
+    return cs + [0.0] * (6 - degree)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_padded_polynomials(), min_size=1, max_size=16))
+@example([[1.0, 1.0, 1.0, 1.0, 0.0, 0.0, 0.0]])  # (s + 1)(s^2 + 1): a zero s^1 row
+@example([[1.0, 2.0, 2.0, 1.0, 1.0, 0.0, 0.0]])  # a lone zero pivot
+@example([[1.0, 0.0, 2.0, 0.0, 1.0, 0.0, 0.0],  # (s^2 + 1)^2: a zero s^3 row
+          [-1.0, -2.0, -1.0, 0.0, 0.0, 0.0, 0.0],  # a negative leading coefficient
+          [0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0], [4.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0]])
+def test_routh_block_equals_routh_hurwitz(polynomials):
+    # one routh_block call over the drawn polynomials, of mixed degrees, as
+    # coefficient arrays; a coefficient that all of them share goes in as
+    # a float, as the sweep's T-only coefficients do
+    columns = np.array(polynomials).T
+    coeffs = [float(c[0]) if (c == c[0]).all() else c for c in columns]
+    with np.errstate(all="ignore"):
+        out = routh_block(coeffs)
+    # all floats (one polynomial) give 0-d results
+    assert [x.shape for x in out] == [np.broadcast(*coeffs).shape] * 3
+    unstable, degenerate, flagged = (np.broadcast_to(x, len(polynomials)) for x in out)
+    for i, cs in enumerate(polynomials):
+        try:
+            verdict = routh_hurwitz(Polynomial(cs))
+        except PolynomialError:
+            # the zero polynomial and constants have no verdict
+            assert flagged[i]
+            continue
+        assert not flagged[i]
+        assert (unstable[i], degenerate[i]) == (
+            verdict.kind is StabilityKind.UNSTABLE, verdict.degenerate), cs
+
+
+def test_routh_block_flags_non_finite_tables():
+    # a non-finite coefficient, and a table entry that overflows
+    # (b1 = c2 - c4*c1/c3 with c4*c1 = 1e600)
+    coeffs = [1.0, np.array([np.nan, 1.0, 1e300]), np.array([1.0, math.inf, 1.0]),
+              np.array([1.0, 1.0, 1e290]), np.array([1.0, 1.0, 1e300])]
+    with np.errstate(all="ignore"):
+        flagged = routh_block(coeffs)[2]
+    assert flagged.tolist() == [True, True, True]
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ from ultralocal import pool, sim, stabmap
 from ultralocal.control import ANALYSIS_FORM
 from ultralocal.sim import NoiseModel, ReferenceTrajectory, example_plant
 from ultralocal.poly import (ROUTH_ZERO_REL_TOL, Polynomial, PolynomialError, StabilityKind,
-                             routh_hurwitz)
+                             routh_block, routh_hurwitz)
 from ultralocal.stabmap import (
     ALPHA_EXCLUSION,
     FIXED_T,
@@ -241,52 +241,50 @@ def _assert_sweep_equals_cell_verdict(spec):
     return grid
 
 
-@pytest.mark.parametrize("spec,vector_marginals,scalar_calls", [
-    # the kp = 0 row (c0 = 0) is decided in closed form: 9 of its cells
-    # are marginal; the one cell with a near-zero d1, (0.25, 0.95), has
-    # b1 < 0 above it and is decided unstable without cell_verdict
-    (default_grid_spec(), 9, 0),
-    (default_all_t_grid_spec(), 0, 0),
-    (GridSpec((-5.0, 5.0, 301), (-5.0, 5.0, 101), (0.37,)), 3, 0),
-    # T = 2: the lone zero c3 of every cell, the kp = 0.25 row's zero s^3
-    # row (c3 = c1 = 0) and its lone zero b1 at alpha = 0.5 (c2 = 0 too)
-    # are all decided in closed form
-    (default_grid_spec(2.0), 0, 0),
+@pytest.mark.parametrize("spec,marginals", [
+    # the kp = 0 row (c0 = 0) ends in a zero s^0 row: 9 of its cells are
+    # marginal; the one cell with a near-zero d1, (0.25, 0.95), has b1 < 0
+    (default_grid_spec(), 9),
+    (default_all_t_grid_spec(), 0),
+    (GridSpec((-5.0, 5.0, 301), (-5.0, 5.0, 101), (0.37,)), 3),
+    # T = 2: c3 = 2T - T^2 is a lone zero in every cell, the kp = 0.25 row
+    # has a zero s^3 row (c3 = c1 = 0) and, at alpha = 0.5, a lone zero b1
+    (default_grid_spec(2.0), 0),
     # T = 2 makes c3 = 0 a lone zero; where kp / alpha <= -1e9 the other
     # coefficients dwarf c4 = 4, so b1 = c2 - c4*c1/eps stays positive and
     # the table has no sign change: 6 of the 9 cells are marginal
-    (GridSpec((-1e6, -1e5, 3), (1e-4, 1e-3, 3), (2.0,)), 6, 0),
-    # the T = 1.0 and T = 1.5 maps are all unstable; the cells they hand
-    # over have a near-zero d1 between a positive b1 and a negative c0,
-    # but for (0, -1) at T = 1.5, whose s^2 row [b1, c0] is a zero row
-    (default_grid_spec(1.0), 0, 7),
-    (default_grid_spec(1.5), 0, 3),
-], ids=["default-fixed-t", "default-all-t", "301x101", "default-t2", "t2-marginal", "default-t1",
-        "default-t1.5"])
-def test_sweep_equals_cell_verdict_on_full_grids(monkeypatch, spec, vector_marginals,
-                                                 scalar_calls):
-    # vector_marginals counts the marginal cells the vector path decides
-    # itself, never handing them to cell_verdict; scalar_calls counts the
-    # cells it does hand over
+    (GridSpec((-1e6, -1e5, 3), (1e-4, 1e-3, 3), (2.0,)), 6),
+    # these maps' degenerate tables: a d1 within the zero tolerance (a zero
+    # s^1 row) between a positive b1 and a negative c0, a zero s^2 row
+    # [b1, c0] ((0, -1) at T = 1.5, (0, -3) at T = 1.75) and b1 ~ -9e-16
+    # ((0, 0.2) at T = 0.75)
+    (default_grid_spec(0.75), 4),
+    (default_grid_spec(1.0), 0),
+    (default_grid_spec(1.25), 0),
+    (default_grid_spec(1.5), 0),
+    (default_grid_spec(1.75), 0),
+    # c4 = T^2 = 1e-6 is trimmed against kp / alpha in all but 19 cells,
+    # which are classified as the scalar's cubic; the kp = 0 row is marginal
+    (GridSpec((-5.0, 5.0, 201), (1e-8, 1e-6, 201), (1e-3,)), 201),
+], ids=["default-fixed-t", "default-all-t", "301x101", "default-t2", "t2-marginal",
+        "default-t0.75", "default-t1", "default-t1.25", "default-t1.5", "default-t1.75",
+        "small-alpha"])
+def test_sweep_equals_cell_verdict_on_full_grids(monkeypatch, spec, marginals):
+    # the sweep hands no cell of these maps to cell_verdict
     sent = []
     real = stabmap.cell_verdict
     monkeypatch.setattr(stabmap, "cell_verdict",
                         lambda kp, alpha, spec: sent.append((kp, alpha)) or real(kp, alpha, spec))
     grid = _assert_sweep_equals_cell_verdict(spec)
-    assert len(sent) == scalar_calls
-    cells = [(kp, alpha) for kp in spec.kp_values().tolist()
-             for alpha in spec.alpha_values().tolist()]
-    verdicts = [v for row in grid.verdicts for v in row]
-    sent = set(sent)
-    assert sum(v == VERDICT_MARGINAL and cell not in sent
-               for cell, v in zip(cells, verdicts)) == vector_marginals
+    assert sent == []
+    assert grid.counts[VERDICT_MARGINAL] == marginals
 
 
 def test_t2_map_hands_only_its_degenerate_rows_to_the_scalar_table(monkeypatch):
-    # at T = 2, c3 = 2T - T^2 is exactly 0 in every cell; the vector sweep
-    # decides that lone zero, the kp = 0 row's zero c0 and the kp = 0.25
-    # row's zero s^3 row (c1 = 0) itself, so no cell reaches cell_verdict,
-    # and the degenerate rows' verdicts equal the scalar table's
+    # at T = 2, c3 = 2T - T^2 is exactly 0 in every cell; routh_block
+    # applies the scalar's rules to that lone zero, the kp = 0 row's zero
+    # c0 and the kp = 0.25 row's zero s^3 row (c1 = 0), so no cell reaches
+    # cell_verdict, and the degenerate rows' verdicts equal the scalar table's
     calls = []
     real = stabmap.cell_verdict
     monkeypatch.setattr(stabmap, "cell_verdict",
@@ -304,37 +302,43 @@ def test_t2_map_hands_only_its_degenerate_rows_to_the_scalar_table(monkeypatch):
         assert sum(v != VERDICT_EXCLUDED for v in row) == included
 
 
-def test_lone_zero_c3_closed_form_equals_the_scalar_table(monkeypatch):
-    # quartics 4s^4 + 0s^3 + c2 s^2 + c1 s + c0 fed to _routh_block through
-    # its coefficient function: every cell it decides gets the scalar
-    # table's verdict, and both of its verdicts occur
+def _assert_routh_block_equals_the_scalar_table(coeffs):
+    """routh_block of the ascending coefficients (arrays and floats) flags
+    no polynomial, and each one's verdict equals routh_hurwitz's; returns
+    the count of each kind."""
+    with np.errstate(all="ignore"):
+        unstable, degenerate, flagged = routh_block(coeffs)
+    assert not flagged.any()
+    kinds = dict.fromkeys(StabilityKind, 0)
+    arrays = np.broadcast_arrays(*coeffs)
+    for ix in np.ndindex(unstable.shape):
+        cs = [float(c[ix]) for c in arrays]
+        verdict = routh_hurwitz(Polynomial(cs))
+        assert (bool(unstable[ix]), bool(degenerate[ix])) == (
+            verdict.kind is StabilityKind.UNSTABLE, verdict.degenerate), cs
+        kinds[verdict.kind] += 1
+    return kinds
+
+
+def test_lone_zero_c3_closed_form_equals_the_scalar_table():
+    # quartics 4s^4 + 0s^3 + c2 s^2 + c1 s + c0: c3 is a lone zero of the
+    # s^3 row, and both verdicts occur
     rng = np.random.default_rng(7)
     shape = (60, 50)
     sign = lambda: rng.choice([-1.0, 1.0], shape)
     c0 = sign() * 10.0 ** rng.uniform(-6.0, 0.0, shape)
     c1 = sign() * 10.0 ** rng.uniform(-13.0, -6.0, shape)
     c2 = sign() * 10.0 ** rng.uniform(-1.0, 2.0, shape)
-    monkeypatch.setattr(stabmap, "_ip_coeffs", lambda a, kp, t: (c0, c1, c2, 0.0, 4.0))
-    with np.errstate(all="ignore"):
-        unstable, marginal, flagged = stabmap._routh_block(np.zeros((60, 1)), np.zeros(50), 2.0)
-    kinds = {StabilityKind.UNSTABLE: 0, StabilityKind.MARGINAL: 0}
-    for i, j in zip(*np.nonzero(~flagged)):
-        kind = routh_hurwitz(Polynomial([c0[i, j], c1[i, j], c2[i, j], 0.0, 4.0])).kind
-        assert (bool(unstable[i, j]), bool(marginal[i, j])) == (
-            kind == StabilityKind.UNSTABLE, kind == StabilityKind.MARGINAL)
-        kinds[kind] += 1
-    assert min(kinds.values()) > 100
+    kinds = _assert_routh_block_equals_the_scalar_table([c0, c1, c2, 0.0, 4.0])
+    assert min(kinds[StabilityKind.UNSTABLE], kinds[StabilityKind.MARGINAL]) > 100
 
 
 @pytest.mark.parametrize("c3", [0.0, -0.0, 3e-13])
-def test_zero_s3_row_closed_form_equals_the_scalar_table(monkeypatch, c3):
+def test_zero_s3_row_closed_form_equals_the_scalar_table(c3):
     # quartics 4s^4 + c3 s^3 + c2 s^2 + c1 s + c0 whose c3 (one float, as
     # 2T - T^2 is) and c1 are +0.0, -0.0 or within the zero tolerance, so
-    # that the s^3 row is a zero row, fed to _routh_block through its
-    # coefficient function; a fifth of the c2 are 0.0, so that the
-    # derivative row gives b1 a lone zero. Every cell it decides gets the
-    # scalar table's verdict, it decides nearly all of them, and both of
-    # its verdicts occur
+    # that the s^3 row is a zero row; a fifth of the c2 are 0.0, so that
+    # the derivative row gives b1 a lone zero. Both verdicts occur
     rng = np.random.default_rng(13)
     shape = (60, 50)
     sign = lambda: rng.choice([-1.0, 1.0], shape)
@@ -344,25 +348,13 @@ def test_zero_s3_row_closed_form_equals_the_scalar_table(monkeypatch, c3):
     c1 = np.choose(rng.integers(0, 3, shape),
                    [np.zeros(shape), -np.zeros(shape),
                     sign() * rng.uniform(0.01, 0.99, shape) * tol])
-    monkeypatch.setattr(stabmap, "_ip_coeffs", lambda a, kp, t: (c0, c1, c2, c3, 4.0))
-    with np.errstate(all="ignore"):
-        unstable, marginal, flagged = stabmap._routh_block(np.zeros((60, 1)), np.zeros(50), 2.0)
-    assert np.count_nonzero(flagged) < 0.01 * flagged.size
-    kinds = {StabilityKind.UNSTABLE: 0, StabilityKind.MARGINAL: 0}
-    lone_b1 = 0
-    for i, j in zip(*np.nonzero(~flagged)):
-        coeffs = [c0[i, j], c1[i, j], c2[i, j], c3, 4.0]
-        kind = routh_hurwitz(Polynomial(coeffs)).kind
-        assert (bool(unstable[i, j]), bool(marginal[i, j])) == (
-            kind == StabilityKind.UNSTABLE, kind == StabilityKind.MARGINAL), coeffs
-        kinds[kind] += 1
-        lone_b1 += c2[i, j] == 0.0
-    assert min(kinds.values()) > 100
-    assert lone_b1 > 100
+    kinds = _assert_routh_block_equals_the_scalar_table([c0, c1, c2, c3, 4.0])
+    assert min(kinds[StabilityKind.UNSTABLE], kinds[StabilityKind.MARGINAL]) > 100
+    assert np.count_nonzero(c2 == 0.0) > 100
 
 
 @pytest.mark.parametrize("c3", [0.7, -1.3])
-def test_lone_zero_b1_closed_form_equals_the_scalar_table(monkeypatch, c3):
+def test_lone_zero_b1_closed_form_equals_the_scalar_table(c3):
     # quartics with c2 = c4*c1/c3 as the table computes it, so that
     # b1 = c2 - c4*c1/c3 is 0.0 and the scalar table pivots on an epsilon
     rng = np.random.default_rng(17)
@@ -371,23 +363,14 @@ def test_lone_zero_b1_closed_form_equals_the_scalar_table(monkeypatch, c3):
     c0, c1 = (sign() * 10.0 ** rng.uniform(-2.0, 2.0, shape) for _ in range(2))
     c4 = 0.25
     c2 = c4 * c1 / c3
-    monkeypatch.setattr(stabmap, "_ip_coeffs", lambda a, kp, t: (c0, c1, c2, c3, c4))
-    with np.errstate(all="ignore"):
-        unstable, marginal, flagged = stabmap._routh_block(np.zeros((60, 1)), np.zeros(50), 0.5)
-    assert np.count_nonzero(flagged) < 0.01 * flagged.size
-    for i, j in zip(*np.nonzero(~flagged)):
-        coeffs = [c0[i, j], c1[i, j], c2[i, j], c3, c4]
-        kind = routh_hurwitz(Polynomial(coeffs)).kind
-        assert (bool(unstable[i, j]), bool(marginal[i, j])) == (
-            kind == StabilityKind.UNSTABLE, kind == StabilityKind.MARGINAL), coeffs
+    _assert_routh_block_equals_the_scalar_table([c0, c1, c2, c3, c4])
 
 
 @pytest.mark.parametrize("t", [0.1, 0.37, 2.0])
-def test_zero_c0_closed_form_equals_the_scalar_table(monkeypatch, t):
+def test_zero_c0_closed_form_equals_the_scalar_table(t):
     # quartics t^2 s^4 + (2t - t^2) s^3 + c2 s^2 + c1 s + c0 with c0 = +0.0,
-    # -0.0 or 0 < |c0| <= the zero tolerance, mixed in one block, fed to
-    # _routh_block through its coefficient function: every cell it decides
-    # gets the scalar table's verdict, and it decides nearly all of them
+    # -0.0 or 0 < |c0| <= the zero tolerance, mixed in one block: the s^0
+    # row is a zero row
     rng = np.random.default_rng(11)
     shape = (60, 50)
     sign = lambda: rng.choice([-1.0, 1.0], shape)
@@ -397,20 +380,11 @@ def test_zero_c0_closed_form_equals_the_scalar_table(monkeypatch, t):
     tiny = (sign() * rng.uniform(0.01, 0.99, shape) * ROUTH_ZERO_REL_TOL
             * np.maximum(np.maximum(np.abs(c1), np.abs(c2)), max(abs(c3), c4)))
     c0 = np.choose(rng.integers(0, 3, shape), [np.zeros(shape), -np.zeros(shape), tiny])
-    monkeypatch.setattr(stabmap, "_ip_coeffs", lambda a, kp, t: (c0, c1, c2, c3, c4))
-    with np.errstate(all="ignore"):
-        unstable, marginal, flagged = stabmap._routh_block(np.zeros((60, 1)), np.zeros(50), t)
-    assert np.count_nonzero(flagged) < 0.01 * flagged.size
-    kinds = {StabilityKind.UNSTABLE: 0, StabilityKind.MARGINAL: 0}
-    for i, j in zip(*np.nonzero(~flagged)):
-        kind = routh_hurwitz(Polynomial([c0[i, j], c1[i, j], c2[i, j], c3, c4])).kind
-        assert (bool(unstable[i, j]), bool(marginal[i, j])) == (
-            kind == StabilityKind.UNSTABLE, kind == StabilityKind.MARGINAL)
-        kinds[kind] += 1
+    kinds = _assert_routh_block_equals_the_scalar_table([c0, c1, c2, c3, c4])
     assert kinds[StabilityKind.UNSTABLE] > 100
     if t == 2.0:
         # the lone zero c3 pivots on a tiny epsilon, so b1 and d1 have
-        # opposite signs: every decided cell is unstable
+        # opposite signs: every cell is unstable
         assert kinds[StabilityKind.MARGINAL] == 0
     else:
         assert kinds[StabilityKind.MARGINAL] > 100
@@ -500,14 +474,14 @@ def test_grid_spec_rejects_overflowing_coefficients(kp_axis, alpha_axis, t_axis,
     ((0.5, 1.0, 3), (-5.0, 5.0, 2 * stabmap._BLOCK_CELLS + 1)),
 ])
 def test_sweep_works_in_row_blocks(monkeypatch, kp_axis, alpha_axis):
-    real = stabmap._routh_block
+    real = stabmap.routh_block
     sizes = []
 
-    def spy(kp, alpha, t):
-        sizes.append(np.broadcast(kp, alpha).size)
-        return real(kp, alpha, t)
+    def spy(coeffs):
+        sizes.append(np.broadcast(*coeffs).size)
+        return real(coeffs)
 
-    monkeypatch.setattr(stabmap, "_routh_block", spy)
+    monkeypatch.setattr(stabmap, "routh_block", spy)
     sweep(GridSpec(kp_axis, alpha_axis, default_t_axis(), FOR_ALL_T))
     assert sizes and max(sizes) <= max(stabmap._BLOCK_CELLS, alpha_axis[2])
 
