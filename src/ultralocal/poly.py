@@ -154,7 +154,9 @@ def routh_hurwitz(p: Polynomial) -> StabilityVerdict:
       polynomial formed from the row above.
 
     Both mark the verdict degenerate; a degenerate table with zero sign
-    changes is reported MARGINAL rather than HURWITZ.
+    changes is reported MARGINAL rather than HURWITZ. A table entry that
+    overflows, or is nan, raises PolynomialError: no verdict is read from
+    it.
     """
     if p.is_zero:
         raise ZeroPolynomial("cannot classify the zero polynomial")
@@ -190,6 +192,9 @@ def routh_hurwitz(p: Polynomial) -> StabilityVerdict:
             row = [(m - 2 * j) * above[j] if m - 2 * j > 0 else 0.0
                    for j in range(width)]
             degenerate = True
+        # an overflowed entry would pass the lone-zero test below (inf <= inf)
+        if not all(map(math.isfinite, row)):
+            raise PolynomialError("Routh table row s^%d is not finite: %r" % (power, row))
         if abs(row[0]) <= ROUTH_ZERO_REL_TOL * max(abs(x) for x in row):
             row = list(row)
             row[0] = ROUTH_EPS_REL * table_max

@@ -44,8 +44,8 @@ MAX_SAMPLES = 1_000_000
 # regulation_diverged reads the y and v of _FLAG_BLOCK samples at once,
 # in the blocks that a bound cannot settle, from a stack of _FLAG_BLOCK
 # (y, v) row pairs of matrix powers per loop, for _FLAG_LOOPS loops at a
-# time: about 0.25 MB of 6-wide rows. A value
-# decides a flag only if it is more than _FLAG_MARGIN, relative, from the
+# time, and _FLAG_LOOPS (block, loop) pairs per product: about 0.25 MB of
+# 6-wide rows each. A value decides a flag only if it is more than _FLAG_MARGIN, relative, from the
 # threshold: the matrix and the simulated loop differ by about 1e-12.
 _FLAG_BLOCK = 256
 _FLAG_LOOPS = 10
@@ -653,23 +653,34 @@ def run_closed_loop(plant: LtiPlant, controller: ControllerSpec,
         ydot_true=ydot, yddot_true=yddot, h=h, diverged=diverged, meta=trace_meta)
 
 
-def _lane_step(state, plant, controller, estimator, h, pid_filter_time, first=False):
+def _lane_law(plant, controller, estimator, h, pid_filter_time) -> tuple:
+    # (structure, constants) of a loop: what _lane_step branches on, and the floats it reads
+    a1, a0, bd = plant.a1, plant.a0, plant.b * plant.delta
+    if controller.kind == CLASSIC_PID:
+        return ((CLASSIC_PID, None), (a1, a0, bd, controller.kp, controller.ki, controller.kd)
+                + filter_constants(pid_filter_time, h))
+    return ((controller.kind, estimator.variant),
+            (a1, a0, bd, controller.kp, controller.kd, controller.alpha)
+            + filter_constants(estimator.t_filter, h) + (estimator.plant_coeffs or ()))
+
+
+def _lane_step(state, structure, constants, h, first=False):
     """One step of run_closed_loop's loop without noise, with a zero
     reference and without the oracle mode, over lanes.
 
-    state holds floats or numpy arrays of one shape, one lane per
-    element: (y, v, ym_prev, d1, d2, u_prev) for the iP and iPD,
+    state holds numpy arrays, one lane per element, that broadcast with
+    _lane_law's constants (columns of one structure's loops, one per
+    lane): (y, v, ym_prev, d1, d2, u_prev) for the iP and iPD,
     (y, v, e_prev, e_int, d1) for the classic PID, as the loop holds them
     before a sample. Returns the state after it: the law's statements,
     then RK4, with every noise and reference value the 0.0 the loop sees.
     first runs sample 0, which only primes the filter memories.
     """
-    a1, a0, bd = plant.a1, plant.a0, plant.b * plant.delta
-    kp, ki, kd = controller.kp, controller.ki, controller.kd
+    kind, variant = structure
     hh = 0.5 * h
-    if controller.kind != CLASSIC_PID:
+    if kind != CLASSIC_PID:
+        a1, a0, bd, kp, kd, alpha, keep, gain, *plant_coeffs = constants
         y, v, ym_prev, d1, d2, u_prev = state
-        keep, gain = filter_constants(estimator.t_filter, h)
         ym = y + 0.0
         e = 0.0 - ym
         if not first:
@@ -677,16 +688,15 @@ def _lane_step(state, plant, controller, estimator, h, pid_filter_time, first=Fa
             d2 = keep * d2 + gain * ((s1 - d1) / h)
             d1 = s1
         u_sub = u_prev
-        if estimator.variant == ANALYSIS_FORM:
-            ea1, ea0, eb = estimator.plant_coeffs
+        if variant == ANALYSIS_FORM:
+            ea1, ea0, eb = plant_coeffs
             u_sub = (d2 + ea1 * d1 + ea0 * ym) / eb
-        f_hat = (d1 if controller.nu == 1 else d2) - controller.alpha * u_sub
-        u = -(f_hat - 0.0 - kp * e
-              - kd * (0.0 - d1 if controller.kind == IPD else 0.0)) / controller.alpha
+        f_hat = (d2 if kind == IPD else d1) - alpha * u_sub
+        u = -(f_hat - 0.0 - kp * e - kd * (0.0 - d1 if kind == IPD else 0.0)) / alpha
         memory = (ym, d1, d2, u)
     else:
+        a1, a0, bd, kp, ki, kd, keep, gain = constants
         y, v, e_prev, e_int, d1 = state
-        keep, gain = filter_constants(pid_filter_time, h)
         e = 0.0 - (y + 0.0)
         if not first:
             e_int = e_int + hh * (e_prev + e)
@@ -717,22 +727,45 @@ def loop_matrix(plant: LtiPlant, controller: ControllerSpec,
     Every step after sample 0 is the linear map x -> A x of the loop's
     state x, (y, v, ym_prev, d1, d2, u_prev) for the iP and iPD and
     (y, v, e_prev, e_int, d1) for the classic PID; x1 is the state after
-    sample 0 from (y0, ydot0). Both come from _lane_step: A from its step
-    on the basis vectors, one lane each, and x1 from its sample 0. So
-    y_true[k] of run_closed_loop with a constant 0.0 reference and no
-    noise is (A^(k-1) x1)[0] for k >= 1, up to rounding, and
-    log(max |eig A|) / h is the loop's asymptotic rate.
+    sample 0 from (y0, ydot0). So y_true[k] of run_closed_loop with a
+    constant 0.0 reference and no noise is (A^(k-1) x1)[0] for k >= 1,
+    up to rounding, and log(max |eig A|) / h is the loop's asymptotic
+    rate. The one-loop case of loop_matrices.
+    """
+    return loop_matrices([(plant, controller, estimator, y0, ydot0)], h, pid_filter_time)[0]
+
+
+def loop_matrices(loops: list, h: float = 1e-3, pid_filter_time: float = 0.1) -> list:
+    """loop_matrix(plant, controller, estimator, h, y0, ydot0,
+    pid_filter_time) of each (plant, controller, estimator, y0, ydot0) of
+    loops; an error names the loop's index. Two _lane_step calls per
+    structure (law and estimator variant) build all its loops' A's, one
+    lane per (loop, basis vector), and x1's, one lane per loop.
     """
     if not (h > 0.0 and math.isfinite(h)):
         raise ValueError("h must be positive, got %r" % (h,))
-    _check_loop(plant, controller, estimator, y0, ydot0, False, pid_filter_time)
-    d = 5 if controller.kind == CLASSIC_PID else 6
-    args = (plant, controller, estimator, h, pid_filter_time)
-    with np.errstate(all="ignore"):
-        a = np.array(_lane_step(tuple(np.eye(d)), *args))
-        x1 = np.array(_lane_step((float(y0), float(ydot0)) + (0.0,) * (d - 2), *args,
-                                 first=True))
-    return a, x1
+    groups = {}  # structure -> [(index, constants, y0, ydot0)] of its loops
+    for i, (plant, controller, estimator, y0, ydot0) in enumerate(loops):
+        try:
+            _check_loop(plant, controller, estimator, y0, ydot0, False, pid_filter_time)
+        except ValueError as exc:
+            raise type(exc)("loop %d: %s" % (i, exc)) from None
+        structure, constants = _lane_law(plant, controller, estimator, h, pid_filter_time)
+        groups.setdefault(structure, []).append((i, constants, float(y0), float(ydot0)))
+    out = [None] * len(loops)
+    for structure, members in groups.items():
+        index, constants, y0, ydot0 = zip(*members)
+        columns = tuple(np.array(constants, float).T[..., None])  # (loop, 1) each
+        d = 5 if structure[0] == CLASSIC_PID else 6
+        basis = np.broadcast_to(np.eye(d)[:, None], (d, len(index), d))
+        start = np.zeros((d, len(index), 1))
+        start[:2, :, 0] = y0, ydot0
+        with np.errstate(all="ignore"):
+            a = np.stack(_lane_step(tuple(basis), structure, columns, h), axis=1)
+            x1 = np.stack(_lane_step(tuple(start), structure, columns, h, first=True), axis=1)
+        for k, i in enumerate(index):
+            out[i] = a[k], x1[k, :, 0]
+    return out
 
 
 def regulation_diverged(loops: list, h: float = 1e-3, duration: float = 20.0,
@@ -742,10 +775,10 @@ def regulation_diverged(loops: list, h: float = 1e-3, duration: float = 20.0,
     ydot0, pid_filter_time=pid_filter_time).diverged for each (plant,
     controller, estimator, y0, ydot0) of loops.
 
-    Each loop's flag is read from its loop_matrix, in blocks of
-    _FLAG_BLOCK samples: the rows of A^j (j < _FLAG_BLOCK) times the
-    state at a block's start give the y and v of its samples. These
-    differ from the simulated ones by rounding only, so a loop is
+    Each loop's flag is read from its loop_matrix (loop_matrices), in
+    blocks of _FLAG_BLOCK samples: the rows of A^j (j < _FLAG_BLOCK)
+    times the state at a block's start give the y and v of its samples.
+    These differ from the simulated ones by rounding only, so a loop is
     decided here only where that cannot matter: a |y| above
     BLOWUP_THRESHOLD * (1 + _FLAG_MARGIN) before any non-finite value
     (diverged), or every value finite and |y| below
@@ -755,13 +788,11 @@ def regulation_diverged(loops: list, h: float = 1e-3, duration: float = 20.0,
     are never evaluated (_clear_flags).
     """
     n = sample_count(h, duration)
+    matrices = loop_matrices(loops, h, pid_filter_time)
     flags = []
     for start in range(0, len(loops), _FLAG_LOOPS):
-        chunk = loops[start:start + _FLAG_LOOPS]
-        flags.extend(_clear_flags(
-            [loop_matrix(plant, controller, estimator, h, y0, ydot0, pid_filter_time)
-             for plant, controller, estimator, y0, ydot0 in chunk],
-            [loop[3] for loop in chunk], n))
+        chunk = slice(start, start + _FLAG_LOOPS)
+        flags.extend(_clear_flags(matrices[chunk], [loop[3] for loop in loops[chunk]], n))
     zero, quiet = ReferenceTrajectory.constant(0.0), NoiseModel(0.0)
     return [run_closed_loop(plant, controller, estimator, zero, quiet, h, duration, y0, ydot0,
                             pid_filter_time=pid_filter_time).diverged if flag is None else flag
@@ -781,10 +812,12 @@ def _clear_flags(matrices: list, y0: list, n: int) -> list:
     Deciding from the bound is as safe as from the values: low already
     sits _FLAG_MARGIN inside the threshold for the rounding gap between
     the matrix and the simulated loop, far wider than the bound's own
-    rounding. Only unsettled blocks are evaluated, each open loop's next
-    one per round, from the start states and rows a scan of every block
-    uses, so the flags are that scan's unless a bound falls within a few
-    ulps under low while a value reaches it.
+    rounding. Only unsettled blocks are evaluated, _FLAG_LOOPS (block,
+    loop) pairs per product in block order, none of a loop after its first
+    clear crossing or non-finite value; the earliest of those, over its
+    blocks, decides its flag. They come from the start states and rows a
+    scan of every block uses, so the flags are that scan's unless a bound
+    falls within a few ulps under low while a value reaches it.
     """
     d = max(len(x1) for _, x1 in matrices)
     a = np.zeros((len(matrices), d, d))
@@ -796,47 +829,46 @@ def _clear_flags(matrices: list, y0: list, n: int) -> list:
     low = BLOWUP_THRESHOLD * (1.0 - _FLAG_MARGIN)
     y0 = np.abs(np.array(y0))
     crossed = y0 > high  # a clear crossing before any non-finite value
-    broken = np.zeros(len(y0), bool)  # a non-finite value before any clear crossing
     near = y0 >= low  # some |y| at or above the lower bound
     blocks = len(range(1, n, _FLAG_BLOCK))  # block m starts at sample 1 + m * _FLAG_BLOCK
     with np.errstate(all="ignore"):
-        # the (y, v) rows of A^j for j < _FLAG_BLOCK, and power = A^_FLAG_BLOCK
-        rows = np.broadcast_to(np.eye(d)[:2], (len(y0), 2, d))
+        # the (y, v) rows of A^j for j < _FLAG_BLOCK, doubled in place,
+        # their reach, and power = A^_FLAG_BLOCK
+        rows = np.empty((len(y0), 2 * _FLAG_BLOCK, d))
+        rows[:, :2] = np.eye(d)[:2]
+        reach = np.abs(rows[:, :2])
         power = a
-        for _ in range(_FLAG_BLOCK.bit_length() - 1):
-            rows = np.concatenate([rows, rows @ power], axis=1)
+        for w in (2 << k for k in range(_FLAG_BLOCK.bit_length() - 1)):
+            new = np.matmul(rows[:, :w], power, out=rows[:, w:2 * w])
+            reach = np.maximum(reach, np.abs(new).reshape(len(y0), -1, 2, d).max(axis=1))
             power = power @ power
         # every block's start state, stepped by power as the samples run
         states = np.empty((blocks, len(y0), d, 1))
         states[0] = x
         for m in range(1, blocks):
             np.matmul(power, states[m - 1], out=states[m])
-        reach = np.abs(rows).reshape(len(y0), _FLAG_BLOCK, 2, d).max(axis=1)
         bound = (np.abs(states) * reach.swapaxes(1, 2)).sum(axis=2)  # (block, loop, y/v)
         # NaN fails both tests: a block with a non-finite bound is evaluated
         settled = (bound[..., 0] < low) & np.isfinite(bound[..., 1])
-        # after[m, l]: loop l's first unsettled block from block m on, or blocks
-        after = np.where(settled, blocks, np.arange(blocks)[:, None])
-        after = np.minimum.accumulate(after[::-1], axis=0)[::-1]
-        after = np.concatenate([after, np.full((1, len(y0)), blocks)])
-        at = after[0].copy()
-        open_ = ~crossed & (at < blocks)
-        while open_.any():
-            # each open loop's next unsettled block, evaluated in one product
-            loops = np.flatnonzero(open_)
-            m = at[loops]
-            yv = (rows[loops] @ states[m, loops]).reshape(len(loops), -1, 2)
-            # the last block's samples from n on are not the run's
-            inside = (1 + m * _FLAG_BLOCK)[:, None] + np.arange(_FLAG_BLOCK) < n
+        # each loop's first sample clearly over the threshold, and its first
+        # non-finite one, from its unsettled blocks (n: none)
+        first_over = np.full(len(y0), n)
+        first_bad = np.full(len(y0), n)
+        pairs = np.argwhere(~settled & ~crossed)  # (block, loop), block-major
+        while len(pairs):
+            m, loops = pairs[:_FLAG_LOOPS].T
+            yv = (rows[loops] @ states[m, loops]).reshape(len(loops), _FLAG_BLOCK, 2)
+            sample = (1 + m * _FLAG_BLOCK)[:, None] + np.arange(_FLAG_BLOCK)
+            inside = sample < n  # the last block's samples from n on are not the run's
             y = np.abs(yv[..., 0])
-            over = (y > high) & inside
-            bad = ~np.isfinite(yv).all(axis=2) & inside
-            first_over = np.where(over.any(axis=1), over.argmax(axis=1), _FLAG_BLOCK)
-            first_bad = np.where(bad.any(axis=1), bad.argmax(axis=1), _FLAG_BLOCK)
-            crossed[loops] |= first_over < first_bad
-            broken[loops] |= (first_bad <= first_over) & bad.any(axis=1)
-            near[loops] |= ((y >= low) & inside).any(axis=1)
-            at[loops] = after[m + 1, loops]
-            open_ = ~(crossed | broken) & (at < blocks)
+            bad = ~(np.isfinite(yv[..., 0]) & np.isfinite(yv[..., 1])) & inside
+            np.minimum.at(first_over, loops, np.where((y > high) & inside, sample, n).min(1))
+            np.minimum.at(first_bad, loops, np.where(bad, sample, n).min(1))
+            np.logical_or.at(near, loops, ((y >= low) & inside).any(axis=1))
+            # a loop with a crossing or a non-finite value needs no later block
+            pairs = pairs[_FLAG_LOOPS:]
+            pairs = pairs[np.minimum(first_over, first_bad)[pairs[:, 1]] == n]
+    crossed |= first_over < first_bad
+    broken = (first_bad <= first_over) & (first_bad < n)
     return [True if c else None if b or m else False
             for c, b, m in zip(crossed.tolist(), broken.tolist(), near.tolist())]

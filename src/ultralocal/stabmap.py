@@ -9,13 +9,14 @@ it reads the runs' diverged flags off the sampled loops' step matrices
 (sim.regulation_diverged).
 
 The quartic's coefficients are built here (_ip_coeffs), for the vector
-sweep, the scalar cell_verdict, the root oracle quartic_max_real_root and
-GridSpec's overflow check alike. The sweep classifies blocks of cells
-with poly.routh_block, which runs routh_hurwitz's table and its
-degenerate-case rules over numpy arrays, so every cell gets the verdict
-the scalar table gives. A cell it flags (a non-finite table) goes to the
-scalar cell_verdict, which stays the reference the sweep is tested
-against.
+sweep, the scalar cell_verdict, the root oracle _max_real_roots (and its
+one-cell case quartic_max_real_root) and GridSpec's overflow check
+alike. The sweep classifies blocks of cells with poly.routh_block, which
+runs routh_hurwitz's table and its degenerate-case rules over numpy
+arrays, so every cell gets the verdict the scalar table gives. A cell it
+flags (a non-finite table) goes to the scalar cell_verdict, which stays
+the reference the sweep is tested against; a cell that has no verdict
+there either (its table overflows) fails the sweep with InvalidGrid.
 
 export_grid writes a grid's CSV from a table of bytes per grid, each
 alpha's row tail for each verdict code, picking every cell's tail with
@@ -34,7 +35,9 @@ import numpy as np
 
 from .control import ControllerSpec, EstimatorConfig, ANALYSIS_FORM
 from .poly import (
+    TRIM_REL_TOL,
     Polynomial,
+    PolynomialError,
     StabilityKind,
     max_real_part_of_roots,
     routh_block,
@@ -228,6 +231,11 @@ class StabilityGrid:
         return _VERDICTS[self.codes].tolist()
 
     @functools.cached_property
+    def cells(self) -> tuple:
+        """The kp-major flat indices of each verdict's cells, by code."""
+        return tuple(np.flatnonzero(self.codes == code) for code in range(len(_VERDICTS)))
+
+    @functools.cached_property
     def counts(self) -> dict:
         # one 1-byte mask per verdict, not the codes widened to 8-byte ints
         return {verdict: int(np.count_nonzero(self.codes == code))
@@ -315,7 +323,12 @@ def sweep(spec: GridSpec) -> StabilityGrid:
         flat[chunk[stopped]] = np.where(flagged[first], _FALLBACK, _UNSTABLE)[stopped]
         flat[chunk[~stopped & degenerate.any(axis=0)]] = _MARGINAL
     for i, j in zip(*np.nonzero(codes == _FALLBACK)):
-        codes[i, j] = _CODES[cell_verdict(float(kps[i]), float(alphas[j]), spec)]
+        kp, alpha = float(kps[i]), float(alphas[j])
+        try:
+            codes[i, j] = _CODES[cell_verdict(kp, alpha, spec)]
+        except PolynomialError as exc:
+            raise InvalidGrid("kp_axis / alpha_axis / t_axis: the cell kp = %r, alpha = %r"
+                              " has no Routh verdict: %s" % (kp, alpha, exc)) from None
     return StabilityGrid(spec, codes)
 
 
@@ -373,7 +386,7 @@ def quartic_max_real_root(kp: float, alpha: float, t: float) -> float:
 
     Raises InvalidGrid, naming the argument, for a non-finite argument,
     alpha = 0 (the quartic divides by it) or t <= 0 (t = 0 would leave a
-    quadratic).
+    quadratic). The one-cell case of _max_real_roots.
     """
     for name, value in (("kp", kp), ("alpha", alpha), ("t", t)):
         if not math.isfinite(value):
@@ -382,7 +395,33 @@ def quartic_max_real_root(kp: float, alpha: float, t: float) -> float:
         raise InvalidGrid("alpha must be nonzero")
     if t <= 0.0:
         raise InvalidGrid("t must be positive, got %r" % (t,))
-    return max_real_part_of_roots(Polynomial(_ip_coeffs(alpha, kp, t)))
+    return _max_real_roots(np.array([kp]), np.array([alpha]), t)[0]
+
+
+def _max_real_roots(kps: np.ndarray, alphas: np.ndarray, t: float) -> list:
+    """max_real_part_of_roots(Polynomial(_ip_coeffs(alpha, kp, t))) of each
+    (kp, alpha), from one stacked eigvals of the companion matrices np.roots
+    builds. A cell whose Polynomial would trim or is not finite, whose c0
+    is 0 (np.roots strips a zero root), or whose batch's solve fails, goes
+    to max_real_part_of_roots itself, which raises as before.
+    """
+    companion = np.zeros((len(kps), 4, 4))
+    companion[:, 1:, :-1] = np.eye(3)
+    c = np.empty((len(kps), 5))
+    with np.errstate(all="ignore"):
+        for k, ck in enumerate(_ip_coeffs(alphas, kps, t)):
+            c[:, k] = ck
+        companion[:, 0] = -c[:, 3::-1] / c[:, 4:]
+        # a nan or inf coefficient fails the trim test too
+        scalar = ~(np.abs(c[:, 4]) > TRIM_REL_TOL * np.abs(c).max(axis=1)) | (c[:, 0] == 0.0)
+    out = np.empty(len(c))
+    try:
+        out[~scalar] = np.linalg.eigvals(companion[~scalar]).real.max(axis=1)
+    except np.linalg.LinAlgError:
+        scalar[:] = True
+    for i in np.flatnonzero(scalar):
+        out[i] = max_real_part_of_roots(Polynomial(c[i]))
+    return out.tolist()
 
 
 @dataclass(frozen=True)
@@ -423,14 +462,15 @@ def cross_validate(grid: StabilityGrid, samples: int = 50, seed: int = 0,
     verdict classes, order shuffled by the seed), skipping cells whose
     quartic has a root within boundary_band of the imaginary axis, where
     a 20 s run cannot separate slow growth from slow decay (InvalidGrid if
-    that leaves no cell). Each sampled cell is simulated as the matching
+    that leaves no cell; the roots of a pool's cells are found a batch at
+    a time, _max_real_roots). Each sampled cell is simulated as the matching
     intelligent-proportional loop (ip_loop_for_cell, regulation to zero
     from y0 = -0.05, no noise, 20 s at h = 1e-3); a stable verdict should
     mean a bounded run and an unstable verdict a diverged one. The
     diverged flags come from one sim.regulation_diverged call for all
-    picked cells, which reads them off each loop's step matrix and
-    simulates only a loop whose flag that leaves unclear; they equal
-    run_closed_loop's flags. Nothing runs in another process.
+    picked cells, which reads them off the loops' step matrices, built
+    together, and simulates only a loop whose flag that leaves unclear;
+    they equal run_closed_loop's flags. Nothing runs in another process.
     """
     spec = grid.spec
     if spec.aggregation != FIXED_T:
@@ -444,24 +484,24 @@ def cross_validate(grid: StabilityGrid, samples: int = 50, seed: int = 0,
     if not (boundary_band >= 0.0 and math.isfinite(boundary_band)):
         raise InvalidGrid("boundary_band must be finite and >= 0, got %r" % (boundary_band,))
     (t,) = spec.t_values()
-    kps = spec.kp_values().tolist()
-    alphas = spec.alpha_values().tolist()
-    n_alpha = len(alphas)
+    kps = spec.kp_values()
+    alphas = spec.alpha_values()
 
-    def off_band(verdict, flat):
-        # the cells at the flat indices in turn, skipping those within the band
-        for ix in flat:
-            i, j = divmod(int(ix), n_alpha)
-            max_re = quartic_max_real_root(kps[i], alphas[j], t)
-            if abs(max_re) > boundary_band:
-                yield kps[i], alphas[j], verdict, max_re
+    def off_band(verdict, flat, order):
+        # the cells flat[order] in turn, skipping those within the band;
+        # their roots are found a batch of `samples` cells at a time
+        for start in range(0, len(order), samples):
+            i, j = np.divmod(flat[order[start:start + samples]], len(alphas))
+            for kp, alpha, max_re in zip(kps[i].tolist(), alphas[j].tolist(),
+                                         _max_real_roots(kps[i], alphas[j], t)):
+                if abs(max_re) > boundary_band:
+                    yield kp, alpha, verdict, max_re
 
     rng = np.random.default_rng(seed)
     pools = []
     for code in (_STABLE, _UNSTABLE):
-        # the kp-major flat indices of the cells with this verdict
-        flat = np.flatnonzero(grid.codes == code)
-        pools.append(off_band(_VERDICTS[code], flat[rng.permutation(len(flat))]))
+        flat = grid.cells[code]
+        pools.append(off_band(_VERDICTS[code], flat, rng.permutation(len(flat))))
 
     # round robin: one cell from each pool in turn, dropping a pool once empty
     picked = []

@@ -445,6 +445,9 @@ def test_main_requires_scenario(capsys):
     ("stabmap-fixed-t", "t_value=1e300", ("config key 't_value': T = 1e+300 overflows the"
                                           " quartic's coefficients 2T - T^2 and T^2",)),
     ("stabmap-all-t", "t_axis=0.1,1e300", ("config key 't_axis': T = 1e+300 overflows",)),
+    # the coefficients are finite, a Routh table entry is not
+    ("stabmap-fixed-t", "t_value=1e120", ("t_axis: the cell kp = ", "has no Routh verdict:"
+                                          " Routh table row s^2 is not finite")),
 ])
 def test_main_rejects_unusable_values_naming_the_key(tmp_path, capsys, scenario, item, names):
     rc = main(["--scenario", scenario, "--out", str(tmp_path), "--set", item])

@@ -554,6 +554,45 @@ def test_loop_rate_of_the_tuned_laws(law, rate):
     assert math.log(np.max(np.abs(np.linalg.eigvals(a)))) / 1e-3 == pytest.approx(rate, rel=1e-3)
 
 
+@pytest.mark.parametrize("h,pid_filter_time", [(1e-3, 0.1), (1e-2, 0.37)])
+def test_loop_matrices_equal_loop_matrix_on_mixed_chunks(h, pid_filter_time):
+    # 12-loop chunks of every law, at delta 1 and 0.5, 5x5 PID matrices
+    # next to 6x6 iP and iPD ones, with drawn gains, plants, filters and
+    # starts: each loop's (A, x1) bit for bit its own loop_matrix
+    rng = np.random.default_rng(25)
+    for chunk in range(6):
+        loops = []
+        for i in range(12):
+            kind, variant = _LAWS[(chunk + i) % len(_LAWS)]
+            plant, controller, estimator, *_ = _drawn_loop(rng, kind, variant, 0.0)
+            plant = LtiPlant(plant.a1, plant.a0, plant.b, delta=(1.0, 0.5)[(chunk + i) % 2])
+            loops.append((plant, controller, estimator, rng.normal(), rng.normal()))
+        batch = sim.loop_matrices(loops, h, pid_filter_time)
+        assert len(batch) == len(loops)
+        assert {a.shape for a, _ in batch} == {(5, 5), (6, 6)}
+        for (plant, controller, estimator, y0, ydot0), (a, x1) in zip(loops, batch):
+            one_a, one_x1 = loop_matrix(plant, controller, estimator, h, y0, ydot0,
+                                        pid_filter_time)
+            assert (a.shape, x1.shape) == (one_a.shape, one_x1.shape)
+            assert a.tobytes() == one_a.tobytes() and x1.tobytes() == one_x1.tobytes()
+
+
+def test_loop_matrices_reject_what_loop_matrix_rejects_naming_the_loop():
+    good = (example_plant(), _controller(IPD), _estimator(IPD, ANALYSIS_FORM), 0.1, 0.0)
+    for bad in [(example_plant(), _controller(IPD), _estimator(IP, ANALYSIS_FORM), 0.0, 0.0),
+                (example_plant(), _controller(IP), None, 0.0, 0.0),
+                (example_plant(), _controller(CLASSIC_PID), None, math.nan, 0.0),
+                (example_plant(), _controller(CLASSIC_PID), None, 0.0, math.inf)]:
+        with pytest.raises(ValueError) as one:
+            loop_matrix(*bad[:3], y0=bad[3], ydot0=bad[4])
+        with pytest.raises(type(one.value)) as batch:
+            sim.loop_matrices([good, good, bad, good])
+        assert str(one.value).startswith("loop 0: ")
+        assert str(batch.value) == "loop 2: " + str(one.value)[len("loop 0: "):]
+    with pytest.raises(ValueError, match="h must be positive"):
+        sim.loop_matrices([good], h=math.nan)
+
+
 def test_loop_matrix_rejects_what_run_closed_loop_rejects():
     controller, estimator = _controller(IPD), _estimator(IP, ANALYSIS_FORM)
     with pytest.raises(ValueError, match="order"):

@@ -237,6 +237,15 @@ def test_routh_block_flags_non_finite_tables():
     assert flagged.tolist() == [True, True, True]
 
 
+def test_routh_rejects_a_table_that_overflows():
+    # b1 = c2 - c4*c1/c3 overflows to -inf; read as a lone zero, it gave
+    # MARGINAL, though np.roots finds a root at +0.5
+    p = Polynomial([1.0, 1e300, 1.0, 1e290, 1e300])
+    assert max_real_part_of_roots(p) == pytest.approx(0.5)
+    with pytest.raises(PolynomialError, match=r"row s\^2 is not finite: \[-inf, "):
+        routh_hurwitz(p)
+
+
 # ---------------------------------------------------------------------------
 # Pole placement helpers
 

@@ -17,9 +17,10 @@ from ultralocal import pool, sim, stabmap
 from ultralocal.control import ANALYSIS_FORM
 from ultralocal.sim import NoiseModel, ReferenceTrajectory, example_plant
 from ultralocal.poly import (ROUTH_ZERO_REL_TOL, Polynomial, PolynomialError, StabilityKind,
-                             routh_block, routh_hurwitz)
+                             max_real_part_of_roots, routh_block, routh_hurwitz)
 from ultralocal.stabmap import (
     ALPHA_EXCLUSION,
+    DEFAULT_AXIS,
     FIXED_T,
     FOR_ALL_T,
     MAX_GRID_CELLS,
@@ -30,6 +31,7 @@ from ultralocal.stabmap import (
     AgreementReport,
     GridSpec,
     InvalidGrid,
+    SampleCheck,
     cell_verdict,
     cross_validate,
     default_all_t_grid_spec,
@@ -486,6 +488,15 @@ def test_sweep_works_in_row_blocks(monkeypatch, kp_axis, alpha_axis):
     assert sizes and max(sizes) <= max(stabmap._BLOCK_CELLS, alpha_axis[2])
 
 
+def test_sweep_names_a_cell_whose_routh_table_overflows():
+    # c4*c1 = 1e240 * -2e120 overflows in the s^2 row; routh_block flags
+    # the cell, and the scalar table has no verdict for it either
+    spec = GridSpec((0.5, 1.0, 2), (0.5, 1.0, 2), (1e120,))
+    with pytest.raises(InvalidGrid, match=r"cell kp = 0\.5, alpha = 0\.5 has no Routh"
+                                          r" verdict: Routh table row s\^2 is not finite"):
+        sweep(spec)
+
+
 def test_all_t_stable_set_within_fixed_t():
     axes = ((-2.0, 2.0, 21), (-2.0, 2.0, 21))
     fixed = sweep(GridSpec(axes[0], axes[1], (0.1,)))
@@ -675,6 +686,47 @@ def test_quartic_root_sign_matches_verdict():
         assert (v == VERDICT_STABLE) == (m < 0.0)
 
 
+def _np_roots_max(kp, alpha, t):
+    # the root oracle as it was: np.roots of the trimmed quartic, one cell a call
+    return max_real_part_of_roots(Polynomial(stabmap._ip_coeffs(alpha, kp, t)))
+
+
+@pytest.mark.parametrize("spec,scalar_cells", [
+    # the kp = 0 row's 200 non-excluded cells have c0 = 0, a zero root
+    *((GridSpec(DEFAULT_AXIS, DEFAULT_AXIS, (t,)), 200) for t in (0.05, 0.1, 0.5, 1.0, 1.5)),
+    # T^2 = 1e-6 trims against max |c_k| (|c0| = |kp| / alpha up to 5e8) in
+    # every cell but kp = 0.5, alpha = 1e-6
+    (GridSpec((-5.0, 5.0, 21), (1e-8, 1e-6, 21), (1e-3,)), 21 * 21 - 1),
+], ids=["t0.05", "t0.1", "t0.5", "t1.0", "t1.5", "tiny-alpha"])
+def test_array_root_oracle_equals_np_roots_on_every_cell(monkeypatch, spec, scalar_cells):
+    kps, alphas = spec.kp_values(), spec.alpha_values()
+    (t,) = spec.t_axis
+    i, j = np.divmod(np.arange(kps.size * alphas.size), alphas.size)
+    kept = np.abs(alphas[j]) >= ALPHA_EXCLUSION
+    i, j = i[kept], j[kept]
+    real = stabmap.max_real_part_of_roots
+    scalar = []
+    monkeypatch.setattr(stabmap, "max_real_part_of_roots",
+                        lambda p: scalar.append(p) or real(p))
+    roots = stabmap._max_real_roots(kps[i], alphas[j], t)
+    expected = [_np_roots_max(kp, alpha, t) for kp, alpha in zip(kps[i].tolist(),
+                                                                  alphas[j].tolist())]
+    assert np.array(roots).tobytes() == np.array(expected).tobytes()
+    assert len(scalar) == scalar_cells
+    # the one-cell case, on a cell of each path
+    for k in (0, np.flatnonzero(kps[i] == 0.0)[0]):
+        assert quartic_max_real_root(float(kps[i[k]]), float(alphas[j[k]]), t) == expected[k]
+
+
+def test_array_root_oracle_sends_a_failed_batch_to_the_scalar_path(monkeypatch):
+    def fail(a):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+    kps, alphas = np.array([-1.0, 0.5, 2.0]), np.array([0.3, 1.0, -2.0])
+    expected = [_np_roots_max(kp, alpha, 0.1) for kp, alpha in zip(kps, alphas)]
+    monkeypatch.setattr(np.linalg, "eigvals", fail)
+    assert stabmap._max_real_roots(kps, alphas, 0.1) == expected
+
+
 # ---------------------------------------------------------------------------
 # Cross-validation
 
@@ -786,6 +838,64 @@ def test_cross_validate_flags_equal_the_simulated_flags(monkeypatch):
     # the runs are independent, so they share the usable cores
     assert pool.run_jobs([functools.partial(simulated, kp, alpha)
                           for kp, alpha in flags]) == list(flags.values())
+
+
+def _cross_validate_reference(grid, samples, seed, boundary_band=0.05):
+    """cross_validate as it was before it batched its oracles: one np.roots
+    per candidate cell, one loop_matrix per sampled loop. A frozen copy
+    that cross_validate must match; do not edit."""
+    spec = grid.spec
+    (t,) = spec.t_values()
+    kps = spec.kp_values().tolist()
+    alphas = spec.alpha_values().tolist()
+    n_alpha = len(alphas)
+
+    def off_band(verdict, flat):
+        for ix in flat:
+            i, j = divmod(int(ix), n_alpha)
+            max_re = _np_roots_max(kps[i], alphas[j], t)
+            if abs(max_re) > boundary_band:
+                yield kps[i], alphas[j], verdict, max_re
+
+    rng = np.random.default_rng(seed)
+    pools = []
+    for code, verdict in enumerate((VERDICT_STABLE, VERDICT_UNSTABLE)):
+        flat = np.flatnonzero(grid.codes == code)
+        pools.append(off_band(verdict, flat[rng.permutation(len(flat))]))
+    picked = []
+    while pools and len(picked) < samples:
+        pool_ = pools.pop(0)
+        cell = next(pool_, None)
+        if cell is not None:
+            picked.append(cell)
+            pools.append(pool_)
+
+    plant = example_plant(delta=1.0)
+    loops = [(plant, *ip_loop_for_cell(kp, alpha, t)) for kp, alpha, _, _ in picked]
+    n = sim.sample_count(1e-3, 20.0)
+    flags = []
+    for start in range(0, len(loops), 10):
+        chunk = loops[start:start + 10]
+        flags += sim._clear_flags([sim.loop_matrix(*loop, 1e-3, -0.05, 0.0) for loop in chunk],
+                                  [-0.05] * len(chunk), n)
+    flags = [sim.run_closed_loop(*loop, ReferenceTrajectory.constant(0.0), NoiseModel(0.0),
+                                 1e-3, 20.0, -0.05, 0.0).diverged if flag is None else flag
+             for loop, flag in zip(loops, flags)]
+    checks = [SampleCheck(kp, alpha, t, verdict, max_re, diverged,
+                          diverged == (verdict == VERDICT_UNSTABLE))
+              for (kp, alpha, verdict, max_re), diverged in zip(picked, flags)]
+    return AgreementReport(checks, sum(c.agrees for c in checks) / len(checks), boundary_band)
+
+
+@pytest.mark.parametrize("t_filter", [0.05, 0.1, 0.5, 1.0, 1.5])
+def test_cross_validate_equals_the_per_cell_reference(t_filter):
+    grid = sweep(GridSpec(DEFAULT_AXIS, DEFAULT_AXIS, (t_filter,)))
+    for code in range(4):
+        assert np.array_equal(grid.cells[code], np.flatnonzero(grid.codes == code))
+    for seed in range(40):
+        for samples in (10, 50):
+            report = cross_validate(grid, samples, seed)
+            assert report == _cross_validate_reference(grid, samples, seed)
 
 
 # ---------------------------------------------------------------------------
