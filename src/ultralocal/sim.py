@@ -60,8 +60,10 @@ _LOOP_BLOCK = 4096
 # its parts; and the fewest body bytes of one part of load_trace_csv. A
 # part is a pool.run_jobs job, and a job of its own can cost a fork, 2 to
 # 3.5 ms in a 50-60 MB process on a 2-vCPU VM: a block's rows take about
-# 20 ms to format there, and _READ_PART_BYTES of rows about 6 ms to parse.
-_CSV_BLOCK_ROWS = 4096
+# 5 ms to format there, and _READ_PART_BYTES of rows about 6 ms to parse.
+# A block's row text peaks at ~0.6 MB (tracemalloc; 4,096 rows: ~2.2 MB),
+# and the write costs the same CPU at 512 to 4,096 rows per block.
+_CSV_BLOCK_ROWS = 1024
 _READ_PART_BYTES = 1 << 19
 
 TRACE_COLUMNS = ("t", "u", "y_true", "y_measured", "y_ref", "e", "f_hat", "f_true")

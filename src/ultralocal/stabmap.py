@@ -13,10 +13,10 @@ sweep, the scalar cell_verdict, the root oracle _max_real_roots (and its
 one-cell case quartic_max_real_root) and GridSpec's overflow check
 alike. The sweep classifies blocks of cells with poly.routh_block, which
 runs routh_hurwitz's table and its degenerate-case rules over numpy
-arrays, so every cell gets the verdict the scalar table gives. A cell it
-flags (a non-finite table) goes to the scalar cell_verdict, which stays
-the reference the sweep is tested against; a cell that has no verdict
-there either (its table overflows) fails the sweep with InvalidGrid.
+arrays, so every cell gets the verdict the scalar table gives; the
+scalar cell_verdict stays the reference the sweep is tested against. A
+cell it flags (a non-finite table) fails the sweep with InvalidGrid,
+worded by cell_verdict's error.
 
 export_grid writes a grid's CSV from a table of bytes per grid, each
 alpha's row tail for each verdict code, picking every cell's tail with
@@ -212,7 +212,6 @@ def default_all_t_grid_spec() -> GridSpec:
 _VERDICTS = np.array([VERDICT_STABLE, VERDICT_UNSTABLE, VERDICT_MARGINAL,
                       VERDICT_EXCLUDED], dtype=object)
 _STABLE, _UNSTABLE, _MARGINAL, _EXCLUDED = range(len(_VERDICTS))
-_CODES = {verdict: code for code, verdict in enumerate(_VERDICTS.tolist())}
 
 
 @dataclass
@@ -229,11 +228,6 @@ class StabilityGrid:
     @functools.cached_property
     def verdicts(self) -> list:
         return _VERDICTS[self.codes].tolist()
-
-    @functools.cached_property
-    def cells(self) -> tuple:
-        """The kp-major flat indices of each verdict's cells, by code."""
-        return tuple(np.flatnonzero(self.codes == code) for code in range(len(_VERDICTS)))
 
     @functools.cached_property
     def counts(self) -> dict:
@@ -271,26 +265,33 @@ def cell_verdict(kp: float, alpha: float, spec: GridSpec) -> str:
     return verdict
 
 
-# The code of a cell the vector sweep flags, until the scalar
-# cell_verdict replaces it.
-_FALLBACK = len(_VERDICTS)
-
-
 def sweep(spec: GridSpec) -> StabilityGrid:
     """Classify every grid cell.
 
     Takes the T's in axis order, as cell_verdict does. The first T runs on
     blocks of whole kp rows; the later T's run together on the cells
-    still followed (not yet unstable or flagged, a marginal cell
-    included), in 1-D chunks of at most _BLOCK_CELLS (cell, T) pairs. A
-    flagged cell is classified by the scalar cell_verdict, so the
-    verdicts equal cell_verdict's on every cell.
+    still followed (not yet unstable, a marginal cell included), in 1-D
+    chunks of at most _BLOCK_CELLS (cell, T) pairs. The verdicts equal
+    cell_verdict's on every cell. The first cell routh_block flags, in
+    that order, raises InvalidGrid quoting cell_verdict's error.
     """
     kps = spec.kp_values()
     alphas = spec.alpha_values()
     ts = spec.t_values()
     codes = np.full((len(kps), len(alphas)), _STABLE, np.int8)
     excluded = np.abs(alphas) < ALPHA_EXCLUSION
+
+    def refuse(i, j):
+        kp, alpha = float(kps[i]), float(alphas[j])
+        # refused even should the scalar table give the flagged cell a verdict
+        reason = "its vector Routh table is not finite"
+        try:
+            cell_verdict(kp, alpha, spec)
+        except PolynomialError as exc:
+            reason = exc
+        return InvalidGrid("kp_axis / alpha_axis / t_axis: the cell kp = %r, alpha = %r"
+                           " has no Routh verdict: %s" % (kp, alpha, reason))
+
     # alpha = 1 stands in for an excluded cell's alpha, so that no block
     # holds its non-finite coefficients; its code is set last
     block_alphas = np.where(excluded, 1.0, alphas)
@@ -300,11 +301,14 @@ def sweep(spec: GridSpec) -> StabilityGrid:
         with np.errstate(all="ignore"):
             unstable, degenerate, flagged = routh_block(
                 _ip_coeffs(block_alphas, kps[rows, None], ts[0]))
+        flagged &= ~excluded
+        if flagged.any():
+            i, j = np.argwhere(flagged)[0]
+            raise refuse(start + i, j)
         # each verdict overrides those written before it
         block = codes[rows]
         block[degenerate] = _MARGINAL
         block[unstable] = _UNSTABLE
-        block[flagged] = _FALLBACK
     codes[:, excluded] = _EXCLUDED
     # the later T's, all in one call per chunk of the cells still followed
     # (stable or marginal); a chunk times the later T's is <= _BLOCK_CELLS
@@ -319,16 +323,10 @@ def sweep(spec: GridSpec) -> StabilityGrid:
             unstable, degenerate, flagged = routh_block(_ip_coeffs(alphas[j], kps[i], later))
         # a cell takes the verdict of its first T that is flagged or unstable
         first = (flagged | unstable).argmax(axis=0), np.arange(len(chunk))
-        stopped = flagged[first] | unstable[first]
-        flat[chunk[stopped]] = np.where(flagged[first], _FALLBACK, _UNSTABLE)[stopped]
-        flat[chunk[~stopped & degenerate.any(axis=0)]] = _MARGINAL
-    for i, j in zip(*np.nonzero(codes == _FALLBACK)):
-        kp, alpha = float(kps[i]), float(alphas[j])
-        try:
-            codes[i, j] = _CODES[cell_verdict(kp, alpha, spec)]
-        except PolynomialError as exc:
-            raise InvalidGrid("kp_axis / alpha_axis / t_axis: the cell kp = %r, alpha = %r"
-                              " has no Routh verdict: %s" % (kp, alpha, exc)) from None
+        if flagged[first].any():
+            raise refuse(*np.divmod(chunk[flagged[first].argmax()], len(alphas)))
+        flat[chunk[unstable[first]]] = _UNSTABLE
+        flat[chunk[~unstable[first] & degenerate.any(axis=0)]] = _MARGINAL
     return StabilityGrid(spec, codes)
 
 
@@ -500,7 +498,7 @@ def cross_validate(grid: StabilityGrid, samples: int = 50, seed: int = 0,
     rng = np.random.default_rng(seed)
     pools = []
     for code in (_STABLE, _UNSTABLE):
-        flat = grid.cells[code]
+        flat = np.flatnonzero(grid.codes == code)
         pools.append(off_band(_VERDICTS[code], flat, rng.permutation(len(flat))))
 
     # round robin: one cell from each pool in turn, dropping a pool once empty

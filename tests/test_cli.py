@@ -712,7 +712,8 @@ def test_full_length_traces_fork_once_whatever_the_scenario(tmp_path, capsys, mo
 
 
 @pytest.mark.parametrize("argv", [
-    ["--scenario", "ipd-nominal"] + _SHORT,
+    # 2,001 rows: a trace shorter than two sim._CSV_BLOCK_ROWS blocks is one part
+    ["--scenario", "ipd-nominal", "--set", "duration=2"],
     ["--scenario", "stabmap-fixed-t", "--set", "kp_axis=-1,1,5"],
 ], ids=["ipd-nominal", "stabmap-fixed-t"])
 def test_one_file_scenario_starts_no_process(tmp_path, capsys, monkeypatch, argv):

@@ -5,6 +5,7 @@ import math
 import os
 import re
 import tempfile
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -538,6 +539,20 @@ def test_to_csv_bytes_do_not_depend_on_the_core_count(tmp_path, monkeypatch, cor
     assert all(spill.closed for spill in spills)
     assert sorted(os.listdir(tmp_path)) == ["reference.csv", "trace.csv"]
     assert no_child_left()
+
+
+@pytest.mark.parametrize("rows", [20_001, 100_001])
+def test_to_csv_holds_one_block_of_text_whatever_the_length(tmp_path, cores, rows):
+    # 17-digit values in every column; 4,096-row blocks peaked at 2.7 MB
+    trace = _bits_trace(rows)
+    cores(1)
+    tracemalloc.start()
+    try:
+        trace.to_csv(tmp_path / "trace.csv")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
 
 
 # One row of four special values each, the zero's sign, NaN, the

@@ -10,7 +10,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from forks import another_thread_running, forbid_processes
 from ultralocal import pool, sim, stabmap
@@ -233,8 +233,7 @@ def _assert_sweep_equals_cell_verdict(spec):
     assert grid.verdicts == expected
     cells = len(expected) * len(expected[0])
     assert grid.stable_fraction == sum(row.count(VERDICT_STABLE) for row in expected) / cells
-    # each verdict's count, from the vector codes and the scalar verdicts
-    # of flagged cells, equals a recount
+    # each verdict's count, from the vector codes, equals a recount
     assert grid.counts == {v: sum(row.count(v) for row in expected)
                            for v in _VERDICT_CONSTANTS}
     assert list(grid.counts) == list(_VERDICT_CONSTANTS)
@@ -495,6 +494,65 @@ def test_sweep_names_a_cell_whose_routh_table_overflows():
     with pytest.raises(InvalidGrid, match=r"cell kp = 0\.5, alpha = 0\.5 has no Routh"
                                           r" verdict: Routh table row s\^2 is not finite"):
         sweep(spec)
+
+
+def test_sweep_names_a_cell_flagged_at_a_later_t():
+    # all four cells are stable at T = 0.1; at T = 1e120 every table overflows
+    spec = GridSpec((-0.5, -0.45, 2), (0.2, 0.25, 2), (0.1, 1e120), FOR_ALL_T)
+    assert sweep(GridSpec(spec.kp_axis, spec.alpha_axis, (0.1,))).counts[VERDICT_STABLE] == 4
+    with pytest.raises(InvalidGrid, match=r"cell kp = -0\.5, alpha = 0\.2 has no Routh"
+                                          r" verdict: Routh table row s\^2 is not finite"):
+        sweep(spec)
+
+
+def test_sweep_refuses_a_flagged_cell_even_with_a_scalar_verdict(monkeypatch):
+    monkeypatch.setattr(stabmap, "cell_verdict", lambda kp, alpha, spec: VERDICT_STABLE)
+    with pytest.raises(InvalidGrid, match=r"cell kp = 0\.5, alpha = 0\.5 has no Routh"
+                                          r" verdict: its vector Routh table is not finite"):
+        sweep(GridSpec((0.5, 1.0, 2), (0.5, 1.0, 2), (1e120,)))
+
+
+def test_sweep_ignores_flags_in_excluded_columns():
+    # alpha = 1 stands in for the excluded alpha = 0 column, and its tables
+    # trim to constants at this T; the other cells have verdicts
+    spec = GridSpec((1e16, 2e16, 2), (-1e125, 1e125, 3), (1e-38,))
+    with np.errstate(all="ignore"):
+        flagged = routh_block(stabmap._ip_coeffs(1.0, spec.kp_values(), 1e-38))[2]
+    assert flagged.all()
+    _assert_sweep_equals_cell_verdict(spec)
+
+
+# (min, max, count) axes of magnitude 10^e, |e| <= 200: across zero, or
+# on one side of it
+_EXTREME_AXES = st.builds(lambda e, ends, n: (ends[0] * 10.0 ** e, ends[1] * 10.0 ** e, n),
+                          st.sampled_from(range(-200, 201)),
+                          st.sampled_from([(-1.0, 1.0), (0.5, 1.0), (-1.0, -0.5)]),
+                          st.integers(2, 5))
+
+
+@settings(max_examples=150, deadline=None)
+@example(kp_axis=(0.5, 1.0, 2), alpha_axis=(0.5, 1.0, 2), t=1e120)  # a table overflows
+@example(kp_axis=(1e16, 2e16, 2), alpha_axis=(0.5, 1.0, 2), t=1e-38)  # trims to a constant
+@given(kp_axis=_EXTREME_AXES, alpha_axis=_EXTREME_AXES,
+       t=st.sampled_from(range(-160, 161)).map(lambda e: 10.0 ** e))
+def test_every_flagged_cell_has_no_scalar_verdict(kp_axis, alpha_axis, t):
+    # the sweep refuses a grid at its first flagged cell, rather than
+    # asking the scalar table for a verdict, on this premise
+    try:
+        spec = GridSpec(kp_axis, alpha_axis, (t,))
+    except InvalidGrid:
+        assume(False)
+    kps = spec.kp_values()
+    alphas = spec.alpha_values()
+    alphas = alphas[np.abs(alphas) >= ALPHA_EXCLUSION]
+    with np.errstate(all="ignore"):
+        flagged = routh_block(stabmap._ip_coeffs(alphas, kps[:, None], t))[2]
+    for i, j in np.argwhere(flagged):
+        with pytest.raises(PolynomialError):
+            cell_verdict(float(kps[i]), float(alphas[j]), spec)
+    if flagged.any():
+        with pytest.raises(InvalidGrid, match="has no Routh verdict"):
+            sweep(spec)
 
 
 def test_all_t_stable_set_within_fixed_t():
@@ -890,8 +948,6 @@ def _cross_validate_reference(grid, samples, seed, boundary_band=0.05):
 @pytest.mark.parametrize("t_filter", [0.05, 0.1, 0.5, 1.0, 1.5])
 def test_cross_validate_equals_the_per_cell_reference(t_filter):
     grid = sweep(GridSpec(DEFAULT_AXIS, DEFAULT_AXIS, (t_filter,)))
-    for code in range(4):
-        assert np.array_equal(grid.cells[code], np.flatnonzero(grid.codes == code))
     for seed in range(40):
         for samples in (10, 50):
             report = cross_validate(grid, samples, seed)
