@@ -32,6 +32,7 @@ from .stabmap import (
     DEFAULT_AXIS,
     FIXED_T,
     FOR_ALL_T,
+    CellWithoutVerdict,
     FilterConstantOverflow,
     GridSpec,
     default_t_axis,
@@ -467,10 +468,11 @@ def _scenario_stabmap(cfg: ScenarioConfig, aggregation: str):
     t_key, t_axis = (("t_value", (cfg.t_value,)) if aggregation == FIXED_T
                      else ("t_axis", cfg.t_axis))
     try:
-        spec = GridSpec(cfg.kp_axis, cfg.alpha_axis, t_axis, aggregation, 0)
+        grid = sweep(GridSpec(cfg.kp_axis, cfg.alpha_axis, t_axis, aggregation, 0))
     except FilterConstantOverflow as exc:
         raise ConfigError("config key '%s': %s" % (t_key, exc.reason)) from None
-    grid = sweep(spec)
+    except CellWithoutVerdict as exc:
+        raise ConfigError("kp_axis / alpha_axis / %s: %s" % (t_key, exc.reason)) from None
     lines = ["stable_fraction = %r" % grid.stable_fraction]
     lines.extend("%s_cells = %d" % item for item in grid.counts.items())
     return {"grid.csv": lambda path: export_grid(grid, path)}, lambda results: lines

@@ -285,10 +285,11 @@ def routh_block(coeffs):
                 row = [np.where(zero_row, (power + 1 - 2 * j) * above[j], x)
                        for j, x in enumerate(row)]
                 degenerate |= zero_row
-            # a zero that is alone in its row needs a second entry
+            # a zero that is alone in its row needs a second entry; the test
+            # is only for small elements, as an infinite row[0] passes it
             if len(row) > 1:
                 mag = [magnitude(x) for x in row]
-                lone = mag[0] <= ROUTH_ZERO_REL_TOL * functools.reduce(np.maximum, mag)
+                lone = small & (mag[0] <= ROUTH_ZERO_REL_TOL * functools.reduce(np.maximum, mag))
                 if np.count_nonzero(lone):
                     table_max = functools.reduce(
                         np.maximum, [magnitude(x) for r in done for x in r], scale)
@@ -297,8 +298,9 @@ def routh_block(coeffs):
         done.append(row)
         if power == 0:
             break
+        # np.divide: a float pivot of 0.0 (left so beside a nan) gives nan, not ZeroDivisionError
         pivot, lead = row[0], above[0]
-        above, row = row, [above[j + 1] - lead * row[j + 1] / pivot if j + 1 < len(row)
+        above, row = row, [above[j + 1] - np.divide(lead * row[j + 1], pivot) if j + 1 < len(row)
                            else above[j + 1] for j in range(len(above) - 1)]
 
     # first[0] > 0, so a sign change is a first-column entry <= 0; a

@@ -436,19 +436,30 @@ def sample_count(h: float, duration: float) -> int:
     return int(round(duration / h)) + 1
 
 
-def _check_loop(plant, controller, estimator, y0, ydot0, use_oracle_estimator,
-                pid_filter_time) -> None:
-    """Raise for a loop run_closed_loop cannot run: a non-finite start, or
-    a controller that its estimator, or the oracle mode, does not fit."""
+def _loop_law(plant, controller, estimator, h, y0, ydot0, use_oracle_estimator,
+              pid_filter_time) -> tuple:
+    """(structure, constants) of a loop, or an error for one that cannot
+    run: a non-finite start, or a controller that its estimator, or the
+    oracle mode, does not fit.
+
+    structure is what a step branches on, (law, estimator variant), the
+    variant None in the oracle mode and for the classic PID. constants is
+    the row of floats it reads, (a1, a0, b*delta, kp, ki, kd, alpha, keep,
+    gain, ea1, ea0, eb), neutral where a law reads none: alpha 0.0 for the
+    PID; (keep, gain) the lag stage's (the estimate's, the PID's on its
+    error), 0.0 in the oracle mode; (ea1, ea0, eb) the analysis form's
+    plant coefficients, else (0.0, 0.0, 1.0).
+    """
     for name, value in (("y0", y0), ("ydot0", ydot0)):
         if not math.isfinite(value):
             raise ValueError("%s must be finite, got %r" % (name, value))
+    kind, variant, alpha, lag = controller.kind, None, controller.alpha, (0.0, 0.0)
     if use_oracle_estimator:
-        if controller.kind != IPD:
+        if kind != IPD:
             raise ConfigMismatch("oracle estimator mode requires the iPD law")
         if plant.b * plant.delta == 0.0:
             raise ConfigMismatch("oracle estimator mode needs b*delta != 0")
-    elif controller.kind != CLASSIC_PID:
+    elif kind != CLASSIC_PID:
         if estimator is None:
             raise ConfigMismatch("intelligent controller needs an estimator config")
         if estimator.nu != controller.nu:
@@ -457,8 +468,15 @@ def _check_loop(plant, controller, estimator, y0, ydot0, use_oracle_estimator,
                 % (estimator.nu, controller.nu))
         if estimator.alpha != controller.alpha:
             raise ConfigMismatch("estimator and controller alpha must match")
+        variant, lag = estimator.variant, filter_constants(estimator.t_filter, h)
     elif not (pid_filter_time > 0.0 and math.isfinite(pid_filter_time)):
         raise ValueError("pid_filter_time must be positive, got %r" % (pid_filter_time,))
+    else:
+        alpha, lag = 0.0, filter_constants(pid_filter_time, h)
+    return ((kind, variant),
+            (plant.a1, plant.a0, plant.b * plant.delta, controller.kp, controller.ki,
+             controller.kd, alpha) + lag
+            + (estimator.plant_coeffs if variant == ANALYSIS_FORM else (0.0, 0.0, 1.0)))
 
 
 def run_closed_loop(plant: LtiPlant, controller: ControllerSpec,
@@ -496,39 +514,22 @@ def run_closed_loop(plant: LtiPlant, controller: ControllerSpec,
     the columns derived from u, y and ydot after it. The tests hold every
     column bit-identical to the frozen per-sample loop in
     tests/loop_oracle.py, and f_hat to replay_estimator. _lane_step is the
-    same step over arrays, without noise, reference or the oracle mode.
+    same step over arrays, without noise, reference or the oracle mode;
+    both read the loop's law from _loop_law.
     """
     n = sample_count(h, duration)
-    _check_loop(plant, controller, estimator, y0, ydot0, use_oracle_estimator,
-                pid_filter_time)
-    kind = controller.kind
+    (kind, variant), (a1, a0, bd, kp, ki, kd, alpha, keep, gain, ea1, ea0, eb) = _loop_law(
+        plant, controller, estimator, h, y0, ydot0, use_oracle_estimator, pid_filter_time)
     intelligent = kind != CLASSIC_PID
+    estimating = variant is not None
+    analysis = variant == ANALYSIS_FORM
+    derivative = kind == IPD
+    nu = controller.nu
+    hh = 0.5 * h
 
     t = np.arange(n) * h
     noise_col = noise.sequence(n)
     y_ref, yd_ref, ydd_ref = reference.eval_array(t)
-
-    a1 = plant.a1
-    a0 = plant.a0
-    bd = plant.b * plant.delta
-    kp = controller.kp
-    ki = controller.ki
-    kd = controller.kd
-    alpha = controller.alpha if intelligent else 0.0
-    nu = controller.nu
-    hh = 0.5 * h
-    estimating = intelligent and not use_oracle_estimator
-    derivative = kind == IPD
-    # backward-Euler lag stages: on the measured output for the estimate
-    # (two stages), on the error for the classic PID (one)
-    keep = gain = 0.0
-    if estimating:
-        keep, gain = filter_constants(estimator.t_filter, h)
-    elif not intelligent:
-        keep, gain = filter_constants(pid_filter_time, h)
-    analysis = estimating and estimator.variant == ANALYSIS_FORM
-    if analysis:
-        ea1, ea0, eb = estimator.plant_coeffs
 
     logged = []  # (u, y, ydot, f_hat) arrays of each block of samples
     isfinite = math.isfinite
@@ -655,23 +656,12 @@ def run_closed_loop(plant: LtiPlant, controller: ControllerSpec,
         ydot_true=ydot, yddot_true=yddot, h=h, diverged=diverged, meta=trace_meta)
 
 
-def _lane_law(plant, controller, estimator, h, pid_filter_time) -> tuple:
-    # (structure, constants) of a loop: what _lane_step branches on, and the floats it reads
-    a1, a0, bd = plant.a1, plant.a0, plant.b * plant.delta
-    if controller.kind == CLASSIC_PID:
-        return ((CLASSIC_PID, None), (a1, a0, bd, controller.kp, controller.ki, controller.kd)
-                + filter_constants(pid_filter_time, h))
-    return ((controller.kind, estimator.variant),
-            (a1, a0, bd, controller.kp, controller.kd, controller.alpha)
-            + filter_constants(estimator.t_filter, h) + (estimator.plant_coeffs or ()))
-
-
 def _lane_step(state, structure, constants, h, first=False):
     """One step of run_closed_loop's loop without noise, with a zero
     reference and without the oracle mode, over lanes.
 
     state holds numpy arrays, one lane per element, that broadcast with
-    _lane_law's constants (columns of one structure's loops, one per
+    _loop_law's constants (columns of one structure's loops, one per
     lane): (y, v, ym_prev, d1, d2, u_prev) for the iP and iPD,
     (y, v, e_prev, e_int, d1) for the classic PID, as the loop holds them
     before a sample. Returns the state after it: the law's statements,
@@ -679,9 +669,9 @@ def _lane_step(state, structure, constants, h, first=False):
     first runs sample 0, which only primes the filter memories.
     """
     kind, variant = structure
+    a1, a0, bd, kp, ki, kd, alpha, keep, gain, ea1, ea0, eb = constants
     hh = 0.5 * h
     if kind != CLASSIC_PID:
-        a1, a0, bd, kp, kd, alpha, keep, gain, *plant_coeffs = constants
         y, v, ym_prev, d1, d2, u_prev = state
         ym = y + 0.0
         e = 0.0 - ym
@@ -689,15 +679,11 @@ def _lane_step(state, structure, constants, h, first=False):
             s1 = keep * d1 + gain * ((ym - ym_prev) / h)
             d2 = keep * d2 + gain * ((s1 - d1) / h)
             d1 = s1
-        u_sub = u_prev
-        if variant == ANALYSIS_FORM:
-            ea1, ea0, eb = plant_coeffs
-            u_sub = (d2 + ea1 * d1 + ea0 * ym) / eb
+        u_sub = (d2 + ea1 * d1 + ea0 * ym) / eb if variant == ANALYSIS_FORM else u_prev
         f_hat = (d2 if kind == IPD else d1) - alpha * u_sub
         u = -(f_hat - 0.0 - kp * e - kd * (0.0 - d1 if kind == IPD else 0.0)) / alpha
         memory = (ym, d1, d2, u)
     else:
-        a1, a0, bd, kp, ki, kd, keep, gain = constants
         y, v, e_prev, e_int, d1 = state
         e = 0.0 - (y + 0.0)
         if not first:
@@ -749,10 +735,10 @@ def loop_matrices(loops: list, h: float = 1e-3, pid_filter_time: float = 0.1) ->
     groups = {}  # structure -> [(index, constants, y0, ydot0)] of its loops
     for i, (plant, controller, estimator, y0, ydot0) in enumerate(loops):
         try:
-            _check_loop(plant, controller, estimator, y0, ydot0, False, pid_filter_time)
+            structure, constants = _loop_law(plant, controller, estimator, h, y0, ydot0, False,
+                                             pid_filter_time)
         except ValueError as exc:
             raise type(exc)("loop %d: %s" % (i, exc)) from None
-        structure, constants = _lane_law(plant, controller, estimator, h, pid_filter_time)
         groups.setdefault(structure, []).append((i, constants, float(y0), float(ydot0)))
     out = [None] * len(loops)
     for structure, members in groups.items():

@@ -9,8 +9,8 @@ it reads the runs' diverged flags off the sampled loops' step matrices
 (sim.regulation_diverged).
 
 The quartic's coefficients are built here (_ip_coeffs), for the vector
-sweep, the scalar cell_verdict, the root oracle _max_real_roots (and its
-one-cell case quartic_max_real_root) and GridSpec's overflow check
+sweep, the scalar cell_verdict, the root oracles quartic_max_real_root
+(one cell) and _max_real_roots (a batch) and GridSpec's overflow check
 alike. The sweep classifies blocks of cells with poly.routh_block, which
 runs routh_hurwitz's table and its degenerate-case rules over numpy
 arrays, so every cell gets the verdict the scalar table gives; the
@@ -82,6 +82,15 @@ class FilterConstantOverflow(InvalidGrid):
         self.t = t
         self.reason = "T = %r overflows the quartic's coefficients 2T - T^2 and T^2" % (t,)
         super().__init__("t_axis: " + self.reason)
+
+
+class CellWithoutVerdict(InvalidGrid):
+    """A cell's Routh table is not finite at a filter constant the verdict
+    considers."""
+
+    def __init__(self, kp: float, alpha: float, reason):
+        self.reason = "the cell kp = %r, alpha = %r has no Routh verdict: %s" % (kp, alpha, reason)
+        super().__init__("kp_axis / alpha_axis / t_axis: " + self.reason)
 
 
 def _ip_coeffs(a, kp, t):
@@ -289,8 +298,7 @@ def sweep(spec: GridSpec) -> StabilityGrid:
             cell_verdict(kp, alpha, spec)
         except PolynomialError as exc:
             reason = exc
-        return InvalidGrid("kp_axis / alpha_axis / t_axis: the cell kp = %r, alpha = %r"
-                           " has no Routh verdict: %s" % (kp, alpha, reason))
+        return CellWithoutVerdict(kp, alpha, reason)
 
     # alpha = 1 stands in for an excluded cell's alpha, so that no block
     # holds its non-finite coefficients; its code is set last
@@ -384,7 +392,7 @@ def quartic_max_real_root(kp: float, alpha: float, t: float) -> float:
 
     Raises InvalidGrid, naming the argument, for a non-finite argument,
     alpha = 0 (the quartic divides by it) or t <= 0 (t = 0 would leave a
-    quadratic). The one-cell case of _max_real_roots.
+    quadratic). _max_real_roots gives the same value for a batch of cells.
     """
     for name, value in (("kp", kp), ("alpha", alpha), ("t", t)):
         if not math.isfinite(value):
@@ -393,7 +401,7 @@ def quartic_max_real_root(kp: float, alpha: float, t: float) -> float:
         raise InvalidGrid("alpha must be nonzero")
     if t <= 0.0:
         raise InvalidGrid("t must be positive, got %r" % (t,))
-    return _max_real_roots(np.array([kp]), np.array([alpha]), t)[0]
+    return max_real_part_of_roots(Polynomial(_ip_coeffs(alpha, kp, t)))
 
 
 def _max_real_roots(kps: np.ndarray, alphas: np.ndarray, t: float) -> list:

@@ -445,9 +445,12 @@ def test_main_requires_scenario(capsys):
     ("stabmap-fixed-t", "t_value=1e300", ("config key 't_value': T = 1e+300 overflows the"
                                           " quartic's coefficients 2T - T^2 and T^2",)),
     ("stabmap-all-t", "t_axis=0.1,1e300", ("config key 't_axis': T = 1e+300 overflows",)),
-    # the coefficients are finite, a Routh table entry is not
-    ("stabmap-fixed-t", "t_value=1e120", ("t_axis: the cell kp = ", "has no Routh verdict:"
-                                          " Routh table row s^2 is not finite")),
+    # the coefficients are finite, a Routh table entry is not: the map's own T key is named
+    ("stabmap-fixed-t", "t_value=1e120", ("kp_axis / alpha_axis / t_value: the cell kp = -5.0,",
+                                          "has no Routh verdict: Routh table row s^2 is not"
+                                          " finite")),
+    ("stabmap-all-t", "t_axis=0.1,1e120", ("kp_axis / alpha_axis / t_axis: the cell kp = ",
+                                           "has no Routh verdict:")),
 ])
 def test_main_rejects_unusable_values_naming_the_key(tmp_path, capsys, scenario, item, names):
     rc = main(["--scenario", scenario, "--out", str(tmp_path), "--set", item])
@@ -458,6 +461,19 @@ def test_main_rejects_unusable_values_naming_the_key(tmp_path, capsys, scenario,
         assert name in err
     assert not any(name.endswith(".csv") for _, _, files in os.walk(tmp_path)
                    for name in files)
+
+
+def test_main_refuses_a_map_with_one_unclassifiable_row(tmp_path, capsys):
+    # the kp = -1e-10 and 1e-10 cells' tables overflow at this T, the
+    # kp = 0 cells' do not
+    rc = main(["--scenario", "stabmap-fixed-t", "--out", str(tmp_path),
+               "--set", "kp_axis=-1e-10,1e-10,3", "--set", "alpha_axis=-1e-9,1e-9,2",
+               "--set", "t_value=1e103"])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith(
+        "error: kp_axis / alpha_axis / t_value: the cell kp = -1e-10, alpha = -1e-09 has no"
+        " Routh verdict")
+    assert os.listdir(tmp_path) == []
 
 
 def test_main_dedicated_flags_beat_set(tmp_path):

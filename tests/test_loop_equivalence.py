@@ -578,17 +578,29 @@ def test_loop_matrices_equal_loop_matrix_on_mixed_chunks(h, pid_filter_time):
 
 
 def test_loop_matrices_reject_what_loop_matrix_rejects_naming_the_loop():
+    # and what run_closed_loop rejects: all three read a loop through one
+    # validation, with the same type and message but for the loop's index
     good = (example_plant(), _controller(IPD), _estimator(IPD, ANALYSIS_FORM), 0.1, 0.0)
-    for bad in [(example_plant(), _controller(IPD), _estimator(IP, ANALYSIS_FORM), 0.0, 0.0),
-                (example_plant(), _controller(IP), None, 0.0, 0.0),
-                (example_plant(), _controller(CLASSIC_PID), None, math.nan, 0.0),
-                (example_plant(), _controller(CLASSIC_PID), None, 0.0, math.inf)]:
+    zero, quiet = ReferenceTrajectory.constant(0.0), NoiseModel(0.0)
+    for bad, pid_filter_time in [
+            ((example_plant(), _controller(IPD), _estimator(IP, ANALYSIS_FORM), 0.0, 0.0), 0.1),
+            ((example_plant(), _controller(IPD), _estimator(IPD, DELAYED_INPUT, alpha=0.25),
+              0.0, 0.0), 0.1),
+            ((example_plant(), _controller(IP), None, 0.0, 0.0), 0.1),
+            ((example_plant(), _controller(CLASSIC_PID), None, math.nan, 0.0), 0.1),
+            ((example_plant(), _controller(CLASSIC_PID), None, 0.0, math.inf), 0.1),
+            ((example_plant(), _controller(CLASSIC_PID), None, 0.0, 0.0), 0.0),
+            ((example_plant(), _controller(CLASSIC_PID), None, 0.0, 0.0), math.nan)]:
         with pytest.raises(ValueError) as one:
-            loop_matrix(*bad[:3], y0=bad[3], ydot0=bad[4])
-        with pytest.raises(type(one.value)) as batch:
-            sim.loop_matrices([good, good, bad, good])
-        assert str(one.value).startswith("loop 0: ")
-        assert str(batch.value) == "loop 2: " + str(one.value)[len("loop 0: "):]
+            loop_matrix(*bad[:3], y0=bad[3], ydot0=bad[4], pid_filter_time=pid_filter_time)
+        with pytest.raises(ValueError) as batch:
+            sim.loop_matrices([good, good, bad, good], pid_filter_time=pid_filter_time)
+        with pytest.raises(ValueError) as run:
+            run_closed_loop(*bad[:3], zero, quiet, duration=0.1, y0=bad[3], ydot0=bad[4],
+                            pid_filter_time=pid_filter_time)
+        assert type(one.value) is type(batch.value) is type(run.value)
+        assert str(one.value) == "loop 0: " + str(run.value)
+        assert str(batch.value) == "loop 2: " + str(run.value)
     with pytest.raises(ValueError, match="h must be positive"):
         sim.loop_matrices([good], h=math.nan)
 

@@ -237,6 +237,38 @@ def test_routh_block_flags_non_finite_tables():
     assert flagged.tolist() == [True, True, True]
 
 
+@st.composite
+def _extreme_polynomials(draw):
+    """_padded_polynomials with up to three coefficients, padding included,
+    swapped for huge, infinite, nan, tiny or signed-zero ones."""
+    cs = draw(_padded_polynomials())
+    for k in draw(st.sets(st.integers(0, len(cs) - 1), max_size=3)):
+        cs[k] = draw(st.sampled_from((1e300, -1e300, 1.7e308, math.inf, -math.inf, math.nan,
+                                      1e-300, 0.0, -0.0)))
+    return cs
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_extreme_polynomials(), min_size=2, max_size=16))
+# the iP quartic at kp = -1e-10 (b1 overflows) and kp = 0, alpha = -1e-9,
+# T = 1e103: the first was flagged alone but not beside the second
+@example([[-0.09999999999999999, -2e+102, -1.0000000000000001e+205, -1e+206, 1e+206, 0.0, 0.0],
+          [0.0, -999999999.9999999, -1.0000000009999999e+112, -1e+206, 1e+206, 0.0, 0.0]])
+# a nan constant term beside float zeros: a pivot stays the float 0.0
+@example([[math.nan, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0], [math.nan, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0]])
+@example([[1.0, 1.0, 1.0, 1.0, 0.0, 0.0, 0.0], [1.0, 1e300, 1.0, 1e290, 1e300, 0.0, 0.0],
+          [-0.0, 0.0, math.inf, 1.0, 1.0, 0.0, 0.0], [1.0, 2.0, 2.0, 1.0, 1.0, 0.0, 0.0]])
+def test_routh_block_on_a_block_equals_routh_block_on_each_element(polynomials):
+    # a verdict or a flag depends on the element alone, not on its neighbours
+    columns = np.array(polynomials).T
+    coeffs = [float(c[0]) if (c == c[0]).all() else c for c in columns]
+    with np.errstate(all="ignore"):
+        block = [np.broadcast_to(x, len(polynomials)) for x in routh_block(coeffs)]
+        for i, cs in enumerate(polynomials):
+            alone = routh_block([c[i:i + 1] for c in columns])
+            assert [x[i] for x in block] == [x[0] for x in alone], cs
+
+
 def test_routh_rejects_a_table_that_overflows():
     # b1 = c2 - c4*c1/c3 overflows to -inf; read as a lone zero, it gave
     # MARGINAL, though np.roots finds a root at +0.5

@@ -496,6 +496,18 @@ def test_sweep_names_a_cell_whose_routh_table_overflows():
         sweep(spec)
 
 
+def test_sweep_names_a_cell_flagged_beside_cells_with_a_verdict():
+    # at kp = -1e-10, c4*c1 = 1e206 * -2e102 overflows in the s^2 row; the
+    # kp = 0 row in the same block has a finite table
+    spec = GridSpec((-1e-10, 1e-10, 3), (-1e-9, 1e-9, 2), (1e103,))
+    with pytest.raises(PolynomialError, match=r"row s\^2 is not finite"):
+        cell_verdict(-1e-10, -1e-9, spec)
+    assert cell_verdict(0.0, -1e-9, spec) == VERDICT_UNSTABLE
+    with pytest.raises(InvalidGrid, match=r"cell kp = -1e-10, alpha = -1e-09 has no Routh"
+                                          r" verdict: Routh table row s\^2 is not finite"):
+        sweep(spec)
+
+
 def test_sweep_names_a_cell_flagged_at_a_later_t():
     # all four cells are stable at T = 0.1; at T = 1e120 every table overflows
     spec = GridSpec((-0.5, -0.45, 2), (0.2, 0.25, 2), (0.1, 1e120), FOR_ALL_T)
@@ -533,11 +545,13 @@ _EXTREME_AXES = st.builds(lambda e, ends, n: (ends[0] * 10.0 ** e, ends[1] * 10.
 @settings(max_examples=150, deadline=None)
 @example(kp_axis=(0.5, 1.0, 2), alpha_axis=(0.5, 1.0, 2), t=1e120)  # a table overflows
 @example(kp_axis=(1e16, 2e16, 2), alpha_axis=(0.5, 1.0, 2), t=1e-38)  # trims to a constant
+@example(kp_axis=(-1e-10, 1e-10, 3), alpha_axis=(-1e-9, 1e-9, 2), t=1e103)  # flagged beside kp = 0
 @given(kp_axis=_EXTREME_AXES, alpha_axis=_EXTREME_AXES,
        t=st.sampled_from(range(-160, 161)).map(lambda e: 10.0 ** e))
 def test_every_flagged_cell_has_no_scalar_verdict(kp_axis, alpha_axis, t):
     # the sweep refuses a grid at its first flagged cell, rather than
-    # asking the scalar table for a verdict, on this premise
+    # asking the scalar table for a verdict, on this premise; a grid
+    # without one sweeps to cell_verdict's verdicts
     try:
         spec = GridSpec(kp_axis, alpha_axis, (t,))
     except InvalidGrid:
@@ -553,6 +567,8 @@ def test_every_flagged_cell_has_no_scalar_verdict(kp_axis, alpha_axis, t):
     if flagged.any():
         with pytest.raises(InvalidGrid, match="has no Routh verdict"):
             sweep(spec)
+    else:
+        _assert_sweep_equals_cell_verdict(spec)
 
 
 def test_all_t_stable_set_within_fixed_t():
