@@ -38,7 +38,6 @@ from .sim import (
     compute_metrics,
     example_plant,
     load_trace_csv,
-    loop_matrix,
     regulation_diverged,
     run_closed_loop,
 )

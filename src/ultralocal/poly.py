@@ -286,10 +286,12 @@ def routh_block(coeffs):
                        for j, x in enumerate(row)]
                 degenerate |= zero_row
             # a zero that is alone in its row needs a second entry; the test
-            # is only for small elements, as an infinite row[0] passes it
+            # is only for small elements with a finite row[0], as an
+            # infinite one passes it (a derivative row's can overflow)
             if len(row) > 1:
                 mag = [magnitude(x) for x in row]
                 lone = small & (mag[0] <= ROUTH_ZERO_REL_TOL * functools.reduce(np.maximum, mag))
+                lone &= np.isfinite(mag[0])
                 if np.count_nonzero(lone):
                     table_max = functools.reduce(
                         np.maximum, [magnitude(x) for r in done for x in r], scale)

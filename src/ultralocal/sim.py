@@ -428,7 +428,7 @@ def sample_count(h: float, duration: float) -> int:
     finite and duration / h is at least ten and at most MAX_SAMPLES."""
     if not (h > 0.0 and math.isfinite(h)):
         raise ValueError("h must be positive, got %r" % (h,))
-    if duration < 10.0 * h:
+    if not duration >= 10.0 * h:
         raise ValueError("duration must cover at least ten steps")
     if not duration / h <= MAX_SAMPLES:
         raise ValueError("duration / h = %r samples, above the cap of %d"
@@ -706,29 +706,21 @@ def _lane_step(state, structure, constants, h, first=False):
             v + h * (k1v + 2.0 * k2v + 2.0 * k3v + k4v) / 6.0) + memory
 
 
-def loop_matrix(plant: LtiPlant, controller: ControllerSpec,
-                estimator: EstimatorConfig | None, h: float = 1e-3,
-                y0: float = 0.0, ydot0: float = 0.0,
-                pid_filter_time: float = 0.1) -> tuple:
-    """(A, x1) of the noise-free loop regulated to zero.
+def loop_matrices(loops: list, h: float = 1e-3, pid_filter_time: float = 0.1) -> tuple:
+    """(A, x1) of each noise-free (plant, controller, estimator, y0, ydot0)
+    of loops regulated to zero, as stacks of shapes (len(loops), 6, 6) and
+    (len(loops), 6); an error names the loop's index.
 
     Every step after sample 0 is the linear map x -> A x of the loop's
     state x, (y, v, ym_prev, d1, d2, u_prev) for the iP and iPD and
-    (y, v, e_prev, e_int, d1) for the classic PID; x1 is the state after
-    sample 0 from (y0, ydot0). So y_true[k] of run_closed_loop with a
-    constant 0.0 reference and no noise is (A^(k-1) x1)[0] for k >= 1,
-    up to rounding, and log(max |eig A|) / h is the loop's asymptotic
-    rate. The one-loop case of loop_matrices.
-    """
-    return loop_matrices([(plant, controller, estimator, y0, ydot0)], h, pid_filter_time)[0]
-
-
-def loop_matrices(loops: list, h: float = 1e-3, pid_filter_time: float = 0.1) -> list:
-    """loop_matrix(plant, controller, estimator, h, y0, ydot0,
-    pid_filter_time) of each (plant, controller, estimator, y0, ydot0) of
-    loops; an error names the loop's index. Two _lane_step calls per
-    structure (law and estimator variant) build all its loops' A's, one
-    lane per (loop, basis vector), and x1's, one lane per loop.
+    (y, v, e_prev, e_int, d1) for the classic PID, whose A fills the
+    top-left 5x5 block, with 0.0 in its sixth row and column and x1[5];
+    x1 is the state after sample 0 from (y0, ydot0). So y_true[k] of
+    run_closed_loop with a constant 0.0 reference and no noise is
+    (A^(k-1) x1)[0] for k >= 1, up to rounding, and log(max |eig A|) / h
+    is the loop's asymptotic rate. Two _lane_step calls per structure
+    (law and estimator variant) build all its loops' A's, one lane per
+    (loop, basis vector), and x1's, one lane per loop.
     """
     if not (h > 0.0 and math.isfinite(h)):
         raise ValueError("h must be positive, got %r" % (h,))
@@ -740,7 +732,8 @@ def loop_matrices(loops: list, h: float = 1e-3, pid_filter_time: float = 0.1) ->
         except ValueError as exc:
             raise type(exc)("loop %d: %s" % (i, exc)) from None
         groups.setdefault(structure, []).append((i, constants, float(y0), float(ydot0)))
-    out = [None] * len(loops)
+    a = np.zeros((len(loops), 6, 6))
+    x1 = np.zeros((len(loops), 6))
     for structure, members in groups.items():
         index, constants, y0, ydot0 = zip(*members)
         columns = tuple(np.array(constants, float).T[..., None])  # (loop, 1) each
@@ -749,11 +742,10 @@ def loop_matrices(loops: list, h: float = 1e-3, pid_filter_time: float = 0.1) ->
         start = np.zeros((d, len(index), 1))
         start[:2, :, 0] = y0, ydot0
         with np.errstate(all="ignore"):
-            a = np.stack(_lane_step(tuple(basis), structure, columns, h), axis=1)
-            x1 = np.stack(_lane_step(tuple(start), structure, columns, h, first=True), axis=1)
-        for k, i in enumerate(index):
-            out[i] = a[k], x1[k, :, 0]
-    return out
+            a[index, :d, :d] = np.stack(_lane_step(tuple(basis), structure, columns, h), axis=1)
+            x1[index, :d] = np.stack(_lane_step(tuple(start), structure, columns, h, first=True),
+                                     axis=1)[..., 0]
+    return a, x1
 
 
 def regulation_diverged(loops: list, h: float = 1e-3, duration: float = 20.0,
@@ -763,7 +755,7 @@ def regulation_diverged(loops: list, h: float = 1e-3, duration: float = 20.0,
     ydot0, pid_filter_time=pid_filter_time).diverged for each (plant,
     controller, estimator, y0, ydot0) of loops.
 
-    Each loop's flag is read from its loop_matrix (loop_matrices), in
+    Each loop's flag is read from its (A, x1) (loop_matrices), in
     blocks of _FLAG_BLOCK samples: the rows of A^j (j < _FLAG_BLOCK)
     times the state at a block's start give the y and v of its samples.
     These differ from the simulated ones by rounding only, so a loop is
@@ -776,20 +768,22 @@ def regulation_diverged(loops: list, h: float = 1e-3, duration: float = 20.0,
     are never evaluated (_clear_flags).
     """
     n = sample_count(h, duration)
-    matrices = loop_matrices(loops, h, pid_filter_time)
+    a, x1 = loop_matrices(loops, h, pid_filter_time)
+    y0 = [loop[3] for loop in loops]
     flags = []
     for start in range(0, len(loops), _FLAG_LOOPS):
         chunk = slice(start, start + _FLAG_LOOPS)
-        flags.extend(_clear_flags(matrices[chunk], [loop[3] for loop in loops[chunk]], n))
+        flags.extend(_clear_flags(a[chunk], x1[chunk], y0[chunk], n))
     zero, quiet = ReferenceTrajectory.constant(0.0), NoiseModel(0.0)
     return [run_closed_loop(plant, controller, estimator, zero, quiet, h, duration, y0, ydot0,
                             pid_filter_time=pid_filter_time).diverged if flag is None else flag
             for (plant, controller, estimator, y0, ydot0), flag in zip(loops, flags)]
 
 
-def _clear_flags(matrices: list, y0: list, n: int) -> list:
-    """Per (A, x1) of matrices with its y0: True or False where the n
-    samples' blocked values decide the diverged flag clearly, else None.
+def _clear_flags(a, x1, y0: list, n: int) -> list:
+    """Per (A, x1) of the stacks a and x1 with its y0: True or False where
+    the n samples' blocked values decide the diverged flag clearly, else
+    None.
 
     Block m of a loop starts at sample 1 + m * _FLAG_BLOCK from the state
     x_m = A^(m * _FLAG_BLOCK) x1. With reach the largest |entry| of each
@@ -807,12 +801,7 @@ def _clear_flags(matrices: list, y0: list, n: int) -> list:
     scan of every block uses, so the flags are that scan's unless a bound
     falls within a few ulps under low while a value reaches it.
     """
-    d = max(len(x1) for _, x1 in matrices)
-    a = np.zeros((len(matrices), d, d))
-    x = np.zeros((len(matrices), d, 1))
-    for i, (ai, x1) in enumerate(matrices):
-        a[i, :len(x1), :len(x1)] = ai
-        x[i, :len(x1), 0] = x1
+    d = a.shape[-1]
     high = BLOWUP_THRESHOLD * (1.0 + _FLAG_MARGIN)
     low = BLOWUP_THRESHOLD * (1.0 - _FLAG_MARGIN)
     y0 = np.abs(np.array(y0))
@@ -832,7 +821,7 @@ def _clear_flags(matrices: list, y0: list, n: int) -> list:
             power = power @ power
         # every block's start state, stepped by power as the samples run
         states = np.empty((blocks, len(y0), d, 1))
-        states[0] = x
+        states[0] = x1[..., None]
         for m in range(1, blocks):
             np.matmul(power, states[m - 1], out=states[m])
         bound = (np.abs(states) * reach.swapaxes(1, 2)).sum(axis=2)  # (block, loop, y/v)

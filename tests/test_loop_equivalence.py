@@ -9,7 +9,7 @@ the loop estimates the lumped term, replay_estimator run over the logged
 y_measured and u columns must reproduce its f_hat column byte for byte,
 since the loop and the replay write the same estimator recursion.
 Without noise and with a zero reference, iterating the loop's matrix
-(loop_matrix) must follow run_closed_loop's y_true to rounding, and the
+(loop_matrices) must follow run_closed_loop's y_true to rounding, and the
 flags regulation_diverged reads off the matrices must be
 run_closed_loop's diverged flags.
 """
@@ -47,7 +47,6 @@ from ultralocal.sim import (
     NoiseModel,
     ReferenceTrajectory,
     example_plant,
-    loop_matrix,
     regulation_diverged,
     run_closed_loop,
 )
@@ -417,9 +416,9 @@ def test_clear_flags_equal_the_full_scan_on_cross_validate_chunks(monkeypatch, t
     real = sim._clear_flags
     chunks = []
 
-    def both(matrices, y0, n):
-        flags = real(matrices, y0, n)
-        chunks.append((flags, _clear_flags_reference(matrices, y0, n)))
+    def both(a, x1, y0, n):
+        flags = real(a, x1, y0, n)
+        chunks.append((flags, _clear_flags_reference(list(zip(a, x1)), y0, n)))
         return flags
     monkeypatch.setattr(sim, "_clear_flags", both)
     grid = sweep(GridSpec(DEFAULT_AXIS, DEFAULT_AXIS, (t_filter,)))
@@ -447,8 +446,8 @@ def _drawn_loop(rng, kind, variant, y0):
 
 @pytest.mark.parametrize("n", [11, 256, 257, 258, 20_001])
 def test_clear_flags_equal_the_full_scan_on_drawn_batches(n):
-    # 10-loop batches of every law, 5x5 PID matrices padded next to 6x6
-    # iP and iPD ones. The first block holds samples 1 to 256: the
+    # 10-loop batches of every law, PID matrices (5x5, padded with 0.0)
+    # next to iP and iPD ones. The first block holds samples 1 to 256: the
     # horizons end early in it, one sample short of its end, at its end,
     # one sample into a second block, and after 20 s at h = 1e-3. The
     # last batch adds loops whose values overflow.
@@ -470,11 +469,12 @@ def test_clear_flags_equal_the_full_scan_on_drawn_batches(n):
             # the overflowing runs of the non-finite truncation tests
             loops[:2] = [(example_plant(1.0), ControllerSpec.classic_pid(kp, 0.0, 0.0), None,
                           y0, 0.0, 0.1) for kp, y0 in ((1e306, -999.0), (1e308, -1.0))]
-        matrices = [loop_matrix(plant, controller, estimator, h, y0, ydot0, t_filter)
-                    for plant, controller, estimator, y0, ydot0, t_filter in loops]
+        # each loop has its own filter time, so one loop_matrices call each
+        a, x1 = (np.concatenate(stack) for stack in zip(*(
+            sim.loop_matrices([loop[:5]], h, loop[5]) for loop in loops)))
         y0s = [loop[3] for loop in loops]
-        new = sim._clear_flags(matrices, y0s, n)
-        assert new == _clear_flags_reference(matrices, y0s, n)
+        new = sim._clear_flags(a, x1, y0s, n)
+        assert new == _clear_flags_reference(list(zip(a, x1)), y0s, n)
         flags += new
     assert {True, False, None} <= set(flags)
 
@@ -493,7 +493,8 @@ def test_clear_flags_evaluate_the_blocks_a_bound_leaves_open(n):
                 (np.eye(6), np.array([0.05, 0, 0, 0, 0, 0])),
                 (np.eye(6), np.array([2 * BLOWUP_THRESHOLD, 0, 0, 0, 0, 0]))]
     y0 = [0.05] * 4
-    assert sim._clear_flags(matrices, y0, n) == [None, None, False, True]
+    a, x1 = (np.array(stack) for stack in zip(*matrices))
+    assert sim._clear_flags(a, x1, y0, n) == [None, None, False, True]
     assert _clear_flags_reference(matrices, y0, n) == [None, None, False, True]
 
 
@@ -515,8 +516,8 @@ def test_loop_matrix_iteration_follows_the_trace(kind, variant, delta):
     controller, estimator = _controller(kind), _estimator(kind, variant)
     trace = run_closed_loop(plant, controller, estimator, ZERO, NoiseModel(0.0), h=1e-3,
                             duration=5.0, y0=-0.05, ydot0=0.1)
-    a, x1 = loop_matrix(plant, controller, estimator, h=1e-3, y0=-0.05, ydot0=0.1)
-    assert a.shape == (len(x1),) * 2 == ((5, 5) if kind == CLASSIC_PID else (6, 6))
+    (a,), (x1,) = sim.loop_matrices([(plant, controller, estimator, -0.05, 0.1)], h=1e-3)
+    assert (a.shape, x1.shape) == ((6, 6), (6,))
     # sample 0 is the loop's own step on the same floats
     assert (x1[0], x1[1]) == (trace.y_true[1], trace.ydot_true[1])
     y = _iterated(a, x1, -0.05, len(trace))
@@ -530,7 +531,8 @@ def test_loop_matrix_iteration_follows_the_trace(kind, variant, delta):
 ])
 def test_loop_rate_of_routh_stable_cells_that_grow(kp, alpha, rate):
     assert cell_verdict(kp, alpha, default_grid_spec()) == VERDICT_STABLE
-    a, _ = loop_matrix(example_plant(1.0), *ip_loop_for_cell(kp, alpha, 0.1), h=1e-3)
+    (a,), _ = sim.loop_matrices([(example_plant(1.0), *ip_loop_for_cell(kp, alpha, 0.1),
+                                  0.0, 0.0)], h=1e-3)
     assert math.log(np.max(np.abs(np.linalg.eigvals(a)))) / 1e-3 == pytest.approx(rate, rel=1e-3)
 
 
@@ -550,15 +552,17 @@ def test_loop_rate_of_the_tuned_laws(law, rate):
         controller = ControllerSpec.ipd(kp=kp, kd=kd, alpha=0.5)
         variant = law[len("ipd-"):]
         estimator = _estimator(IPD, variant)
-    a, _ = loop_matrix(plant, controller, estimator, h=1e-3, pid_filter_time=0.1)
+    (a,), _ = sim.loop_matrices([(plant, controller, estimator, 0.0, 0.0)], h=1e-3,
+                                pid_filter_time=0.1)
     assert math.log(np.max(np.abs(np.linalg.eigvals(a)))) / 1e-3 == pytest.approx(rate, rel=1e-3)
 
 
 @pytest.mark.parametrize("h,pid_filter_time", [(1e-3, 0.1), (1e-2, 0.37)])
 def test_loop_matrices_equal_loop_matrix_on_mixed_chunks(h, pid_filter_time):
-    # 12-loop chunks of every law, at delta 1 and 0.5, 5x5 PID matrices
-    # next to 6x6 iP and iPD ones, with drawn gains, plants, filters and
-    # starts: each loop's (A, x1) bit for bit its own loop_matrix
+    # 12-loop chunks of every law, at delta 1 and 0.5, PID loops next to
+    # iP and iPD ones, with drawn gains, plants, filters and starts: each
+    # loop's (A, x1) bit for bit the one loop_matrices gives it alone, and
+    # a PID's sixth row, column and x1 entry +0.0
     rng = np.random.default_rng(25)
     for chunk in range(6):
         loops = []
@@ -567,49 +571,44 @@ def test_loop_matrices_equal_loop_matrix_on_mixed_chunks(h, pid_filter_time):
             plant, controller, estimator, *_ = _drawn_loop(rng, kind, variant, 0.0)
             plant = LtiPlant(plant.a1, plant.a0, plant.b, delta=(1.0, 0.5)[(chunk + i) % 2])
             loops.append((plant, controller, estimator, rng.normal(), rng.normal()))
-        batch = sim.loop_matrices(loops, h, pid_filter_time)
-        assert len(batch) == len(loops)
-        assert {a.shape for a, _ in batch} == {(5, 5), (6, 6)}
-        for (plant, controller, estimator, y0, ydot0), (a, x1) in zip(loops, batch):
-            one_a, one_x1 = loop_matrix(plant, controller, estimator, h, y0, ydot0,
-                                        pid_filter_time)
-            assert (a.shape, x1.shape) == (one_a.shape, one_x1.shape)
-            assert a.tobytes() == one_a.tobytes() and x1.tobytes() == one_x1.tobytes()
+        a, x1 = sim.loop_matrices(loops, h, pid_filter_time)
+        assert (a.shape, x1.shape) == ((12, 6, 6), (12, 6))
+        for loop, a_i, x1_i in zip(loops, a, x1):
+            (one_a,), (one_x1,) = sim.loop_matrices([loop], h, pid_filter_time)
+            assert a_i.tobytes() == one_a.tobytes() and x1_i.tobytes() == one_x1.tobytes()
+            if loop[1].kind == CLASSIC_PID:
+                pad = np.concatenate([a_i[5], a_i[:, 5], x1_i[5:]])
+                assert pad.tobytes() == np.zeros(13).tobytes()
+        assert {loop[1].kind for loop in loops} == set(_ALL_KINDS)
 
 
-def test_loop_matrices_reject_what_loop_matrix_rejects_naming_the_loop():
-    # and what run_closed_loop rejects: all three read a loop through one
-    # validation, with the same type and message but for the loop's index
+def test_loop_matrices_reject_what_run_closed_loop_rejects_naming_the_loop():
+    # both read a loop through one validation, with the same type and
+    # message but for the loop's index, which names what is wrong
     good = (example_plant(), _controller(IPD), _estimator(IPD, ANALYSIS_FORM), 0.1, 0.0)
     zero, quiet = ReferenceTrajectory.constant(0.0), NoiseModel(0.0)
-    for bad, pid_filter_time in [
-            ((example_plant(), _controller(IPD), _estimator(IP, ANALYSIS_FORM), 0.0, 0.0), 0.1),
+    for bad, pid_filter_time, names in [
+            ((example_plant(), _controller(IPD), _estimator(IP, ANALYSIS_FORM), 0.0, 0.0), 0.1,
+             "order"),
             ((example_plant(), _controller(IPD), _estimator(IPD, DELAYED_INPUT, alpha=0.25),
-              0.0, 0.0), 0.1),
-            ((example_plant(), _controller(IP), None, 0.0, 0.0), 0.1),
-            ((example_plant(), _controller(CLASSIC_PID), None, math.nan, 0.0), 0.1),
-            ((example_plant(), _controller(CLASSIC_PID), None, 0.0, math.inf), 0.1),
-            ((example_plant(), _controller(CLASSIC_PID), None, 0.0, 0.0), 0.0),
-            ((example_plant(), _controller(CLASSIC_PID), None, 0.0, 0.0), math.nan)]:
+              0.0, 0.0), 0.1, "alpha"),
+            ((example_plant(), _controller(IP), None, 0.0, 0.0), 0.1, "estimator config"),
+            ((example_plant(), _controller(CLASSIC_PID), None, math.nan, 0.0), 0.1, "y0"),
+            ((example_plant(), _controller(CLASSIC_PID), None, 0.0, math.inf), 0.1, "ydot0"),
+            ((example_plant(), _controller(CLASSIC_PID), None, 0.0, 0.0), 0.0,
+             "pid_filter_time"),
+            ((example_plant(), _controller(CLASSIC_PID), None, 0.0, 0.0), math.nan,
+             "pid_filter_time")]:
         with pytest.raises(ValueError) as one:
-            loop_matrix(*bad[:3], y0=bad[3], ydot0=bad[4], pid_filter_time=pid_filter_time)
+            sim.loop_matrices([bad], pid_filter_time=pid_filter_time)
         with pytest.raises(ValueError) as batch:
             sim.loop_matrices([good, good, bad, good], pid_filter_time=pid_filter_time)
-        with pytest.raises(ValueError) as run:
+        with pytest.raises(ValueError, match=names) as run:
             run_closed_loop(*bad[:3], zero, quiet, duration=0.1, y0=bad[3], ydot0=bad[4],
                             pid_filter_time=pid_filter_time)
         assert type(one.value) is type(batch.value) is type(run.value)
         assert str(one.value) == "loop 0: " + str(run.value)
         assert str(batch.value) == "loop 2: " + str(run.value)
-    with pytest.raises(ValueError, match="h must be positive"):
-        sim.loop_matrices([good], h=math.nan)
-
-
-def test_loop_matrix_rejects_what_run_closed_loop_rejects():
-    controller, estimator = _controller(IPD), _estimator(IP, ANALYSIS_FORM)
-    with pytest.raises(ValueError, match="order"):
-        loop_matrix(example_plant(), controller, estimator)
-    with pytest.raises(ValueError, match="y0"):
-        loop_matrix(example_plant(), _controller(CLASSIC_PID), None, y0=math.nan)
-    with pytest.raises(ValueError, match="h must be positive"):
-        loop_matrix(example_plant(), _controller(CLASSIC_PID), None, h=0.0)
+    for h in (0.0, math.nan):
+        with pytest.raises(ValueError, match="h must be positive"):
+            sim.loop_matrices([good], h=h)

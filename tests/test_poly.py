@@ -197,13 +197,27 @@ def _padded_polynomials(draw):
     return cs + [0.0] * (6 - degree)
 
 
+@st.composite
+def _extreme_polynomials(draw):
+    """_padded_polynomials with up to three coefficients, padding included,
+    swapped for huge, infinite, nan, tiny or signed-zero ones."""
+    cs = draw(_padded_polynomials())
+    for k in draw(st.sets(st.integers(0, len(cs) - 1), max_size=3)):
+        cs[k] = draw(st.sampled_from((1e300, -1e300, 1.7e308, math.inf, -math.inf, math.nan,
+                                      1e-300, 0.0, -0.0)))
+    return cs
+
+
 @settings(max_examples=200, deadline=None)
-@given(st.lists(_padded_polynomials(), min_size=1, max_size=16))
+@given(st.lists(_padded_polynomials() | _extreme_polynomials(), min_size=1, max_size=16))
 @example([[1.0, 1.0, 1.0, 1.0, 0.0, 0.0, 0.0]])  # (s + 1)(s^2 + 1): a zero s^1 row
 @example([[1.0, 2.0, 2.0, 1.0, 1.0, 0.0, 0.0]])  # a lone zero pivot
 @example([[1.0, 0.0, 2.0, 0.0, 1.0, 0.0, 0.0],  # (s^2 + 1)^2: a zero s^3 row
           [-1.0, -2.0, -1.0, 0.0, 0.0, 0.0, 0.0],  # a negative leading coefficient
           [0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0], [4.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0]])
+# a zero s^2 row whose derivative's 3 * 1.7e308 overflows: routh_hurwitz
+# raises, and a lone-zero rule that took the inf for a zero read MARGINAL
+@example([[2.0, 0.950401570385296, 1.0, 1.7e308, 0.0, 0.0, 0.0]])
 def test_routh_block_equals_routh_hurwitz(polynomials):
     # one routh_block call over the drawn polynomials, of mixed degrees, as
     # coefficient arrays; a coefficient that all of them share goes in as
@@ -235,17 +249,6 @@ def test_routh_block_flags_non_finite_tables():
     with np.errstate(all="ignore"):
         flagged = routh_block(coeffs)[2]
     assert flagged.tolist() == [True, True, True]
-
-
-@st.composite
-def _extreme_polynomials(draw):
-    """_padded_polynomials with up to three coefficients, padding included,
-    swapped for huge, infinite, nan, tiny or signed-zero ones."""
-    cs = draw(_padded_polynomials())
-    for k in draw(st.sets(st.integers(0, len(cs) - 1), max_size=3)):
-        cs[k] = draw(st.sampled_from((1e300, -1e300, 1.7e308, math.inf, -math.inf, math.nan,
-                                      1e-300, 0.0, -0.0)))
-    return cs
 
 
 @settings(max_examples=300, deadline=None)

@@ -228,6 +228,10 @@ def test_loop_sample_count_and_grid():
     assert len(trace) == 2001
     assert trace.t[0] == 0.0
     assert math.isclose(trace.t[-1], 2.0, abs_tol=1e-12)
+    # a nan duration covers no steps, whatever h is
+    for h in (1e-3, 1e-9):
+        with pytest.raises(ValueError, match="duration must cover at least ten steps"):
+            sim.sample_count(h, math.nan)
 
 
 def test_loop_error_column_definition():

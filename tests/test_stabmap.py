@@ -916,8 +916,9 @@ def test_cross_validate_flags_equal_the_simulated_flags(monkeypatch):
 
 def _cross_validate_reference(grid, samples, seed, boundary_band=0.05):
     """cross_validate as it was before it batched its oracles: one np.roots
-    per candidate cell, one loop_matrix per sampled loop. A frozen copy
-    that cross_validate must match; do not edit."""
+    per candidate cell, one (A, x1) per sampled loop. A frozen copy that
+    cross_validate must match; do not edit but to follow a sim call's
+    signature."""
     spec = grid.spec
     (t,) = spec.t_values()
     kps = spec.kp_values().tolist()
@@ -950,8 +951,9 @@ def _cross_validate_reference(grid, samples, seed, boundary_band=0.05):
     flags = []
     for start in range(0, len(loops), 10):
         chunk = loops[start:start + 10]
-        flags += sim._clear_flags([sim.loop_matrix(*loop, 1e-3, -0.05, 0.0) for loop in chunk],
-                                  [-0.05] * len(chunk), n)
+        a, x1 = (np.concatenate(stack) for stack in zip(*(
+            sim.loop_matrices([(*loop, -0.05, 0.0)], 1e-3) for loop in chunk)))
+        flags += sim._clear_flags(a, x1, [-0.05] * len(chunk), n)
     flags = [sim.run_closed_loop(*loop, ReferenceTrajectory.constant(0.0), NoiseModel(0.0),
                                  1e-3, 20.0, -0.05, 0.0).diverged if flag is None else flag
              for loop, flag in zip(loops, flags)]
