@@ -4,13 +4,10 @@ Two callers hand run_jobs a list of jobs that share nothing: the CLI
 scenarios (one per run, simulating its closed loop and writing its trace
 file), and sim's trace CSV I/O (SimulationTrace.to_csv writes, and
 load_trace_csv parses, one contiguous part of one file's rows per job,
-the parts cut by part_bounds). Their costs differ: a stable closed loop
-runs every step, a diverging one stops early. run_jobs therefore hands
-the jobs out on demand. Before it forks min(processes(), jobs) - 1
-children, it writes one token per job (per contiguous chunk of jobs,
-for long lists) into a pipe; each child and the calling process then
-take one token at a time until the pipe is empty, so no process waits
-while another still has jobs queued.
+the parts cut by part_bounds). run_jobs cuts the job list by the same
+rule, part_bounds(len(jobs), 1): one contiguous share per process it
+may use. Each share but the last runs in a forked child, the last in
+the caller.
 
 processes() is the one rule for how many processes a call may use: the
 usable cores, or 1 inside a job of a run_jobs call that forked (in a
@@ -21,7 +18,7 @@ part, and that scenario forks only for its jobs.
 A job is a callable taking no argument, at times a closure (a lambda
 over a stability grid) that pickle cannot send. The children inherit
 the job list through the fork instead, so nothing goes out to a child,
-and only the return values of the jobs it ran (or the exception that
+and only the return values of its share's jobs (or the exception that
 stopped it) come back, pickled over a pipe.
 """
 
@@ -31,13 +28,6 @@ import os
 import pickle
 import signal
 import threading
-
-# A token is a chunk number of _TOKEN_BYTES bytes. All tokens go into
-# the pipe in one write before the first fork, so that write must fit a
-# pipe's buffer: 2,048 tokens are 4,096 bytes, Linux's PIPE_BUF and the
-# smallest capacity a Linux pipe is given.
-_TOKEN_BYTES = 2
-_MAX_TOKENS = 2048
 
 # Whether this process is running the jobs of a run_jobs call that forked:
 # set in the caller for the call's duration and inherited by its children
@@ -77,42 +67,39 @@ def part_bounds(size: int, floor: int) -> list:
     return [size * k // parts for k in range(parts + 1)]
 
 
-def _run_claimed(jobs, bounds: list, tokens: int) -> tuple:
-    """({index: return value}, (index, exception) or None) of the jobs
-    this process claims from the token pipe: it takes one token at a time
-    and runs that chunk, jobs[bounds[k]:bounds[k + 1]], in order, until
-    the pipe is empty or a job raises."""
-    results = {}
-    while token := os.read(tokens, _TOKEN_BYTES):
-        k = int.from_bytes(token, "little")
-        for index in range(bounds[k], bounds[k + 1]):
-            try:
-                results[index] = jobs[index]()
-            except Exception as exc:  # handed to run_jobs' caller, in job order
-                return results, (index, exc)
+def _run_share(jobs, start: int, stop: int) -> tuple:
+    """([return value of each job run], (index, exception) or None) of
+    jobs[start:stop], run in order until the first that raises."""
+    results = []
+    for index in range(start, stop):
+        try:
+            results.append(jobs[index]())
+        except Exception as exc:  # handed to run_jobs' caller, in job order
+            return results, (index, exc)
     return results, None
 
 
-def _sendable(outcome: tuple) -> tuple:
-    """The outcome with its first value that does not survive a pickle
-    round trip, and every value after it, replaced by a RuntimeError
-    naming that job and the value's type."""
+def _sendable(outcome: tuple, start: int) -> tuple:
+    """The outcome of the share starting at job start, with its first
+    value that does not survive a pickle round trip, and every value
+    after it, replaced by a RuntimeError naming that job and the value's
+    type."""
     results, error = outcome
-    entries = list(results.items()) + ([error] if error is not None else [])
-    for n, (index, value) in enumerate(entries):
+    values = results + ([error[1]] if error is not None else [])
+    for n, value in enumerate(values):
         try:
             pickle.loads(pickle.dumps(value))
         except Exception as exc:
             how = "raised" if n == len(results) else "returned"
-            return dict(entries[:n]), (index, RuntimeError(
+            return results[:n], (start + n, RuntimeError(
                 "job %d %s a %s, which a worker process cannot send back: %s"
-                % (index, how, type(value).__name__, exc)))
+                % (start + n, how, type(value).__name__, exc)))
     return outcome
 
 
-def _fork_worker(jobs, bounds: list, tokens: int) -> tuple:
-    """Fork a child that runs _run_claimed; returns (pid, read end of the
-    pipe that carries its pickled outcome)."""
+def _fork_share(jobs, start: int, stop: int) -> tuple:
+    """Fork a child that runs jobs[start:stop]; returns (pid, read end of
+    the pipe that carries its pickled outcome)."""
     read_end, write_end = os.pipe()
     try:
         pid = os.fork()
@@ -126,9 +113,7 @@ def _fork_worker(jobs, bounds: list, tokens: int) -> tuple:
         code = 1
         try:
             os.close(read_end)
-            outcome = _run_claimed(jobs, bounds, tokens)
-            os.close(tokens)
-            payload = pickle.dumps(_sendable(outcome))
+            payload = pickle.dumps(_sendable(_run_share(jobs, start, stop), start))
             with open(write_end, "wb") as out:
                 out.write(payload)
             code = 0
@@ -153,72 +138,53 @@ def _received(payload: bytes, status: int) -> tuple:
     except (EOFError, pickle.UnpicklingError):  # it ended before sending all of it
         pass
     code = os.waitstatus_to_exitcode(status)
-    return ({}, None), "by signal %d" % -code if code < 0 else "with status %d" % code
+    return ([], None), "by signal %d" % -code if code < 0 else "with status %d" % code
 
 
 def run_jobs(jobs: list) -> list:
     """Each job's return value, in the jobs' order.
 
-    min(processes(), jobs) processes run the jobs: forked children and
-    this one. Each takes the next unclaimed job (up to 2,048 tokens, each
-    a contiguous chunk of a longer list) when it is free, and stops at its
-    first job that raises. Every child is reaped before this returns or
-    raises, also when a job raises, here or in a child. The first
-    exception in job order reaches the caller; a job whose result never
-    came back, because the child that claimed it died, raises a
-    WorkerLost naming that job; and a return value or exception that
-    pickle cannot send back, whichever process ran its job, raises a
-    RuntimeError naming its job. Where processes() or the job count is 1,
-    the jobs run here instead, one after another; a run_jobs call inside
-    a job of a call that forked runs so, and forks nothing.
+    The jobs are cut into part_bounds(len(jobs), 1): one contiguous share
+    per process. Each share but the last runs in a forked child, the last
+    here, and each stops at its first job that raises. Every child is
+    reaped before this returns or raises, also when a job raises, here or
+    in a child. The first fault in share order reaches the caller: a
+    job's exception; a WorkerLost naming the first job of a share whose
+    child ended without sending its results; or a RuntimeError naming a
+    job whose return value or exception pickle cannot send back,
+    whichever process ran it. Where processes() or the job count is 1,
+    all jobs run here, one after another; a run_jobs call inside a job of
+    a call that forked runs so, and forks nothing.
     """
     global _in_forked_call
-    workers = min(processes(), len(jobs))
-    if workers < 2:
+    bounds = part_bounds(len(jobs), 1)
+    if len(bounds) < 3:
         return [job() for job in jobs]
-    n_tokens = min(len(jobs), _MAX_TOKENS)
-    bounds = [len(jobs) * k // n_tokens for k in range(n_tokens + 1)]
-    tokens, token_writer = os.pipe()
-    children = []   # (pid, read end) of each forked worker
+    children = []   # (pid, read end) of each forked share
     statuses = []
     failed = True
     _in_forked_call = True
     try:
-        try:
-            os.write(token_writer, b"".join(k.to_bytes(_TOKEN_BYTES, "little")
-                                            for k in range(n_tokens)))
-        finally:
-            os.close(token_writer)
-        for _ in range(workers - 1):
-            children.append(_fork_worker(jobs, bounds, tokens))
-        outcomes = [_sendable(_run_claimed(jobs, bounds, tokens))]
+        for k in range(len(bounds) - 2):
+            children.append(_fork_share(jobs, bounds[k], bounds[k + 1]))
+        last = _sendable(_run_share(jobs, bounds[-2], bounds[-1]), bounds[-2])
         payloads = [_read_to_end(read_end) for _, read_end in children]
         failed = False
     finally:
         _in_forked_call = False
-        os.close(tokens)
         for pid, read_end in children:
             os.close(read_end)
             if failed:
                 # this call is being interrupted: its children's work is lost
                 os.kill(pid, signal.SIGKILL)
             statuses.append(os.waitpid(pid, 0)[1])
-    lost = []   # how each child that sent nothing ended
-    for payload, status in zip(payloads, statuses):
-        outcome, how = _received(payload, status)
-        outcomes.append(outcome)
+    outcomes = [_received(payload, status) for payload, status in zip(payloads, statuses)]
+    values = []
+    for start, ((results, error), how) in zip(bounds, outcomes + [(last, None)]):
         if how is not None:
-            lost.append(how)
-    values = {}
-    errors = {}
-    for results, error in outcomes:
-        values.update(results)
+            raise WorkerLost("job %d: the worker process that ran it ended %s before "
+                             "sending its results" % (start, how))
+        values += results
         if error is not None:
-            errors[error[0]] = error[1]
-    for index in range(len(jobs)):
-        if index in errors:
-            raise errors[index]
-        if index not in values:
-            raise WorkerLost("job %d: the worker process that claimed it ended %s before "
-                             "sending its results" % (index, " or ".join(lost)))
-    return [values[index] for index in range(len(jobs))]
+            raise error[1]
+    return values

@@ -109,6 +109,9 @@ class NoiseModel:
     def __post_init__(self):
         if not (math.isfinite(self.sigma) and self.sigma >= 0.0):
             raise ValueError("sigma must be >= 0, got %r" % (self.sigma,))
+        # the range of the CLI's seed key
+        if not (isinstance(self.seed, (int, np.integer)) and 0 <= self.seed < 2 ** 64):
+            raise ValueError("seed must be an integer in [0, 2**64), got %r" % (self.seed,))
 
     def sequence(self, n: int) -> np.ndarray:
         """n pregenerated draws; identical (sigma, seed, n) gives identical
@@ -144,6 +147,16 @@ class ReferenceTrajectory:
     t_start: float = 0.0
     t_end: float = 1.0
 
+    def __post_init__(self):
+        if self.kind not in (CONSTANT, SMOOTH_STEP):
+            raise ValueError("kind must be %r or %r, got %r" % (CONSTANT, SMOOTH_STEP, self.kind))
+        for name in ("level", "y_start", "y_end", "t_start", "t_end"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError("%s must be finite, got %r" % (name, getattr(self, name)))
+        if self.kind == SMOOTH_STEP and not self.t_end > self.t_start:
+            raise ValueError("t_end must exceed t_start, got t_start = %r, t_end = %r"
+                             % (self.t_start, self.t_end))
+
     @classmethod
     def constant(cls, level: float) -> "ReferenceTrajectory":
         return cls(CONSTANT, level=level)
@@ -151,8 +164,6 @@ class ReferenceTrajectory:
     @classmethod
     def smooth_step(cls, y_start: float, y_end: float,
                     t_start: float, t_end: float) -> "ReferenceTrajectory":
-        if not t_end > t_start:
-            raise ValueError("t_end must exceed t_start")
         return cls(SMOOTH_STEP, y_start=y_start, y_end=y_end,
                    t_start=t_start, t_end=t_end)
 

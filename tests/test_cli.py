@@ -7,7 +7,6 @@ import io
 import math
 import os
 import re
-import select
 import tempfile
 import warnings
 import weakref
@@ -754,7 +753,7 @@ def test_scenario_files_are_written_here_while_other_threads_run(tmp_path, capsy
 @needs_fork
 def test_write_error_in_a_worker_is_reported_as_with_one_core(tmp_path, capsys,
                                                               monkeypatch):
-    # the third of compare's six files, whichever process claims it
+    # the third of compare's six files, in the forked child's share
     blocked = tmp_path / "compare" / "trace_ipd_0.8.csv"
     blocked.mkdir(parents=True)
     argv = ["--scenario", "compare", "--out", str(tmp_path)] + _SHORT
@@ -775,21 +774,17 @@ def test_write_error_in_a_worker_is_reported_as_with_one_core(tmp_path, capsys,
 
 @needs_fork
 def test_worker_that_dies_mid_write_exits_1_naming_the_directory(tmp_path, capsys,
-                                                                 monkeypatch, handoff):
+                                                                 monkeypatch):
     test_pid = os.getpid()
     real_to_csv = SimulationTrace.to_csv
     written_here = []
-    wait, post = handoff
 
     def dying_to_csv(trace, path):
         # dies only in the forked child, so an in-process write cannot end
-        # pytest. Of ipd-delta's two trace files, this process claims one
-        # and waits until the child has claimed the other, so the child
-        # cannot find both taken.
+        # pytest. Of ipd-delta's two trace files, the child writes the
+        # first and this process the second.
         if os.getpid() != test_pid:
-            post()
             os._exit(3)
-        wait()
         written_here.append(os.path.basename(path))
         real_to_csv(trace, path)
     monkeypatch.setattr(SimulationTrace, "to_csv", dying_to_csv)
@@ -809,35 +804,25 @@ def test_worker_that_dies_mid_write_exits_1_naming_the_directory(tmp_path, capsy
 
 @needs_fork
 def test_compare_loops_run_in_both_processes(tmp_path, capsys, monkeypatch):
-    # each closed loop appends its process id to a file. This process
-    # holds its first loop until the child has started one (10 s at
-    # most), so both run loops whichever claims first.
+    # each closed loop appends its process id to a file; the child runs
+    # the first three of the six loops, this process the last three
     test_pid = os.getpid()
     pids = tmp_path / "pids"
     real_run = cli.run_closed_loop
-    started, post = os.pipe()
 
     def recording_run(*args, **kwargs):
         with open(pids, "a") as fh:
             fh.write("%d\n" % os.getpid())
-        if os.getpid() != test_pid:
-            os.write(post, b"x")
-        elif pids.read_text().split().count(str(test_pid)) == 1:
-            select.select([started], [], [], 10.0)
         return real_run(*args, **kwargs)
     monkeypatch.setattr(cli, "run_closed_loop", recording_run)
     monkeypatch.setattr(pool, "usable_cores", lambda: 2)
     forks = count_forks(monkeypatch)
-    try:
-        assert main(["--scenario", "compare", "--out", str(tmp_path / "out")] + _SHORT) == 0
-    finally:
-        os.close(started)
-        os.close(post)
+    assert main(["--scenario", "compare", "--out", str(tmp_path / "out")] + _SHORT) == 0
     assert len(forks) == 1
     assert no_child_left()
     ran = pids.read_text().split()
     assert len(ran) == 6
-    assert len(set(ran)) == 2 and str(test_pid) in ran
+    assert len(set(ran)) == 2 and ran.count(str(test_pid)) == 3
 
 
 @pytest.mark.parametrize("cores", [1, 2])

@@ -1,4 +1,4 @@
-"""pool.run_jobs: jobs claimed on demand, job order, errors and reaping."""
+"""pool.run_jobs: contiguous shares, job order, errors and reaping."""
 
 import functools
 import os
@@ -57,33 +57,26 @@ def time_limit():
 
 @needs_fork
 @pytest.mark.parametrize("n_cores", [2, 3])
-def test_a_waiting_job_holds_its_worker_while_another_claims_every_other_job(
-        monkeypatch, cores, handoff, n_cores):
-    # the first n_cores - 1 jobs each hold the worker that claimed them
-    # until the last job has run, so one worker runs every other job
-    wait, post = handoff
-    held = n_cores - 1
+def test_each_share_runs_in_one_process_and_the_last_here(monkeypatch, cores, n_cores):
+    # ten jobs are cut as part_bounds cuts them: each contiguous share runs
+    # in one process, a forked child for every share but the last
     cores(n_cores)
     forks = count_forks(monkeypatch)
-
-    def waiting():
-        wait()
-        return os.getpid()
-
-    def last():
-        post(held)
-        return os.getpid()
-    pids = run_jobs([waiting] * held + [os.getpid] * 20 + [last])
+    bounds = {2: [0, 5, 10], 3: [0, 3, 6, 10]}[n_cores]
+    results = run_jobs([functools.partial(lambda i: (i, os.getpid()), i) for i in range(10)])
+    assert [index for index, _ in results] == list(range(10))
+    shares = [{pid for _, pid in results[start:stop]}
+              for start, stop in zip(bounds, bounds[1:])]
+    assert all(len(pids) == 1 for pids in shares)
+    assert len(set.union(*shares)) == n_cores
+    assert shares[-1] == {os.getpid()}
     assert len(forks) == n_cores - 1
-    assert len(set(pids[held:])) == 1
-    assert len(set(pids)) == n_cores and os.getpid() in pids
     assert no_child_left()
 
 
 @needs_fork
-def test_thousands_of_jobs_are_claimed_in_chunks_and_come_back_in_order(monkeypatch, cores):
-    # 5,000 jobs are more than there are tokens: each token names a
-    # contiguous chunk of two or three jobs
+def test_thousands_of_jobs_come_back_in_order(monkeypatch, cores):
+    # 5,000 jobs in two shares of 2,500, each sent back as one list
     cores(2)
     forks = count_forks(monkeypatch)
     assert run_jobs([functools.partial(int, i) for i in range(5000)]) == list(range(5000))
@@ -93,9 +86,9 @@ def test_thousands_of_jobs_are_claimed_in_chunks_and_come_back_in_order(monkeypa
 
 @needs_fork
 def test_more_workers_than_cores_run_every_job_exactly_once(monkeypatch, cores):
-    # seven workers on this machine's cores share one token pipe; each job
-    # logs its index to another pipe, so a token claimed twice or lost
-    # shows as an index logged twice or never
+    # seven shares on this machine's cores; each job logs its index to a
+    # pipe, so a job run twice or never shows as an index logged twice or
+    # never
     read_end, write_end = os.pipe()
 
     def job(index):
@@ -134,9 +127,9 @@ def test_the_first_exception_in_job_order_reaches_the_caller(cores, failing):
 
 
 @needs_fork
-@pytest.mark.parametrize("failing", [{2501, 2502}, {4999}], ids=["one-chunk", "last-job"])
-def test_the_first_exception_in_a_chunk_reaches_the_caller(cores, failing):
-    # 5,000 jobs: a token's chunk stops at its first job that raises
+@pytest.mark.parametrize("failing", [{2501, 2502}, {4999}], ids=["one-share", "last-job"])
+def test_the_first_exception_in_a_long_list_reaches_the_caller(cores, failing):
+    # 5,000 jobs: a share stops at its first job that raises
     cores(2)
     with pytest.raises(JobFailure) as info:
         run_jobs([functools.partial(_fail_at, failing, i) for i in range(5000)])
@@ -146,8 +139,8 @@ def test_the_first_exception_in_a_chunk_reaches_the_caller(cores, failing):
 
 @needs_fork
 def test_an_exception_here_waits_for_the_child_and_reaps_it(cores, handoff):
-    # the child's job waits until this process has claimed the other job,
-    # which raises
+    # the child's job (job 0) waits until this process has started job 1,
+    # which raises, so the child is still running when it does
     wait, post = handoff
     test_pid = os.getpid()
 
@@ -170,48 +163,53 @@ def test_an_exception_here_waits_for_the_child_and_reaps_it(cores, handoff):
     (lambda: os._exit(0), "with status 0"),
     (lambda: os.kill(os.getpid(), signal.SIGKILL), "by signal %d" % signal.SIGKILL),
 ], ids=["exit-3", "exit-0", "sigkill"])
-def test_a_child_that_dies_raises_worker_lost(cores, handoff, death, how):
-    # the job this process claims waits until the child has claimed the
-    # other one and told which; the child then dies in it
-    wait, post = handoff
+def test_a_child_that_dies_raises_worker_lost(cores, death, how):
+    # the child runs the first share (jobs 0 and 1) and dies in job 1; the
+    # message names the first job of that share
     test_pid = os.getpid()
-    lost = []
 
     def die_in_the_child(index):
-        if os.getpid() != test_pid:
-            post()
+        if index == 1 and os.getpid() != test_pid:
             death()
-        wait()
-        lost.append(1 - index)
         return "here"
     cores(2)
     with pytest.raises(WorkerLost) as info:
-        run_jobs([functools.partial(die_in_the_child, i) for i in range(2)])
-    assert str(info.value) == ("job %d: the worker process that claimed it ended %s before "
-                               "sending its results" % (lost[0], how))
+        run_jobs([functools.partial(die_in_the_child, i) for i in range(4)])
+    assert str(info.value) == ("job 0: the worker process that ran it ended %s before "
+                               "sending its results" % how)
     assert no_child_left()
 
 
 @needs_fork
-def test_a_lost_child_comes_before_a_later_exception(cores, handoff):
-    # the child dies in the first job it claims. If that is job 0, this
-    # process claims job 1, which raises; otherwise this process holds
-    # job 0 until the child has claimed job 1, and job 2 raises. Either
-    # way the lost job comes first in job order.
-    wait, post = handoff
+def test_a_lost_child_comes_before_a_later_exception(cores):
+    # the child's share (job 0) dies; this process's share (jobs 1 and 2)
+    # raises at job 1. The lost share comes first in share order.
     test_pid = os.getpid()
 
     def job(index):
         if os.getpid() != test_pid:
-            post()
             os._exit(3)
-        if index == 0:
-            wait()
-            return "here"
         raise JobFailure(index)
     cores(2)
-    with pytest.raises(WorkerLost, match="ended with status 3"):
+    with pytest.raises(WorkerLost, match="^job 0: .* ended with status 3"):
         run_jobs([functools.partial(job, i) for i in range(3)])
+    assert no_child_left()
+
+
+@needs_fork
+def test_an_exception_comes_before_a_later_lost_child(cores):
+    # three shares, jobs 0, 1 and 2-3: the first child's share raises, the
+    # second child dies, and the first fault in share order is raised
+    test_pid = os.getpid()
+
+    def job(index):
+        if index == 1 and os.getpid() != test_pid:
+            os._exit(3)
+        raise JobFailure(index)
+    cores(3)
+    with pytest.raises(JobFailure) as info:
+        run_jobs([functools.partial(job, i) for i in range(4)])
+    assert info.value.args == (0,)
     assert no_child_left()
 
 
@@ -222,13 +220,16 @@ def test_a_lost_child_comes_before_a_later_exception(cores, handoff):
     (_raise_needs_two, "job 3 raised a NeedsTwoArguments"),
 ], ids=["lambda", "lock", "exception-that-does-not-unpickle"])
 def test_a_value_pickle_cannot_send_raises_naming_its_job(cores, job, message):
-    # seven jobs on three cores; job 3 fails alike whichever process runs it
-    cores(3)
+    # seven jobs; job 3 fails alike in this process's share (two cores,
+    # shares 0-2 and 3-6) and in a child's (three cores, shares 0-1, 2-3
+    # and 4-6)
     jobs = [os.getpid] * 7
     jobs[3] = job
-    with pytest.raises(RuntimeError, match=message):
-        run_jobs(jobs)
-    assert no_child_left()
+    for n_cores in (2, 3):
+        cores(n_cores)
+        with pytest.raises(RuntimeError, match=message):
+            run_jobs(jobs)
+        assert no_child_left()
 
 
 @pytest.mark.parametrize("n_cores,n_jobs", [(1, 4), (2, 1), (3, 0)])
@@ -253,11 +254,10 @@ def test_with_other_threads_running_the_jobs_run_here(monkeypatch, cores):
 
 @needs_fork
 def test_forking_jobs_loads_no_multiprocessing():
-    # the first job waits until the second has run, so each process runs one
+    # two shares of one job each: one in a forked child, one here
     code = ("import os, sys; import ultralocal.pool as pool; "
-            "pool.usable_cores = lambda: 2; r, w = os.pipe(); "
-            "pids = pool.run_jobs([lambda: os.read(r, 1) and os.getpid(), "
-            "lambda: os.write(w, b'x') and os.getpid()]); "
+            "pool.usable_cores = lambda: 2; "
+            "pids = pool.run_jobs([os.getpid, os.getpid]); "
             "assert len(set(pids)) == 2; "
             "print(sorted(m for m in ('multiprocessing', 'concurrent.futures') "
             "if m in sys.modules))")
@@ -268,28 +268,21 @@ def test_forking_jobs_loads_no_multiprocessing():
 
 
 @needs_fork
-def test_run_jobs_inside_a_job_of_a_forked_call_forks_nothing(monkeypatch, cores, handoff):
+def test_run_jobs_inside_a_job_of_a_forked_call_forks_nothing(monkeypatch, cores):
     # each job runs a run_jobs call of its own and counts the forks its
-    # process made meanwhile; this process holds its first job until the
-    # child has run one, so both processes run nested calls
-    wait, post = handoff
-    test_pid = os.getpid()
-    waited = []
+    # process made meanwhile; the child runs jobs 0 and 1, this process
+    # jobs 2 and 3, so both processes run nested calls
     cores(2)
     forks = count_forks(monkeypatch)
 
     def nested():
         before = len(forks)
         pids = run_jobs([os.getpid] * 3)
-        if os.getpid() != test_pid:
-            post()
-        elif not waited:
-            waited.append(wait())
         return len(forks) - before, pids == [os.getpid()] * 3, os.getpid()
     results = run_jobs([nested] * 4)
     assert len(forks) == 1
     assert [result[:2] for result in results] == [(0, True)] * 4
-    assert len({result[2] for result in results}) == 2
+    assert [result[2] == os.getpid() for result in results] == [False, False, True, True]
     assert no_child_left()
 
 

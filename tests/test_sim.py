@@ -120,6 +120,17 @@ def test_noise_validation():
         NoiseModel(-0.1)
 
 
+@pytest.mark.parametrize("seed", [-1, 2 ** 64, 1.0, "7", None])
+def test_noise_rejects_a_seed_outside_the_unsigned_64_bit_range(seed):
+    with pytest.raises(ValueError, match="^seed must be an integer in "):
+        NoiseModel(0.1, seed=seed)
+
+
+def test_noise_takes_every_unsigned_64_bit_seed():
+    for seed in (0, 2 ** 64 - 1, np.uint64(2 ** 64 - 1), np.int64(3)):
+        assert NoiseModel(0.1, seed=seed).sequence(3).shape == (3,)
+
+
 def test_noise_zero_sigma_is_exact_zeros():
     seq = NoiseModel(0.0, 42).sequence(100)
     assert np.all(seq == 0.0)
@@ -175,6 +186,21 @@ def test_reference_smooth_step_endpoints_and_midpoint():
 def test_reference_smooth_step_rejects_bad_span():
     with pytest.raises(ValueError):
         ReferenceTrajectory.smooth_step(0.0, 1.0, 2.0, 2.0)
+
+
+@pytest.mark.parametrize("args,kwargs,field", [
+    (("constnat",), {"level": 1.0}, "kind"),
+    ((sim.CONSTANT,), {"level": math.nan}, "level"),
+    ((sim.CONSTANT,), {"level": math.inf}, "level"),
+    ((sim.SMOOTH_STEP,), {"y_start": -math.inf, "y_end": 1.0}, "y_start"),
+    ((sim.SMOOTH_STEP,), {"y_end": math.nan}, "y_end"),
+    ((sim.SMOOTH_STEP,), {"t_start": math.nan}, "t_start"),
+    ((sim.SMOOTH_STEP,), {"t_end": math.inf}, "t_end"),
+    ((sim.SMOOTH_STEP,), {"t_start": 3.0, "t_end": 2.0}, "t_end must exceed t_start"),
+])
+def test_reference_rejects_a_bad_field_naming_it(args, kwargs, field):
+    with pytest.raises(ValueError, match="^%s" % field):
+        ReferenceTrajectory(*args, **kwargs)
 
 
 def test_reference_derivatives_consistent():
@@ -699,18 +725,14 @@ def test_load_trace_csv_names_the_first_row_of_a_narrower_part(tmp_path, cores, 
 
 @needs_fork
 def test_a_child_that_dies_writing_its_part_raises_worker_lost(tmp_path, monkeypatch, cores,
-                                                               spills, handoff):
-    # this process holds its part until the child has claimed the other,
-    # in which the child dies
-    wait, post = handoff
+                                                               spills):
+    # the child dies writing the first part; this process writes the second
     test_pid = os.getpid()
     real_write_rows = SimulationTrace._write_rows
 
     def dying(trace, out, start, stop):
         if os.getpid() != test_pid:
-            post()
             os._exit(3)
-        wait()
         real_write_rows(trace, out, start, stop)
     monkeypatch.setattr(SimulationTrace, "_write_rows", dying)
     cores(2)
