@@ -144,9 +144,10 @@ def _parse_ref(key: str, raw: str) -> ReferenceTrajectory:
             raise ConfigError(
                 "config key '%s': smooth-step needs 'smooth-step:y0,y1,t0,t1'" % key)
         a, b, t0, t1 = (_parse_float(key, p) for p in parts)
-        if not t1 > t0:
-            raise ConfigError("config key '%s': need t1 > t0" % key)
-        return ReferenceTrajectory.smooth_step(a, b, t0, t1)
+        try:
+            return ReferenceTrajectory.smooth_step(a, b, t0, t1)
+        except ValueError as exc:
+            raise ConfigError("config key '%s': %s" % (key, exc)) from None
     raise ConfigError(
         "config key '%s': expected 'constant:<level>' or 'smooth-step:y0,y1,t0,t1'" % key)
 

@@ -156,6 +156,12 @@ class ReferenceTrajectory:
         if self.kind == SMOOTH_STEP and not self.t_end > self.t_start:
             raise ValueError("t_end must exceed t_start, got t_start = %r, t_end = %r"
                              % (self.t_start, self.t_end))
+        # the quintic scales by the rise and the span: each must be finite
+        for start, end in (("y_start", "y_end"), ("t_start", "t_end")):
+            a, b = getattr(self, start), getattr(self, end)
+            if self.kind == SMOOTH_STEP and not math.isfinite(b - a):
+                raise ValueError("%s - %s must be finite, got %s = %r, %s = %r"
+                                 % (end, start, start, a, end, b))
 
     @classmethod
     def constant(cls, level: float) -> "ReferenceTrajectory":

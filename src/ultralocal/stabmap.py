@@ -9,14 +9,14 @@ it reads the runs' diverged flags off the sampled loops' step matrices
 (sim.regulation_diverged).
 
 The quartic's coefficients are built here (_ip_coeffs), for the vector
-sweep, the scalar cell_verdict, the root oracles quartic_max_real_root
-(one cell) and _max_real_roots (a batch) and GridSpec's overflow check
-alike. The sweep classifies blocks of cells with poly.routh_block, which
-runs routh_hurwitz's table and its degenerate-case rules over numpy
-arrays, so every cell gets the verdict the scalar table gives; the
-scalar cell_verdict stays the reference the sweep is tested against. A
-cell it flags (a non-finite table) fails the sweep with InvalidGrid,
-worded by cell_verdict's error.
+sweep, the scalar cell_verdict and the root oracles quartic_max_real_root
+(one cell) and _max_real_roots (a batch) alike. The sweep classifies
+blocks of cells with poly.routh_block, which runs routh_hurwitz's table
+and its degenerate-case rules over numpy arrays, so every cell gets the
+verdict the scalar table gives; the scalar cell_verdict stays the
+reference the sweep is tested against. A cell it flags (a non-finite
+table) fails the sweep with InvalidGrid, worded by cell_verdict's error;
+the sweep is the only place a grid is refused for its Routh tables.
 
 export_grid writes a grid's CSV from a table of bytes per grid, each
 alpha's row tail for each verdict code, picking every cell's tail with
@@ -75,8 +75,9 @@ class InvalidGrid(ValueError):
 
 
 class FilterConstantOverflow(InvalidGrid):
-    """A filter constant t of the axis overflows the quartic's T-only
-    coefficients, whatever the cell."""
+    """The sweep's first cell without a verdict fails at a filter constant
+    t whose square overflows, as the quartic's T-only coefficients do
+    whatever the cell."""
 
     def __init__(self, t: float):
         self.t = t
@@ -120,7 +121,9 @@ class GridSpec:
     t_axis lists the filter time constants considered. With FIXED_T the
     verdict uses t_axis[t_index] alone; with FOR_ALL_T a cell is stable
     only if it is Hurwitz at every t in the axis, unstable if any t makes
-    it unstable, marginal otherwise.
+    it unstable, marginal otherwise. Only the axes are checked here: a
+    grid with a cell whose Routh table cannot be formed is refused by
+    sweep.
     """
 
     kp_axis: tuple
@@ -152,34 +155,6 @@ class GridSpec:
             raise InvalidGrid("unknown aggregation %r" % (self.aggregation,))
         if not 0 <= self.t_index < len(self.t_axis):
             raise InvalidGrid("t_index out of range")
-        self._check_coefficients_finite()
-
-    def _check_coefficients_finite(self) -> None:
-        # |kp| / |alpha| sets the coefficients' size: they peak at an end
-        # of the kp axis and the non-excluded alpha nearest zero on either
-        # side, so a grid whose corner cells overflow is rejected here
-        # rather than by the Routh table of one of its cells. A T whose
-        # T-only coefficients c3 and c4 overflow is named as the cause.
-        kps = self.kp_values()[[0, -1], None]
-        alphas = self.alpha_values()
-        near_zero = np.array([side[np.argmin(np.abs(side))]
-                              for side in (alphas[alphas >= ALPHA_EXCLUSION],
-                                           alphas[alphas <= -ALPHA_EXCLUSION]) if side.size])
-        ts = self.t_values()
-        finite = np.ones((len(ts), 2, len(near_zero)), bool)
-        with np.errstate(all="ignore"):
-            coeffs = _ip_coeffs(near_zero, kps, np.array(ts)[:, None, None])
-        for t, c3, c4 in zip(ts, coeffs[3].ravel(), coeffs[4].ravel()):
-            if not (math.isfinite(c3) and math.isfinite(c4)):
-                raise FilterConstantOverflow(t)
-        for c in coeffs:
-            finite &= np.isfinite(c)
-        if not finite.all():
-            k, i, j = np.argwhere(~finite)[0]
-            raise InvalidGrid(
-                "kp_axis / alpha_axis: the quartic's coefficients overflow at "
-                "kp = %r, alpha = %r, T = %r"
-                % (float(kps[i, 0]), float(near_zero[j]), float(ts[k])))
 
     def t_values(self) -> tuple:
         """The filter constants a verdict considers: the whole axis for
@@ -282,7 +257,9 @@ def sweep(spec: GridSpec) -> StabilityGrid:
     still followed (not yet unstable, a marginal cell included), in 1-D
     chunks of at most _BLOCK_CELLS (cell, T) pairs. The verdicts equal
     cell_verdict's on every cell. The first cell routh_block flags, in
-    that order, raises InvalidGrid quoting cell_verdict's error.
+    that order, raises FilterConstantOverflow if the T it fails at has a
+    square that overflows, else CellWithoutVerdict quoting cell_verdict's
+    error.
     """
     kps = spec.kp_values()
     alphas = spec.alpha_values()
@@ -290,7 +267,11 @@ def sweep(spec: GridSpec) -> StabilityGrid:
     codes = np.full((len(kps), len(alphas)), _STABLE, np.int8)
     excluded = np.abs(alphas) < ALPHA_EXCLUSION
 
-    def refuse(i, j):
+    def refuse(i, j, t):
+        # cell (i, j) is the first flagged, at filter constant t
+        t = float(t)
+        if math.isinf(t * t):
+            return FilterConstantOverflow(t)
         kp, alpha = float(kps[i]), float(alphas[j])
         # refused even should the scalar table give the flagged cell a verdict
         reason = "its vector Routh table is not finite"
@@ -312,7 +293,7 @@ def sweep(spec: GridSpec) -> StabilityGrid:
         flagged &= ~excluded
         if flagged.any():
             i, j = np.argwhere(flagged)[0]
-            raise refuse(start + i, j)
+            raise refuse(start + i, j, ts[0])
         # each verdict overrides those written before it
         block = codes[rows]
         block[degenerate] = _MARGINAL
@@ -331,8 +312,10 @@ def sweep(spec: GridSpec) -> StabilityGrid:
             unstable, degenerate, flagged = routh_block(_ip_coeffs(alphas[j], kps[i], later))
         # a cell takes the verdict of its first T that is flagged or unstable
         first = (flagged | unstable).argmax(axis=0), np.arange(len(chunk))
-        if flagged[first].any():
-            raise refuse(*np.divmod(chunk[flagged[first].argmax()], len(alphas)))
+        hit = flagged[first]
+        if hit.any():
+            k = hit.argmax()
+            raise refuse(*np.divmod(chunk[k], len(alphas)), later[first[0][k], 0])
         flat[chunk[unstable[first]]] = _UNSTABLE
         flat[chunk[~unstable[first] & degenerate.any(axis=0)]] = _MARGINAL
     return StabilityGrid(spec, codes)

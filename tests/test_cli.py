@@ -169,6 +169,11 @@ def test_ref_parsing():
         _cfg("ipd-nominal", ref="wiggle:1")
     with pytest.raises(ConfigError, match="ref"):
         _cfg("ipd-nominal", ref="smooth-step:0,1")
+    # ReferenceTrajectory owns the smooth step's rules; the key is named
+    with pytest.raises(ConfigError, match="^config key 'ref': t_end must exceed t_start"):
+        _cfg("ipd-nominal", ref="smooth-step:0,1,6,1")
+    with pytest.raises(ConfigError, match="^config key 'ref': y_end - y_start must be finite"):
+        _cfg("ipd-nominal", ref="smooth-step:-1e308,1e308,1,6")
 
 
 def test_axis_parsing():
@@ -344,6 +349,19 @@ def test_run_scenario_stabmap_all_t(tmp_path):
         lines = fh.read().splitlines()
     assert lines[0] == "kp,alpha,t,verdict"
     assert all(",all," in line for line in lines[1:-1])
+
+
+def test_main_maps_an_all_t_grid_whose_cells_all_have_verdicts(tmp_path):
+    # T^2 kp overflows at the second T, which no cell's verdict reaches:
+    # every cell is unstable at the first
+    rc = main(["--scenario", "stabmap-all-t", "--out", str(tmp_path),
+               "--set", "kp_axis=5e121,1e122,3", "--set", "alpha_axis=-1e193,-5e192,3",
+               "--set", "t_axis=1e59,1e106"])
+    assert rc == 0
+    with open(os.path.join(str(tmp_path), "stabmap-all-t", "grid.csv")) as fh:
+        lines = fh.read().splitlines()
+    assert len(lines) == 11
+    assert all(line.endswith(",all,unstable") for line in lines[1:-1])
 
 
 def test_compare_report_and_winner_recomputable(tmp_path):
@@ -544,6 +562,8 @@ _REJECTED_RUNS = {
                                    "--set", "ip_stable_alpha=1e-300"],
     "overflowing-t-filter": ["--scenario", "ip-attempt", "--set", "t_filter=1e300"],
     "overflowing-sigma": ["--scenario", "ipd-nominal", "--set", "sigma=1e308"],
+    "overflowing-ref-rise": ["--scenario", "ipd-nominal", "--set",
+                             "ref=smooth-step:-1e308,1e308,1,6", "--set", "duration=1"],
 }
 
 
@@ -641,7 +661,7 @@ def test_main_names_both_axes_when_coefficients_overflow(tmp_path, capsys):
                "--set", "kp_axis=1e300,2e300,2", "--set", "alpha_axis=2e-9,1,2"])
     err = capsys.readouterr().err
     assert rc == 2
-    assert "kp_axis" in err and "alpha_axis" in err and "overflow" in err
+    assert "kp_axis" in err and "alpha_axis" in err and "no Routh verdict" in err
     assert not os.path.exists(os.path.join(str(tmp_path), "stabmap-fixed-t", "grid.csv"))
 
 

@@ -197,6 +197,9 @@ def test_reference_smooth_step_rejects_bad_span():
     ((sim.SMOOTH_STEP,), {"t_start": math.nan}, "t_start"),
     ((sim.SMOOTH_STEP,), {"t_end": math.inf}, "t_end"),
     ((sim.SMOOTH_STEP,), {"t_start": 3.0, "t_end": 2.0}, "t_end must exceed t_start"),
+    # each end is finite, the rise or span between them is not
+    ((sim.SMOOTH_STEP,), {"y_start": -1e308, "y_end": 1e308}, "y_end - y_start must be finite"),
+    ((sim.SMOOTH_STEP,), {"t_start": -1e308, "t_end": 1e308}, "t_end - t_start must be finite"),
 ])
 def test_reference_rejects_a_bad_field_naming_it(args, kwargs, field):
     with pytest.raises(ValueError, match="^%s" % field):

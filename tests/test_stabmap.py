@@ -4,13 +4,14 @@ import functools
 import io
 import math
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import assume, example, given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from forks import another_thread_running, forbid_processes
 from ultralocal import pool, sim, stabmap
@@ -29,6 +30,8 @@ from ultralocal.stabmap import (
     VERDICT_STABLE,
     VERDICT_UNSTABLE,
     AgreementReport,
+    CellWithoutVerdict,
+    FilterConstantOverflow,
     GridSpec,
     InvalidGrid,
     SampleCheck,
@@ -71,9 +74,6 @@ def test_grid_spec_validation():
     ((0.0, 1.0, 2), (0.0, 1.0, 2), (0.1, math.inf), "t_axis"),
     ((0.0, 1.0, 2), (0.0, 1.0, 2), (math.nan,), "t_axis"),
     ((0.0, 1.0, MAX_GRID_CELLS // 2 + 1), (0.0, 1.0, 2), (0.1,), "cap"),
-    # T^2 overflows in every cell: T is named as the cause, not the gain axes
-    ((0.0, 1.0, 2), (0.0, 1.0, 2), (1e300,),
-     r"^t_axis: T = 1e\+300 overflows the quartic's coefficients 2T - T\^2 and T\^2$"),
 ])
 def test_grid_spec_rejects_unusable_axes(kp_axis, alpha_axis, t_axis, match):
     with pytest.raises(InvalidGrid, match=match):
@@ -454,17 +454,22 @@ def test_fixed_t_grid_equals_all_t_grid_over_its_one_t(kp_axis, alpha_axis, t_ax
     ((1e300, 2e300, 2), (2e-9, 1.0, 2), (0.1,), FIXED_T, (1e300, 2e-9, 0.1)),
     ((-2e300, 0.0, 3), (-1.0, -2e-9, 2), (0.1,), FIXED_T, (-2e300, -2e-9, 0.1)),
     # kp / alpha is finite; T^2 kp / alpha overflows at the second T only
-    ((1e300, 2e300, 2), (-1.0, -2e-3, 2), (0.1, 1e154), FOR_ALL_T, (2e300, -2e-3, 1e154)),
+    ((1e300, 2e300, 2), (-1.0, -2e-3, 2), (0.1, 1e154), FOR_ALL_T, (1e300, -1.0, 1e154)),
 ])
 def test_grid_spec_rejects_overflowing_coefficients(kp_axis, alpha_axis, t_axis,
                                                     aggregation, cell):
-    # the scalar table rejects a cell whose quartic overflows; GridSpec
-    # rejects axes holding such a cell, naming them
+    # the scalar table rejects a cell whose quartic overflows; the sweep
+    # of a grid holding such a cell refuses it at its first such cell,
+    # naming the gain axes and quoting the scalar table's error
     kp, alpha, t = cell
     with pytest.raises(PolynomialError, match="non-finite"):
         cell_verdict(kp, alpha, GridSpec((0.0, 1.0, 2), (0.0, 1.0, 2), (t,)))
-    with pytest.raises(InvalidGrid, match="kp_axis / alpha_axis.*overflow"):
-        GridSpec(kp_axis, alpha_axis, t_axis, aggregation)
+    spec = GridSpec(kp_axis, alpha_axis, t_axis, aggregation)
+    with pytest.raises(CellWithoutVerdict,
+                       match=r"^kp_axis / alpha_axis / t_axis: the cell kp = %s, alpha = %s has"
+                             r" no Routh verdict: non-finite coefficient"
+                             % (re.escape(repr(kp)), re.escape(repr(alpha)))):
+        sweep(spec)
     if aggregation == FOR_ALL_T:
         # a fixed-t map at the first T never forms the overflowing quartic
         sweep(GridSpec(kp_axis, alpha_axis, t_axis, FIXED_T, 0))
@@ -485,6 +490,21 @@ def test_sweep_works_in_row_blocks(monkeypatch, kp_axis, alpha_axis):
     monkeypatch.setattr(stabmap, "routh_block", spy)
     sweep(GridSpec(kp_axis, alpha_axis, default_t_axis(), FOR_ALL_T))
     assert sizes and max(sizes) <= max(stabmap._BLOCK_CELLS, alpha_axis[2])
+
+
+def test_sweep_names_a_filter_constant_whose_square_overflows():
+    # T^2 overflows in every cell: T is named as the cause, not the gain
+    # axes, on the first T's blocks and on the later T's chunks alike
+    match = r"^t_axis: T = 1e\+300 overflows the quartic's coefficients 2T - T\^2 and T\^2$"
+    # the second grid's four cells are stable at T = 0.1
+    for spec in (GridSpec((0.0, 1.0, 2), (0.0, 1.0, 2), (1e300,)),
+                 GridSpec((-0.5, -0.45, 2), (0.2, 0.25, 2), (0.1, 1e300), FOR_ALL_T)):
+        with pytest.raises(FilterConstantOverflow, match=match) as info:
+            sweep(spec)
+        assert info.value.t == 1e300
+    # no cell is followed to the second T, so none is without a verdict
+    assert sweep(GridSpec((1.0, 2.0, 2), (1.0, 2.0, 2), (0.1, 1e300), FOR_ALL_T)).counts == {
+        VERDICT_STABLE: 0, VERDICT_UNSTABLE: 4, VERDICT_MARGINAL: 0, VERDICT_EXCLUDED: 0}
 
 
 def test_sweep_names_a_cell_whose_routh_table_overflows():
@@ -542,33 +562,47 @@ _EXTREME_AXES = st.builds(lambda e, ends, n: (ends[0] * 10.0 ** e, ends[1] * 10.
                           st.integers(2, 5))
 
 
+_EXTREME_TS = st.sampled_from(range(-160, 161)).map(lambda e: 10.0 ** e)
+
+
 @settings(max_examples=150, deadline=None)
-@example(kp_axis=(0.5, 1.0, 2), alpha_axis=(0.5, 1.0, 2), t=1e120)  # a table overflows
-@example(kp_axis=(1e16, 2e16, 2), alpha_axis=(0.5, 1.0, 2), t=1e-38)  # trims to a constant
-@example(kp_axis=(-1e-10, 1e-10, 3), alpha_axis=(-1e-9, 1e-9, 2), t=1e103)  # flagged beside kp = 0
+@example(kp_axis=(0.5, 1.0, 2), alpha_axis=(0.5, 1.0, 2), t_axis=(1e120,))  # a table overflows
+@example(kp_axis=(1e16, 2e16, 2), alpha_axis=(0.5, 1.0, 2), t_axis=(1e-38,))  # trims to a constant
+@example(kp_axis=(-1e-10, 1e-10, 3), alpha_axis=(-1e-9, 1e-9, 2),
+         t_axis=(1e103,))  # flagged beside kp = 0
+# every cell is unstable at the first T; T^2 kp overflows at the second
+@example(kp_axis=(5e121, 1e122, 3), alpha_axis=(-1e193, -5e192, 3), t_axis=(1e59, 1e106))
 @given(kp_axis=_EXTREME_AXES, alpha_axis=_EXTREME_AXES,
-       t=st.sampled_from(range(-160, 161)).map(lambda e: 10.0 ** e))
-def test_every_flagged_cell_has_no_scalar_verdict(kp_axis, alpha_axis, t):
+       t_axis=st.lists(_EXTREME_TS, min_size=1, max_size=2).map(tuple))
+def test_every_flagged_cell_has_no_scalar_verdict(kp_axis, alpha_axis, t_axis):
     # the sweep refuses a grid at its first flagged cell, rather than
-    # asking the scalar table for a verdict, on this premise; a grid
-    # without one sweeps to cell_verdict's verdicts
-    try:
-        spec = GridSpec(kp_axis, alpha_axis, (t,))
-    except InvalidGrid:
-        assume(False)
+    # asking the scalar table for a verdict, on this premise; so it
+    # refuses a grid exactly where cell_verdict raises on one of its
+    # cells, and otherwise sweeps to cell_verdict's verdicts. One T makes
+    # a fixed-T grid, two a for-all-T grid.
+    spec = GridSpec(kp_axis, alpha_axis, t_axis, FIXED_T if len(t_axis) == 1 else FOR_ALL_T)
     kps = spec.kp_values()
     alphas = spec.alpha_values()
-    alphas = alphas[np.abs(alphas) >= ALPHA_EXCLUSION]
+    kept = alphas[np.abs(alphas) >= ALPHA_EXCLUSION]
     with np.errstate(all="ignore"):
-        flagged = routh_block(stabmap._ip_coeffs(alphas, kps[:, None], t))[2]
+        flagged = routh_block(stabmap._ip_coeffs(kept, kps[:, None], t_axis[0]))[2]
     for i, j in np.argwhere(flagged):
         with pytest.raises(PolynomialError):
-            cell_verdict(float(kps[i]), float(alphas[j]), spec)
-    if flagged.any():
-        with pytest.raises(InvalidGrid, match="has no Routh verdict"):
-            sweep(spec)
-    else:
+            cell_verdict(float(kps[i]), float(kept[j]), GridSpec(kp_axis, alpha_axis, t_axis[:1]))
+    refused = False
+    for kp in kps.tolist():
+        for alpha in alphas.tolist():
+            try:
+                cell_verdict(kp, alpha, spec)
+            except PolynomialError:
+                refused = True
+    if not refused:
         _assert_sweep_equals_cell_verdict(spec)
+        return
+    with pytest.raises(InvalidGrid, match="has no Routh verdict|overflows the quartic") as info:
+        sweep(spec)
+    if isinstance(info.value, FilterConstantOverflow):
+        assert info.value.t in t_axis and math.isinf(info.value.t * info.value.t)
 
 
 def test_all_t_stable_set_within_fixed_t():
